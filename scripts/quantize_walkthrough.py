@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 
 from starplane import (
-    QuantizeConfig,
     classify_p2,
     docs,
     is_associative,
@@ -45,16 +44,12 @@ def main() -> None:
     args = ap.parse_args()
 
     phi = parse_poly(args.phi)
-    cfg = QuantizeConfig(order=args.order)
 
     section(f"quantize(phi = {format_poly(phi)}, order = {args.order})")
-    m = quantize(phi, cfg)
+    m = quantize(phi, args.order)
     print(render(docs.star_product_doc(m)), end="")
-    for rep in m.reports:
-        print(
-            f"# order {rep.k}: {rep.num_unknowns} unknowns, rank {rep.rank}, "
-            f"kernel {rep.kernel_dim}, escalations {rep.escalations}"
-        )
+    for k, K in sorted(m.ktables.items()):
+        print(f"# order {k}: {sum(len(p.terms) for p in K.terms.values())} kappa terms")
 
     section("star multiplication of test polynomials")
     for fs, gs in [("x", "y"), ("y", "x"), ("x^2", "y^2")]:

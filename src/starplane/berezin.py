@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import IntegrationObstruction, NotNormalized
 from .localized import LocalizedFn
 from .poly import Poly2
-from .quantize import QuantizeConfig, quantize
+from .quantize import quantize
 from .series import HSeries
 from .star import StarProduct, extract_poisson_p3, spq_membership
 
@@ -152,13 +152,9 @@ def density_f(phi: Poly2, S: YOpSeries, N: int) -> BerezinData:
     return BerezinData(S=S, f=f, tau=tau, phi=phi, n_order=N)
 
 
-def berezin_pipeline(phi: Poly2, N: int, cfg: QuantizeConfig | None = None) -> BerezinData:
+def berezin_pipeline(phi: Poly2, N: int) -> BerezinData:
     """quantize -> ad_x -> S -> density, all exact through h^N."""
-    base = cfg or QuantizeConfig(order=N + 1)
-    if base.order != N + 1:
-        base = QuantizeConfig(N + 1, base.max_op_order, base.max_coeff_degree,
-                              base.escalation_steps)
-    m = quantize(phi, base)
+    m = quantize(phi, N + 1)
     W = ad_x(m, phi)
     S = extract_S(W, phi)
     return density_f(phi, S, N)

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 1 a checked property failed (nonzero associativity
 defect, classifier round trip, unrepresentable fit); 2 infeasible or caps
-exhausted; 3 parse or usage errors.  Output is deterministic byte-for-byte.
+exceeded; 3 parse or usage errors, including arguments out of range and
+malformed product files.  Output is deterministic byte-for-byte.
 """
 
 from __future__ import annotations
@@ -19,18 +20,17 @@ from .errors import (
     Infeasible,
     Inconsistent,
     IntegrationObstruction,
-    NonUniqueSolution,
     NotInImage,
     NotNormalized,
     ParseError,
+    UsageError,
 )
 from .liewords import fit_lie_words
 from .parser import parse_poly
-from .quantize import QuantizeConfig, classify_p2, quantize
+from .quantize import classify_p2, quantize
 from .star import assoc_defect, normalize, star_mul
 
-_INFEASIBLE = (Infeasible, NonUniqueSolution, CapExceeded, Inconsistent,
-               IntegrationObstruction, NotNormalized)
+_INFEASIBLE = (Infeasible, CapExceeded, Inconsistent, IntegrationObstruction, NotNormalized)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -45,8 +45,6 @@ def _build_parser() -> _ArgumentParser:
     q = sub.add_parser("quantize", help="build the star product for a polynomial phi")
     q.add_argument("--phi", required=True)
     q.add_argument("--order", type=int, required=True)
-    q.add_argument("--max-op-order", type=int, default=None)
-    q.add_argument("--max-deg", type=int, default=None)
 
     s = sub.add_parser("star-mul", help="multiply two polynomials in a saved product")
     s.add_argument("--product", required=True)
@@ -75,18 +73,16 @@ def _build_parser() -> _ArgumentParser:
 
 def _load_product(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return docs.star_product_from_doc(json.load(fh))
-
-
-def _cfg(order: int, args) -> QuantizeConfig:
-    return QuantizeConfig(order=order,
-                          max_op_order=getattr(args, "max_op_order", None),
-                          max_coeff_degree=getattr(args, "max_deg", None))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise UsageError(f"{path} is not a JSON document: {exc}") from None
+    return docs.star_product_from_doc(doc)
 
 
 def _run(args, out) -> int:
     if args.command == "quantize":
-        m = quantize(parse_poly(args.phi), _cfg(args.order, args))
+        m = quantize(parse_poly(args.phi), args.order)
         out.write(docs.render(docs.star_product_doc(m)))
         return 0
     if args.command == "star-mul":
@@ -127,10 +123,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return _run(args, out)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
+    except (ParseError, UsageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NotInImage as exc:

@@ -399,11 +399,3 @@ def is_k3_shape(T: TriDiffOp) -> bool:
         a[1] == 0 and a[0] >= 1 and c[0] == 0 and c[1] >= 1
         for (a, _, c) in T.terms
     )
-
-
-def shape_checks(D, which: str) -> bool:
-    if which in ("K2", "SPQ"):
-        return is_k2_shape(D)
-    if which == "K3":
-        return is_k3_shape(D)
-    raise ValueError(f"unknown shape class {which!r}")

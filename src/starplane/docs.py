@@ -13,6 +13,7 @@ import json
 
 from .berezin import BerezinData
 from .diffop import BiDiffOp, TriDiffOp
+from .errors import UsageError
 from .liewords import FitReport
 from .parser import parse_poly
 from .poly import format_poly, format_rational, grlex_key
@@ -42,16 +43,22 @@ def star_product_doc(m: StarProduct) -> dict:
 
 
 def star_product_from_doc(doc: dict) -> StarProduct:
-    if doc.get("kind") != "star_product":
-        raise ValueError(f"expected a star_product document, got {doc.get('kind')!r}")
-    orders = {}
-    for entry in doc["terms"]:
-        terms = {}
-        for op in entry["ops"]:
-            key = (tuple(op["df"]), tuple(op["dg"]))
-            terms[key] = parse_poly(op["coeff"])
-        orders[entry["k"]] = BiDiffOp(terms)
-    return StarProduct(doc["h_order"], orders)
+    """Read a star_product document; a malformed one raises UsageError."""
+    try:
+        if doc.get("kind") != "star_product":
+            raise UsageError(f"expected a star_product document, got {doc.get('kind')!r}")
+        orders = {}
+        for entry in doc["terms"]:
+            terms = {}
+            for op in entry["ops"]:
+                key = (tuple(op["df"]), tuple(op["dg"]))
+                terms[key] = parse_poly(op["coeff"])
+            orders[entry["k"]] = BiDiffOp(terms)
+        return StarProduct(doc["h_order"], orders)
+    except KeyError as exc:
+        raise UsageError(f"star_product document lacks the key {exc}") from None
+    except (AttributeError, TypeError) as exc:
+        raise UsageError(f"malformed star_product document: {exc}") from None
 
 
 def gauge_op_doc(u: GaugeOp) -> dict:

@@ -30,11 +30,7 @@ class MissingPriorOrder(EngineError):
 
 
 class Infeasible(EngineError):
-    """No solution within caps, even after escalation."""
-
-
-class NonUniqueSolution(EngineError):
-    """A solve reported a nonzero kernel; contradicts the uniqueness theorem."""
+    """An order's kappa table fails the b(K) = T or Euler-Lagrange re-check."""
 
 
 class NotNormalized(EngineError):
@@ -55,6 +51,10 @@ class Inconsistent(EngineError):
 
 class NotInImage(EngineError):
     """Classifier round-trip assertion failed."""
+
+
+class UsageError(EngineError, ValueError):
+    """An argument or input document outside what the operation accepts."""
 
 
 class ParseError(EngineError):

@@ -20,8 +20,9 @@ from itertools import permutations, product
 
 from . import linsolve
 from .diffop import BiDiffOp, DiffOp
+from .errors import UsageError
 from .poly import Poly2
-from .quantize import QuantizeConfig, quantize
+from .quantize import quantize
 
 
 @dataclass
@@ -89,17 +90,15 @@ def _ansatz_ops(phi: Poly2, k: int):
     return ops
 
 
-def fit_lie_words(phi_samples, k: int, cfg: QuantizeConfig | None = None) -> FitReport:
+def fit_lie_words(phi_samples, k: int) -> FitReport:
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise UsageError("k must be >= 1")
     samples = list(phi_samples)
-    base = cfg or QuantizeConfig(order=k + 1)
     pairs = None
     rows = []
     targets = []
     for phi in samples:
-        m = quantize(phi, QuantizeConfig(k + 1, base.max_op_order,
-                                         base.max_coeff_degree, base.escalation_steps))
+        m = quantize(phi, k + 1)
         target = m.order_op(k + 1)
         ops = _ansatz_ops(phi, k)
         if pairs is None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NonUnitLeadingTerm, NotDivisible
+from .errors import NonUnitLeadingTerm, NotDivisible, UsageError
 from .poly import Poly2
 
 
@@ -20,7 +20,7 @@ class LocalizedFn:
         if isinstance(num, (int, Fraction)):
             num = Poly2.const(num)
         if phi.is_zero():
-            raise ValueError("phi must be nonzero")
+            raise UsageError("phi must be nonzero")
         if power < 0:
             raise ValueError("power must be nonnegative")
         # reduce

@@ -13,8 +13,6 @@ from math import perm
 
 from .errors import DegenerateMap, NonUnitLeadingTerm, NotDivisible
 
-Rational = Fraction
-
 
 def _q(c) -> Fraction:
     if isinstance(c, Fraction):
@@ -291,7 +289,3 @@ def format_poly(p: Poly2) -> str:
         else:
             chunks.append(("- " if c < 0 else "+ ") + body)
     return " ".join(chunks)
-
-
-def affine_substitute(p: Poly2, a, b, c, d) -> Poly2:
-    return p.subs_affine(a, b, c, d)

@@ -3,8 +3,10 @@
 For a polynomial phi the product is fg + sum_k h^k phi K_k where K_1 is
 dx (x) dy and each later K_k is the unique pure-shape table solving
 b(K_k) = T_k under vanishing Euler-Lagrange constraints on both axes.
-The solve instantiates unknown coefficients within caps, builds an exact
-sparse rational system, and escalates the caps geometrically if needed.
+That system is triangular: every kappa_ab except kappa_11 is read off one
+slot of T_k, and kappa_11 follows from the x-axis Euler-Lagrange functional.
+The read-off is then re-checked against the generic b(K_k) = T_k and both
+Euler-Lagrange functionals, which certifies every slot it did not use.
 
 quantize_series extends the construction to formal series sum h^i psi_i by
 exact polynomial interpolation in an auxiliary scalar parameter; classify_p2
@@ -16,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, perm
 
 from . import linsolve
-from .diffop import KTable, TriDiffOp, build_rhs_T, euler_lagrange, hochschild_b
-from .errors import Infeasible, NonUniqueSolution, NotInImage, NotNormalized
+from .diffop import KTable, build_rhs_T, euler_lagrange, hochschild_b
+from .errors import Infeasible, NotInImage, NotNormalized, UsageError
 from .poly import Poly2
 from .star import PoissonSeries, StarProduct, extract_poisson_p3, spq_membership
 
@@ -28,136 +29,41 @@ from .star import PoissonSeries, StarProduct, extract_poisson_p3, spq_membership
 @dataclass(frozen=True)
 class QuantizeConfig:
     order: int
-    max_op_order: int | None = None  # cap on a, b at order k; default 2k
-    max_coeff_degree: int | None = None  # cap on deg kappa_ab; default deg T + deg phi + 2
-    escalation_steps: int = 3
 
     def __post_init__(self):
         if self.order < 1:
-            raise ValueError("order must be >= 1")
+            raise UsageError("order must be >= 1")
 
 
-@dataclass
-class SolveReport:
-    k: int
-    num_unknowns: int
-    rank: int
-    kernel_dim: int
-    escalations: int
+def solve_order(phi: Poly2, K_prior, k: int) -> KTable:
+    """The unique admissible KTable with b(K_k) = T_k at order k >= 2.
 
-
-def _mons_upto(deg: int):
-    out = []
-    for t in range(deg + 1):
-        for i in range(t, -1, -1):
-            out.append((i, t - i))
-    return out
-
-
-def _build_system(T: TriDiffOp, op_cap: int, deg_cap: int):
-    """Scalar system for the unknown kappa coefficients; None if a T slot
-    cannot be produced by any unknown within the caps."""
-    mons = _mons_upto(deg_cap)
-    monset = set(mons)
-    cols = {}
-    for a in range(1, op_cap + 1):
-        for b in range(1, op_cap + 1):
-            for mon in mons:
-                cols[(a, b, mon)] = len(cols)
-    rows = []
-    covered = set()
-    zero = Poly2.zero()
-    for a in range(1, op_cap + 1):
-        for b in range(1, op_cap + 1):
-            slot_eqs = []
-            for l in range(1, b):
-                slot = ((a, 0), (0, l), (0, b - l))
-                covered.add(slot)
-                slot_eqs.append((Fraction(comb(b, l)), T.terms.get(slot, zero)))
-            for j in range(1, a):
-                slot = ((j, 0), (a - j, 0), (0, b))
-                covered.add(slot)
-                slot_eqs.append((Fraction(-comb(a, j)), T.terms.get(slot, zero)))
-            if not slot_eqs:
-                continue
-            active = [e for e in slot_eqs if e[1]]
-            emit = slot_eqs if active else slot_eqs[:1]
-            for cmul, rhs in emit:
-                for mon in monset | set(rhs.terms):
-                    coef = {}
-                    if mon in monset:
-                        coef[cols[(a, b, mon)]] = cmul
-                    rows.append((coef, rhs.terms.get(mon, Fraction(0))))
-    for slot, rhs in T.terms.items():
-        if slot not in covered and rhs:
-            return None  # slot unreachable at these caps
-    # Euler-Lagrange constraints, both axes
-    for axis in ("x", "y"):
-        for opp in range(1, op_cap + 1):
-            per_mon = {}
-            for d in range(1, op_cap + 1):
-                sign = Fraction((-1) ** (d - 1))
-                for (i, j) in mons:
-                    if axis == "x":
-                        if i < d - 1:
-                            continue
-                        tgt = (i - (d - 1), j)
-                        fall = perm(i, d - 1)
-                        col = cols[(d, opp, (i, j))]
-                    else:
-                        if j < d - 1:
-                            continue
-                        tgt = (i, j - (d - 1))
-                        fall = perm(j, d - 1)
-                        col = cols[(opp, d, (i, j))]
-                    if not fall:
-                        continue
-                    per_mon.setdefault(tgt, {})[col] = (
-                        per_mon.get(tgt, {}).get(col, Fraction(0)) + sign * fall
-                    )
-            for tgt in sorted(per_mon, key=lambda m: (m[0] + m[1], m[0])):
-                rows.append((per_mon[tgt], Fraction(0)))
-    return cols, rows
-
-
-def solve_order(phi: Poly2, K_prior, k: int, cfg: QuantizeConfig):
-    """The unique admissible KTable with b(K_k) = T_k at order k >= 2."""
+    b(K) puts b * kappa_ab on the slot dx^a f dy g dy^(b-1) h and
+    -a * kappa_ab on dx f dx^(a-1) g dy^b h, and no other kappa reaches
+    either slot, so kappa_ab (b >= 2) and kappa_a1 (a >= 2) are read off T_k;
+    kappa_11 = sum_{a>=2} (-1)^a dx^(a-1) kappa_a1 makes the x-axis
+    Euler-Lagrange functional vanish at b = 1.
+    """
     T = build_rhs_T(k, phi, K_prior)
-    deg_T = max((p.total_degree() for p in T.terms.values()), default=0)
-    op_cap0 = cfg.max_op_order if cfg.max_op_order is not None else 2 * k
-    deg_cap0 = (
-        cfg.max_coeff_degree
-        if cfg.max_coeff_degree is not None
-        else deg_T + phi.total_degree() + 2
-    )
-    for esc in range(cfg.escalation_steps + 1):
-        op_cap = op_cap0 * 2 ** esc
-        deg_cap = deg_cap0 * 2 ** esc
-        built = _build_system(T, op_cap, deg_cap)
-        if built is None:
-            continue
-        cols, rows = built
-        res = linsolve.solve(rows, len(cols))
-        if not res.consistent:
-            continue
-        if res.kernel_dim != 0:
-            raise NonUniqueSolution(
-                f"order {k}: solve kernel has dimension {res.kernel_dim}"
-            )
-        table = {}
-        for (a, b, mon), idx in cols.items():
-            v = res.solution[idx]
-            if v:
-                table.setdefault((a, b), {})[mon] = v
-        K = KTable({ab: Poly2(t) for ab, t in table.items()})
-        # dual-route verification: generic Hochschild b and both EL functionals
-        if hochschild_b(K) != T:
-            raise Infeasible(f"order {k}: solution fails b(K) = T re-check")
-        if euler_lagrange(K, "x") or euler_lagrange(K, "y"):
-            raise Infeasible(f"order {k}: solution fails Euler-Lagrange re-check")
-        report = SolveReport(k, len(cols), res.rank, res.kernel_dim, esc)
-        return K, report
-    raise Infeasible(f"order {k}: caps exhausted after {cfg.escalation_steps} escalations")
+    table = {}
+    for (A, B, C), t in T.terms.items():
+        if B == (0, 1) and A[0] >= 1 and A[1] == 0 and C[0] == 0 and C[1] >= 1:
+            table[(A[0], C[1] + 1)] = t * Fraction(1, C[1] + 1)
+        elif A == (1, 0) and B[0] >= 1 and B[1] == 0 and C == (0, 1):
+            table[(B[0] + 1, 1)] = t * Fraction(-1, B[0] + 1)
+    k11 = Poly2.zero()
+    for (a, b), kappa in table.items():
+        if b == 1:
+            k11 = k11 + kappa.dx(a - 1) * (-1) ** a
+    if k11:
+        table[(1, 1)] = k11
+    K = KTable(table)
+    # dual-route verification: generic Hochschild b and both EL functionals
+    if hochschild_b(K) != T:
+        raise Infeasible(f"order {k}: solution fails b(K) = T re-check")
+    if euler_lagrange(K, "x") or euler_lagrange(K, "y"):
+        raise Infeasible(f"order {k}: solution fails Euler-Lagrange re-check")
+    return K
 
 
 def _as_config(cfg) -> QuantizeConfig:
@@ -166,18 +72,18 @@ def _as_config(cfg) -> QuantizeConfig:
     return QuantizeConfig(order=int(cfg))
 
 
-@lru_cache(maxsize=None)
+# Products are read-only, so every caller may share the cached one.  The
+# bound keeps memory flat in long runs; one classify_p2 at N = 4 quantizes
+# about 30 distinct phis.
+@lru_cache(maxsize=256)
 def _quantize_cached(phi: Poly2, cfg: QuantizeConfig) -> StarProduct:
     N = cfg.order
     K1 = KTable({(1, 1): Poly2.const(1)})
     ktables = {1: K1}
-    reports = []
     for k in range(2, N + 1):
-        K, rep = solve_order(phi, [ktables[i] for i in range(1, k)], k, cfg)
-        ktables[k] = K
-        reports.append(rep)
+        ktables[k] = solve_order(phi, [ktables[i] for i in range(1, k)], k)
     orders = {k: ktables[k].to_bidiff().scale(phi) for k in range(1, N + 1)}
-    return StarProduct(N, orders, phi=phi, ktables=ktables, reports=reports)
+    return StarProduct(N, orders, phi=phi, ktables=ktables)
 
 
 def quantize(phi: Poly2, cfg) -> StarProduct:
@@ -188,7 +94,7 @@ def quantize(phi: Poly2, cfg) -> StarProduct:
 # -- formal series inputs ----------------------------------------------------
 
 
-def quantize_series(psi: PoissonSeries | list, N: int, cfg: QuantizeConfig | None = None) -> StarProduct:
+def quantize_series(psi: PoissonSeries | list, N: int) -> StarProduct:
     """Quantize sum h^i psi_i exactly.
 
     The order-j part of quantize(phi) is homogeneous of degree j in phi, so
@@ -200,9 +106,7 @@ def quantize_series(psi: PoissonSeries | list, N: int, cfg: QuantizeConfig | Non
     coeffs = list(coeffs)
     while coeffs and coeffs[-1].is_zero():
         coeffs.pop()
-    base = cfg or QuantizeConfig(order=N)
-    if base.order != N:
-        base = QuantizeConfig(N, base.max_op_order, base.max_coeff_degree, base.escalation_steps)
+    base = QuantizeConfig(order=N)
     if not coeffs:
         return StarProduct(N, {})
     maxi = len(coeffs) - 1
@@ -239,7 +143,7 @@ def quantize_series(psi: PoissonSeries | list, N: int, cfg: QuantizeConfig | Non
     return StarProduct(N, {n: BiDiffOp(terms) for n, terms in orders.items()})
 
 
-def classify_p2(m: StarProduct, cfg: QuantizeConfig | None = None) -> PoissonSeries:
+def classify_p2(m: StarProduct) -> PoissonSeries:
     """Invert quantization on a pure-shape associative product.
 
     Newton-style: psi_j is read off from the h^j mismatch of the skew
@@ -251,11 +155,11 @@ def classify_p2(m: StarProduct, cfg: QuantizeConfig | None = None) -> PoissonSer
     target = extract_poisson_p3(m).coeffs  # length N, indices 0..N-1
     psi = []
     for j in range(N):
-        q = quantize_series(psi, N, cfg)
+        q = quantize_series(psi, N)
         got = extract_poisson_p3(q).coeffs
         psi.append(target[j] - got[j])
     result = PoissonSeries(N - 1, psi)
-    final = quantize_series(result, N, cfg)
+    final = quantize_series(result, N)
     if final != m:
         raise NotInImage("product is not in the image of quantization")
     return result

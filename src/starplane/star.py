@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from types import MappingProxyType
 
 from .diffop import (
     BiDiffOp,
@@ -32,18 +33,18 @@ from .series import HSeries
 class StarProduct:
     """Truncation order n_order; orders maps k >= 1 to the operator m_k.
 
-    quantize() attaches phi, the per-order KTables and solver reports; these
-    are metadata and do not take part in equality.
+    quantize() attaches phi and the per-order KTables; these are metadata
+    and do not take part in equality.  orders and ktables are read-only
+    mappings, because quantize() hands one cached product to every caller.
     """
 
-    __slots__ = ("n_order", "orders", "phi", "ktables", "reports")
+    __slots__ = ("n_order", "orders", "phi", "ktables")
 
-    def __init__(self, n_order, orders, phi=None, ktables=None, reports=None):
+    def __init__(self, n_order, orders, phi=None, ktables=None):
         self.n_order = n_order
-        self.orders = {k: op for k, op in orders.items() if op}
+        self.orders = MappingProxyType({k: op for k, op in orders.items() if op})
         self.phi = phi
-        self.ktables = ktables
-        self.reports = reports
+        self.ktables = MappingProxyType(dict(ktables)) if ktables is not None else None
 
     def order_op(self, k: int) -> BiDiffOp:
         if k == 0:

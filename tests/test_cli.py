@@ -4,6 +4,9 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from starplane import cli, docs
 from starplane.parser import parse_poly
@@ -106,6 +109,31 @@ def test_usage_error_exit_code():
     code, _ = run_cli(["no-such-command"])
     assert code == 3
 
+@pytest.mark.parametrize("argv", [
+    ["quantize", "--phi", "x", "--order", "0"],
+    ["fit-lie", "--k", "0", "--samples", "x*y"],
+    ["berezin", "--phi", "0", "--order", "2"],
+])
+def test_argument_outside_domain_exit_code(argv, capsys):
+    code, out = run_cli(argv)
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+@pytest.mark.parametrize("content", [
+    "{",
+    '{"kind": "star_product", "h_order": 2}',
+    '{"kind": "star_product", "h_order": 2, "terms": 5}',
+    "[1, 2]",
+])
+def test_malformed_product_file_exit_code(tmp_path, capsys, content):
+    f = tmp_path / "p.json"
+    f.write_text(content)
+    code, out = run_cli(["classify", "--product", str(f)])
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
 def test_missing_file_exit_code():
     code, _ = run_cli(["classify", "--product", "/nonexistent/p.json"])
     assert code == 3
@@ -125,6 +153,20 @@ def test_byte_determinism_across_processes():
     assert runs[0] == runs[1] == runs[2]
     in_proc = run_cli(["quantize", "--phi", "x^2*y - 3*y", "--order", "3"])[1]
     assert runs[0].decode() == in_proc
+
+GOLDEN = Path(__file__).parent / "data"
+
+@pytest.mark.parametrize("phi, order, name", [
+    ("x*y", 5, "quantize_xy_N5.json"),
+    ("x^2*y + x*y^2", 4, "quantize_x2y_plus_xy2_N4.json"),
+    ("1", 4, "quantize_1_N4.json"),
+    ("1 + x + y^2", 4, "quantize_1_plus_x_plus_y2_N4.json"),
+])
+def test_quantize_stdout_matches_golden_bytes(phi, order, name):
+    # captured from the generic sparse solver; any solver must reproduce them
+    cmd = [sys.executable, "-m", "starplane.cli", "quantize", "--phi", phi, "--order", str(order)]
+    out = subprocess.run(cmd, capture_output=True, check=True).stdout
+    assert out == (GOLDEN / name).read_bytes()
 
 def test_console_script_entry_point():
     proc = subprocess.run(["starplane", "quantize", "--phi", "0", "--order", "2"],

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starplane.diffop import KTable, euler_lagrange, hochschild_b, build_rhs_T
+from solve_oracle import oracle_solve_order
+from starplane.diffop import BiDiffOp, KTable, euler_lagrange, hochschild_b, build_rhs_T
 from starplane.errors import NotInImage, NotNormalized
 
 from starplane.poly import ONE, X, Y, Poly2
@@ -42,9 +43,11 @@ def order2_table(phi):
 @pytest.mark.parametrize("phi", [X * Y, X ** 2, X ** 2 * Y - 3 * Y, X + Y + 1])
 def test_order2_closed_form(phi):
     K1 = KTable({(1, 1): ONE})
-    K2, report = solve_order(phi, [K1], 2, QuantizeConfig(order=2))
+    K2 = solve_order(phi, [K1], 2)
     assert K2 == order2_table(phi)
-    assert report.kernel_dim == 0
+    K2_generic, res = oracle_solve_order(phi, [K1], 2)
+    assert K2_generic == K2
+    assert res.kernel_dim == 0
 
 def test_order2_closed_form_satisfies_recursion_independently():
     # frozen oracle check: b(K_2) = T_2 for the hand-solved table
@@ -77,7 +80,38 @@ def test_quantize_invariants_per_order():
         assert hochschild_b(K) == T
         assert euler_lagrange(K, "x") == {}
         assert euler_lagrange(K, "y") == {}
-    assert all(r.kernel_dim == 0 for r in m.reports)
+        _, res = oracle_solve_order(phi, [m.ktables[i] for i in range(1, k)], k)
+        assert res.kernel_dim == 0
+
+@pytest.mark.parametrize("phi", [
+    ONE, X, X * Y, X ** 2 * Y + X * Y ** 2, X ** 3 * Y ** 2, 1 + X + Y ** 2,
+    X ** 2 + Y ** 2 + X * Y,
+])
+def test_closed_form_matches_generic_solve(phi):
+    # the generic sparse solve, fed its own lower orders, must land on the
+    # same tables as the read-off, with a trivial kernel at every order
+    m = quantize(phi, 4)
+    tables = [KTable({(1, 1): ONE})]
+    for k in range(2, 5):
+        K, res = oracle_solve_order(phi, tables, k)
+        assert K == m.ktables[k]
+        assert res.kernel_dim == 0
+        tables.append(K)
+
+@pytest.mark.parametrize("phi", [X * Y, X ** 2 * Y + X * Y ** 2])
+def test_every_single_entry_perturbation_breaks_the_recursion(phi):
+    # uniqueness lemma: changing any one kappa_ab of K_k, including entries
+    # that are zero, breaks b(K) = T_k or an Euler-Lagrange functional
+    m = quantize(phi, 4)
+    for k in range(2, 5):
+        K = m.ktables[k]
+        T = build_rhs_T(k, phi, [m.ktables[i] for i in range(1, k)])
+        for a in range(1, k + 2):
+            for b in range(1, k + 2):
+                for bump in (ONE, X ** 2 * Y):
+                    bumped = K + KTable({(a, b): bump})
+                    assert (hochschild_b(bumped) != T or euler_lagrange(bumped, "x")
+                            or euler_lagrange(bumped, "y")), (k, a, b, bump)
 
 @pytest.mark.parametrize("phi", PHI_SET)
 def test_associativity(phi):
@@ -95,6 +129,18 @@ def test_cocycle_breaks_euler_lagrange():
 
 def test_quantize_caching_returns_identical_object():
     assert quantize(X * Y, 3) is quantize(X * Y, QuantizeConfig(order=3))
+
+def test_cached_product_cannot_be_mutated():
+    # quantize hands one cached product to every caller, so a write into it
+    # would corrupt every later quantize of the same phi and the series
+    # interpolated from it
+    m = quantize(X * Y, 3)
+    with pytest.raises(TypeError):
+        m.orders[2] = BiDiffOp()
+    with pytest.raises(TypeError):
+        m.ktables[2] = KTable()
+    assert quantize(X * Y, 3).order_op(2)
+    assert is_associative(quantize_series([X * Y, X], 3))
 
 @pytest.mark.parametrize("phi", PHI_SET)
 def test_classify_round_trip(phi):
@@ -157,4 +203,6 @@ def test_linear_phi_associativity_property(a, b):
     phi = Poly2({(1, 0): a, (0, 1): b})
     m = quantize(phi, 3)
     assert is_associative(m)
-    assert all(r.kernel_dim == 0 for r in m.reports)
+    for k in range(2, 4):
+        _, res = oracle_solve_order(phi, [m.ktables[i] for i in range(1, k)], k)
+        assert res.kernel_dim == 0
