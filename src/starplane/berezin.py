@@ -37,7 +37,7 @@ class YOpSeries:
     def apply(self, f: HSeries) -> HSeries:
         out = self.zero_series()
         for b, w in self.terms.items():
-            out = out + w * _series_dy(f, b)
+            out = out + w * f.dy(b)
         return out
 
     def is_zero(self) -> bool:
@@ -56,10 +56,6 @@ class YOpSeries:
     def __repr__(self):
         body = " + ".join(f"({w!r})*dy^{b}" for b, w in sorted(self.terms.items()))
         return f"YOpSeries[{body or '0'}]"
-
-
-def _series_dy(f: HSeries, n: int = 1) -> HSeries:
-    return HSeries(f.order, [c.dy(n) for c in f.coeffs])
 
 
 @dataclass
@@ -123,8 +119,8 @@ def extract_S(W: YOpSeries, phi: Poly2) -> YOpSeries:
     maxb = max(v, default=1)
     s = {j: zero for j in range(max(maxb - 2, 0) + 1)}
     for b in range(maxb, 1, -1):
-        s[b - 2] = v.get(b, zero) - _series_dy(s.get(b - 1, zero))
-    if _series_dy(s[0]) != v.get(1, zero):
+        s[b - 2] = v.get(b, zero) - s.get(b - 1, zero).dy()
+    if s[0].dy() != v.get(1, zero):
         raise IntegrationObstruction("no finite S: the dy^1 slot is inconsistent")
     S = YOpSeries(N, s, phi)
     if not S.h_trailing_zero():
@@ -140,12 +136,12 @@ def density_f(phi: Poly2, S: YOpSeries, N: int) -> BerezinData:
     coeffs = [inv] + [zero] * N
     for n in range(1, N + 1):
         partial = HSeries(N, coeffs)
-        g = _series_dy(S.apply(partial))
+        g = S.apply(partial).dy()
         coeffs[n] = -g[n]
     f = HSeries(N, coeffs)
     tau = -S.apply(f)
     # defining identity, exact through h^N
-    lhs = (f + _series_dy(S.apply(f))) * LocalizedFn(phi, 0, phi)
+    lhs = (f + S.apply(f).dy()) * LocalizedFn(phi, 0, phi)
     one = HSeries.constant(LocalizedFn(1, 0, phi), N)
     if lhs != one:
         raise IntegrationObstruction("density identity phi(1 + dy S)f = 1 failed")

@@ -12,6 +12,7 @@ tests.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import comb, factorial
 
 from .errors import ArityMismatch, MissingPriorOrder
@@ -71,7 +72,7 @@ class _OpBase:
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for k, p in items:
-                if isinstance(p, (int,)) or not isinstance(p, Poly2):
+                if isinstance(p, (int, Fraction)):
                     p = Poly2.const(p)
                 _accum(d, k, p)
         self.terms = d
@@ -193,62 +194,21 @@ class TriDiffOp(_OpBase):
         return out
 
 
-class KTable:
+class KTable(_OpBase):
     """Coefficients kappa_(a,b) for dx^a (x) dy^b, a, b >= 1."""
 
-    __slots__ = ("terms",)
-
     def __init__(self, terms=None):
-        d = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for (a, b), p in items:
-                if not isinstance(p, Poly2):
-                    p = Poly2.const(p)
-                if a < 1 or b < 1:
-                    raise ValueError(f"KTable indices must be >= 1, got {(a, b)}")
-                _accum(d, (a, b), p)
-        self.terms = d
-
-    def __eq__(self, other):
-        if not isinstance(other, KTable):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        d = dict(self.terms)
-        for k, p in other.terms.items():
-            _accum(d, k, p)
-        out = KTable.__new__(KTable)
-        out.terms = d
-        return out
-
-    def scale(self, poly):
-        d = {}
-        for k, p in self.terms.items():
-            _accum(d, k, p * poly)
-        out = KTable.__new__(KTable)
-        out.terms = d
-        return out
+        items = list(terms.items() if isinstance(terms, dict) else terms or ())
+        for (a, b), _ in items:
+            if a < 1 or b < 1:
+                raise ValueError(f"KTable indices must be >= 1, got {(a, b)}")
+        super().__init__(items)
 
     def to_bidiff(self) -> BiDiffOp:
         return BiDiffOp({((a, 0), (0, b)): p for (a, b), p in self.terms.items()})
 
     def apply(self, f: Poly2, g: Poly2) -> Poly2:
         return self.to_bidiff().apply(f, g)
-
-    def max_coeff_degree(self) -> int:
-        return max((p.total_degree() for p in self.terms.values()), default=0)
-
-    def __repr__(self):
-        bits = ", ".join(f"{k}: {p}" for k, p in sorted(self.terms.items()))
-        return f"KTable({bits or '0'})"
 
 
 def apply_op(op, args):
@@ -375,11 +335,7 @@ def euler_lagrange(K: KTable, axis: str) -> dict:
             key, val = a, kappa.dy(b - 1) * ((-1) ** (b - 1))
         else:
             raise ValueError("axis must be 'x' or 'y'")
-        acc = out.get(key, Poly2.zero()) + val
-        if acc:
-            out[key] = acc
-        elif key in out:
-            del out[key]
+        _accum(out, key, val)
     return out
 
 

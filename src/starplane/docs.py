@@ -47,14 +47,22 @@ def star_product_from_doc(doc: dict) -> StarProduct:
     try:
         if doc.get("kind") != "star_product":
             raise UsageError(f"expected a star_product document, got {doc.get('kind')!r}")
+        n = doc["h_order"]
+        if type(n) is not int or n < 1:
+            raise UsageError(f"h_order must be an integer >= 1, got {n!r}")
         orders = {}
         for entry in doc["terms"]:
+            k = entry["k"]
+            if type(k) is not int or not 1 <= k <= n:
+                raise UsageError(f"term order k must be an integer in 1..{n}, got {k!r}")
+            if k in orders:
+                raise UsageError(f"term order k = {k} appears twice")
             terms = {}
             for op in entry["ops"]:
                 key = (tuple(op["df"]), tuple(op["dg"]))
                 terms[key] = parse_poly(op["coeff"])
-            orders[entry["k"]] = BiDiffOp(terms)
-        return StarProduct(doc["h_order"], orders)
+            orders[k] = BiDiffOp(terms)
+        return StarProduct(n, orders)
     except KeyError as exc:
         raise UsageError(f"star_product document lacks the key {exc}") from None
     except (AttributeError, TypeError) as exc:

@@ -67,20 +67,3 @@ def solve(rows, ncols: int) -> SolveResult:
                 acc -= v * sol[c]
         sol[col] = acc
     return SolveResult(True, sol, rank, ncols - rank)
-
-
-def invert_dense(matrix):
-    """Exact inverse of a small dense rational matrix (list of lists)."""
-    n = len(matrix)
-    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]

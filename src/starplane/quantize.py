@@ -9,8 +9,9 @@ The read-off is then re-checked against the generic b(K_k) = T_k and both
 Euler-Lagrange functionals, which certifies every slot it did not use.
 
 quantize_series extends the construction to formal series sum h^i psi_i by
-exact polynomial interpolation in an auxiliary scalar parameter; classify_p2
-inverts the construction one h-order at a time.
+running the same recursion once with coefficients in Q[x,y][t]/t^N (an
+HSeries of polynomials); classify_p2 inverts the construction one h-order at
+a time.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import linsolve
-from .diffop import KTable, build_rhs_T, euler_lagrange, hochschild_b
+from .diffop import BiDiffOp, KTable, build_rhs_T, euler_lagrange, hochschild_b
 from .errors import Infeasible, NotInImage, NotNormalized, UsageError
 from .poly import Poly2
+from .series import HSeries
 from .star import PoissonSeries, StarProduct, extract_poisson_p3, spq_membership
 
 
@@ -35,14 +36,15 @@ class QuantizeConfig:
             raise UsageError("order must be >= 1")
 
 
-def solve_order(phi: Poly2, K_prior, k: int) -> KTable:
+def solve_order(phi, K_prior, k: int) -> KTable:
     """The unique admissible KTable with b(K_k) = T_k at order k >= 2.
 
     b(K) puts b * kappa_ab on the slot dx^a f dy g dy^(b-1) h and
     -a * kappa_ab on dx f dx^(a-1) g dy^b h, and no other kappa reaches
     either slot, so kappa_ab (b >= 2) and kappa_a1 (a >= 2) are read off T_k;
     kappa_11 = sum_{a>=2} (-1)^a dx^(a-1) kappa_a1 makes the x-axis
-    Euler-Lagrange functional vanish at b = 1.
+    Euler-Lagrange functional vanish at b = 1.  Everything here is linear
+    over Q, so phi may be a Poly2 or an HSeries of them.
     """
     T = build_rhs_T(k, phi, K_prior)
     table = {}
@@ -51,13 +53,8 @@ def solve_order(phi: Poly2, K_prior, k: int) -> KTable:
             table[(A[0], C[1] + 1)] = t * Fraction(1, C[1] + 1)
         elif A == (1, 0) and B[0] >= 1 and B[1] == 0 and C == (0, 1):
             table[(B[0] + 1, 1)] = t * Fraction(-1, B[0] + 1)
-    k11 = Poly2.zero()
-    for (a, b), kappa in table.items():
-        if b == 1:
-            k11 = k11 + kappa.dx(a - 1) * (-1) ** a
-    if k11:
-        table[(1, 1)] = k11
-    K = KTable(table)
+    k11 = [((1, 1), kappa.dx(a - 1) * (-1) ** a) for (a, b), kappa in table.items() if b == 1]
+    K = KTable(list(table.items()) + k11)
     # dual-route verification: generic Hochschild b and both EL functionals
     if hochschild_b(K) != T:
         raise Infeasible(f"order {k}: solution fails b(K) = T re-check")
@@ -72,18 +69,21 @@ def _as_config(cfg) -> QuantizeConfig:
     return QuantizeConfig(order=int(cfg))
 
 
-# Products are read-only, so every caller may share the cached one.  The
-# bound keeps memory flat in long runs; one classify_p2 at N = 4 quantizes
-# about 30 distinct phis.
-@lru_cache(maxsize=256)
-def _quantize_cached(phi: Poly2, cfg: QuantizeConfig) -> StarProduct:
-    N = cfg.order
-    K1 = KTable({(1, 1): Poly2.const(1)})
-    ktables = {1: K1}
+def _build(phi, N: int) -> dict:
+    """KTables K_1..K_N of the recursion for phi (a Poly2 or an HSeries)."""
+    ktables = {1: KTable({(1, 1): 1})}
     for k in range(2, N + 1):
         ktables[k] = solve_order(phi, [ktables[i] for i in range(1, k)], k)
-    orders = {k: ktables[k].to_bidiff().scale(phi) for k in range(1, N + 1)}
-    return StarProduct(N, orders, phi=phi, ktables=ktables)
+    return ktables
+
+
+# Products are read-only, so every caller may share the cached one.  The
+# bound keeps memory flat in long runs.
+@lru_cache(maxsize=256)
+def _quantize_cached(phi: Poly2, cfg: QuantizeConfig) -> StarProduct:
+    ktables = _build(phi, cfg.order)
+    orders = {k: K.to_bidiff().scale(phi) for k, K in ktables.items()}
+    return StarProduct(cfg.order, orders, phi=phi, ktables=ktables)
 
 
 def quantize(phi: Poly2, cfg) -> StarProduct:
@@ -97,49 +97,26 @@ def quantize(phi: Poly2, cfg) -> StarProduct:
 def quantize_series(psi: PoissonSeries | list, N: int) -> StarProduct:
     """Quantize sum h^i psi_i exactly.
 
-    The order-j part of quantize(phi) is homogeneous of degree j in phi, so
-    quantizing phi_t = sum t^i psi_i for D+1 rational values of t and
-    interpolating in t recovers every multilinear component; the t^d piece of
-    order j lands at h^(j+d).
+    The order-j part of quantize(phi) is homogeneous of degree j in phi, and
+    the recursion only scales by phi and differentiates, so running it once
+    on phi_t = sum t^i psi_i over Q[x,y][t]/t^N gives every multilinear
+    component; the t^d piece of order j lands at h^(j+d).  Hence psi_i with
+    i >= N cannot reach h^N and is dropped.
     """
-    coeffs = psi.coeffs if isinstance(psi, PoissonSeries) else list(psi)
-    coeffs = list(coeffs)
+    cfg = QuantizeConfig(order=N)
+    coeffs = list(psi.coeffs if isinstance(psi, PoissonSeries) else psi)[:N]
     while coeffs and coeffs[-1].is_zero():
         coeffs.pop()
-    base = QuantizeConfig(order=N)
     if not coeffs:
         return StarProduct(N, {})
-    maxi = len(coeffs) - 1
-    if maxi == 0:
-        return quantize(coeffs[0], base)
-    D = N * maxi
-    ts = list(range(D + 1))
-    prods = []
-    for t in ts:
-        phi_t = Poly2.zero()
-        for i, c in enumerate(coeffs):
-            phi_t = phi_t + c * Fraction(t) ** i
-        prods.append(quantize(phi_t, base))
-    vmat = [[Fraction(t) ** d for d in range(D + 1)] for t in ts]
-    vinv = linsolve.invert_dense(vmat)  # coeff_d = sum_t vinv[d][t] * value_t
-    orders = {n: {} for n in range(1, N + 1)}
-    for j in range(1, N + 1):
-        keys = set()
-        for p in prods:
-            keys |= set(p.order_op(j).terms)
-        for key in keys:
-            values = [p.order_op(j).terms.get(key, Poly2.zero()) for p in prods]
-            for n in range(j, N + 1):
-                d = n - j
-                cd = Poly2.zero()
-                for t in range(D + 1):
-                    w = vinv[d][t]
-                    if w:
-                        cd = cd + values[t] * w
-                if cd:
-                    orders[n][key] = orders[n].get(key, Poly2.zero()) + cd
-    from .diffop import BiDiffOp
-
+    if len(coeffs) == 1:
+        return quantize(coeffs[0], cfg)
+    phi_t = HSeries(N - 1, coeffs + [Poly2.zero()] * (N - len(coeffs)))
+    orders = {n: [] for n in range(1, N + 1)}
+    for j, K in _build(phi_t, N).items():
+        for key, s in K.to_bidiff().scale(phi_t).terms.items():
+            for d, c in enumerate(s.coeffs[: N + 1 - j]):
+                orders[j + d].append((key, c))
     return StarProduct(N, {n: BiDiffOp(terms) for n, terms in orders.items()})
 
 

@@ -2,7 +2,9 @@
 
 HSeries is ring-agnostic: coefficients just need +, -, * and (for
 inversion) an .inverse() method, which Poly2 and LocalizedFn both provide.
-All operations truncate consistently at the stated order.
+All operations truncate consistently at the stated order.  dx and dy act
+coefficientwise, so a series of polynomials is itself a coefficient ring for
+polydifferential operators (quantize_series runs the recursion over it).
 """
 
 from __future__ import annotations
@@ -80,8 +82,17 @@ class HSeries:
             out.append(-(w0 * acc))
         return HSeries(self.order, out)
 
+    def dx(self, n: int = 1) -> "HSeries":
+        return HSeries(self.order, [c.dx(n) for c in self.coeffs])
+
+    def dy(self, n: int = 1) -> "HSeries":
+        return HSeries(self.order, [c.dy(n) for c in self.coeffs])
+
     def is_zero(self) -> bool:
         return all(not c for c in self.coeffs)
+
+    def __bool__(self):
+        return not self.is_zero()
 
     def __repr__(self):
         return "HSeries[" + ", ".join(repr(c) for c in self.coeffs) + "]"

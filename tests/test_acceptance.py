@@ -12,7 +12,7 @@ from math import factorial
 import random
 
 from solve_oracle import oracle_solve_order
-from starplane.berezin import _series_dy, berezin_pipeline
+from starplane.berezin import berezin_pipeline
 from starplane.diffop import KTable, euler_lagrange, hochschild_b, build_rhs_T
 from starplane.liewords import fit_lie_words
 from starplane.localized import LocalizedFn
@@ -137,10 +137,10 @@ def test_criterion_8_berezin():
 
     for phi in (X, X * Y):
         data = berezin_pipeline(phi, 3)
-        lhs = (data.f + _series_dy(data.S.apply(data.f))) * LocalizedFn(phi, 0, phi)
+        lhs = (data.f + data.S.apply(data.f).dy()) * LocalizedFn(phi, 0, phi)
         assert lhs == HSeries.constant(LocalizedFn(1, 0, phi), 3)
         inv = HSeries.constant(LocalizedFn.one_over_phi(phi), 3)
-        assert data.f - inv == _series_dy(data.tau)
+        assert data.f - inv == data.tau.dy()
 
     # the xy run reproduces the frozen low-order values
     data = berezin_pipeline(X * Y, 3)

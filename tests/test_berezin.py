@@ -6,7 +6,6 @@ import pytest
 
 from starplane.berezin import (
     YOpSeries,
-    _series_dy,
     ad_x,
     berezin_pipeline,
     extract_S,
@@ -95,7 +94,7 @@ def test_extract_S_defining_identity():
         zero = HSeries.constant(LocalizedFn(0, 0, phi), N)
         lhs = {1: HSeries.constant(LocalizedFn(phi, 0, phi), N)}
         for j, sj in S.terms.items():
-            lhs[j + 1] = lhs.get(j + 1, zero) + _series_dy(sj) * LocalizedFn(phi, 0, phi)
+            lhs[j + 1] = lhs.get(j + 1, zero) + sj.dy() * LocalizedFn(phi, 0, phi)
             lhs[j + 2] = lhs.get(j + 2, zero) + sj * LocalizedFn(phi, 0, phi)
         for b in set(lhs) | set(W.terms):
             assert lhs.get(b, zero) == W.coeff(b), (phi, b)
@@ -122,10 +121,10 @@ def test_density_flat():
 def test_density_identity_and_exactness(phi):
     data = berezin_pipeline(phi, 3)
     one = HSeries.constant(LocalizedFn(1, 0, phi), 3)
-    lhs = (data.f + _series_dy(data.S.apply(data.f))) * LocalizedFn(phi, 0, phi)
+    lhs = (data.f + data.S.apply(data.f).dy()) * LocalizedFn(phi, 0, phi)
     assert lhs == one
     inv = HSeries.constant(LocalizedFn.one_over_phi(phi), 3)
-    assert data.f - inv == _series_dy(data.tau)
+    assert data.f - inv == data.tau.dy()
     assert data.f.coeffs[0] == LocalizedFn.one_over_phi(phi)
 
 

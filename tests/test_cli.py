@@ -125,6 +125,17 @@ def test_argument_outside_domain_exit_code(argv, capsys):
     '{"kind": "star_product", "h_order": 2}',
     '{"kind": "star_product", "h_order": 2, "terms": 5}',
     "[1, 2]",
+    '{"kind": "star_product", "h_order": 0, "terms": []}',
+    '{"kind": "star_product", "h_order": "2", "terms": []}',
+    '{"kind": "star_product", "h_order": 1.0, "terms": []}',
+    '{"kind": "star_product", "h_order": 1, "terms": ['
+    '{"k": 1, "ops": [{"df": [1, 0], "dg": [0, 1], "coeff": "1"}]}, '
+    '{"k": 3, "ops": [{"df": [1, 0], "dg": [0, 1], "coeff": "x"}]}]}',
+    '{"kind": "star_product", "h_order": 1, "terms": ['
+    '{"k": 0, "ops": [{"df": [1, 0], "dg": [0, 1], "coeff": "1"}]}]}',
+    '{"kind": "star_product", "h_order": 2, "terms": ['
+    '{"k": 1, "ops": [{"df": [1, 0], "dg": [0, 1], "coeff": "1"}]}, '
+    '{"k": 1, "ops": [{"df": [1, 0], "dg": [0, 1], "coeff": "x"}]}]}',
 ])
 def test_malformed_product_file_exit_code(tmp_path, capsys, content):
     f = tmp_path / "p.json"

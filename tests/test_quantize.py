@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from series_oracle import oracle_quantize_series
 from solve_oracle import oracle_solve_order
+from starplane import docs
 from starplane.diffop import BiDiffOp, KTable, euler_lagrange, hochschild_b, build_rhs_T
 from starplane.errors import NotInImage, NotNormalized
 
@@ -132,8 +134,7 @@ def test_quantize_caching_returns_identical_object():
 
 def test_cached_product_cannot_be_mutated():
     # quantize hands one cached product to every caller, so a write into it
-    # would corrupt every later quantize of the same phi and the series
-    # interpolated from it
+    # would corrupt every later quantize of the same phi
     m = quantize(X * Y, 3)
     with pytest.raises(TypeError):
         m.orders[2] = BiDiffOp()
@@ -168,6 +169,20 @@ def test_quantize_series_respects_homogeneity():
     assert m.order_op(1).is_zero() and m.order_op(3).is_zero()
     assert m.order_op(2) == base.order_op(1)
     assert m.order_op(4) == base.order_op(2)
+
+@pytest.mark.parametrize("psi, N", [
+    ([X * Y, X], 1),
+    ([X * Y, X, Y, X ** 2 * Y], 2),
+    ([X * Y, Poly2.zero(), X], 3),
+    ([Poly2.zero(), X, Y], 3),
+    ([X * Y, X, Y], 4),
+])
+def test_quantize_series_matches_interpolation_oracle(psi, N):
+    # one pass over Q[x,y][t]/t^N against D+1 quantizations and a Vandermonde
+    # inverse in t; the rendered documents must agree byte for byte
+    m, o = quantize_series(psi, N), oracle_quantize_series(psi, N)
+    assert m == o
+    assert docs.render(docs.star_product_doc(m)) == docs.render(docs.star_product_doc(o))
 
 def test_classify_requires_pure_shape():
     with pytest.raises(NotNormalized):
