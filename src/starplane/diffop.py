@@ -6,8 +6,8 @@ bidifferential shape used throughout the engine: pure-x derivatives on the
 first slot, pure-y on the second, both of positive order.
 
 This module also provides the Hochschild differential b, the recursion
-right-hand side T_k, Euler-Lagrange constraint maps, and shape membership
-tests.
+right-hand side T_k, Euler-Lagrange constraint maps, and the pure-shape
+membership test.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import ArityMismatch, MissingPriorOrder
+from .errors import MissingPriorOrder
 from .poly import Poly2
 
 Idx = tuple  # (i, j) derivative multi-index
@@ -211,23 +211,7 @@ class KTable(_OpBase):
         return self.to_bidiff().apply(f, g)
 
 
-def apply_op(op, args):
-    """Arity-checked application of any operator kind to a tuple of Poly2."""
-    if isinstance(op, KTable):
-        op = op.to_bidiff()
-    if len(args) != op.arity:
-        raise ArityMismatch(f"operator of arity {op.arity} applied to {len(args)} arguments")
-    return op.apply(*args)
-
-
 # -- Hochschild differential ------------------------------------------------
-
-
-def b_value(D, f: Poly2, g: Poly2, h: Poly2) -> Poly2:
-    """Four-term defining formula, evaluated pointwise (independent oracle)."""
-    if isinstance(D, KTable):
-        D = D.to_bidiff()
-    return f * D.apply(g, h) - D.apply(f * g, h) + D.apply(f, g * h) - D.apply(f, g) * h
 
 
 def hochschild_b(D) -> TriDiffOp:
@@ -242,23 +226,6 @@ def hochschild_b(D) -> TriDiffOp:
         for p, q, m in _splits2(B):
             _accum(d, (A, p, q), c * m)
         _accum(d, (A, B, (0, 0)), -c)
-    out = TriDiffOp.__new__(TriDiffOp)
-    out.terms = d
-    return out
-
-
-def hochschild_b_ktable(K: KTable) -> TriDiffOp:
-    """Closed form of b on KTable terms; coefficients are never differentiated.
-
-    bK = kappa_ab [ sum_{l=1..b-1} C(b,l) dx^a f dy^l g dy^(b-l) h
-                    - sum_{j=1..a-1} C(a,j) dx^j f dx^(a-j) g dy^b h ].
-    """
-    d = {}
-    for (a, b), kappa in K.terms.items():
-        for l in range(1, b):
-            _accum(d, ((a, 0), (0, l), (0, b - l)), kappa * comb(b, l))
-        for j in range(1, a):
-            _accum(d, ((j, 0), (a - j, 0), (0, b)), kappa * (-comb(a, j)))
     out = TriDiffOp.__new__(TriDiffOp)
     out.terms = d
     return out
@@ -339,19 +306,13 @@ def euler_lagrange(K: KTable, axis: str) -> dict:
     return out
 
 
+def _admissible(A: Idx, B: Idx) -> bool:
+    """The slot dx^a (x) dy^b with a, b >= 1."""
+    return A[1] == 0 and B[0] == 0 and A[0] >= 1 and B[1] >= 1
+
+
 def is_k2_shape(D) -> bool:
     """First slot pure-x of positive order, second slot pure-y of positive order."""
     if isinstance(D, KTable):
         return True
-    return all(
-        ay == 0 and bx == 0 and ax >= 1 and by >= 1
-        for ((ax, ay), (bx, by)) in D.terms
-    )
-
-
-def is_k3_shape(T: TriDiffOp) -> bool:
-    """First slot pure-x positive, last slot pure-y positive; middle free."""
-    return all(
-        a[1] == 0 and a[0] >= 1 and c[0] == 0 and c[1] >= 1
-        for (a, _, c) in T.terms
-    )
+    return all(_admissible(A, B) for A, B in D.terms)

@@ -17,14 +17,6 @@ class NonUnitLeadingTerm(EngineError):
     """h-series inversion requires an invertible order-0 coefficient."""
 
 
-class DegenerateMap(EngineError):
-    """Affine substitution with a vanishing linear coefficient."""
-
-
-class ArityMismatch(EngineError):
-    """Operator applied to the wrong number of arguments."""
-
-
 class MissingPriorOrder(EngineError):
     """Recursion right-hand side requested without all lower orders."""
 

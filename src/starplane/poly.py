@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import perm
 
-from .errors import DegenerateMap, NonUnitLeadingTerm, NotDivisible
+from .errors import NonUnitLeadingTerm, NotDivisible
 
 
 def _q(c) -> Fraction:
@@ -229,28 +229,6 @@ class Poly2:
         if self.is_constant() and not self.is_zero():
             return Poly2.const(1 / self.terms[(0, 0)])
         raise NonUnitLeadingTerm(f"{self} is not a unit in Q[x,y]")
-
-    # -- substitution ---------------------------------------------------
-
-    def subs_affine(self, a, b, c, d) -> "Poly2":
-        """p(a*x + b, c*y + d), expanded; a and c must be nonzero."""
-        a, b, c, d = _q(a), _q(b), _q(c), _q(d)
-        if not a or not c:
-            raise DegenerateMap("affine substitution needs a != 0 and c != 0")
-        fx = Poly2({(1, 0): a, (0, 0): b})
-        fy = Poly2({(0, 1): c, (0, 0): d})
-        max_i = max((i for i, _ in self.terms), default=0)
-        max_j = max((j for _, j in self.terms), default=0)
-        xp = [Poly2.const(1)]
-        for _ in range(max_i):
-            xp.append(xp[-1] * fx)
-        yp = [Poly2.const(1)]
-        for _ in range(max_j):
-            yp.append(yp[-1] * fy)
-        out = Poly2.zero()
-        for (i, j), coef in self.terms.items():
-            out = out + xp[i] * yp[j] * coef
-        return out
 
     # -- formatting -----------------------------------------------------
 

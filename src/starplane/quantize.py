@@ -124,7 +124,9 @@ def classify_p2(m: StarProduct) -> PoissonSeries:
     """Invert quantization on a pure-shape associative product.
 
     Newton-style: psi_j is read off from the h^j mismatch of the skew
-    evaluations; the final round-trip is asserted outright.
+    evaluations, which m_(j+1) alone carries, and orders <= j+1 of a series
+    product do not depend on its truncation, so step j quantizes only
+    through h^(j+1); the final round-trip at N is asserted outright.
     """
     if not spq_membership(m):
         raise NotNormalized("classify_p2 requires a pure-shape product")
@@ -132,7 +134,7 @@ def classify_p2(m: StarProduct) -> PoissonSeries:
     target = extract_poisson_p3(m).coeffs  # length N, indices 0..N-1
     psi = []
     for j in range(N):
-        q = quantize_series(psi, N)
+        q = quantize_series(psi, j + 1)
         got = extract_poisson_p3(q).coeffs
         psi.append(target[j] - got[j])
     result = PoissonSeries(N - 1, psi)

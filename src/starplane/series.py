@@ -54,8 +54,11 @@ class HSeries:
         zero = self.coeffs[0] * 0
         out = [zero] * (n + 1)
         for i, a in enumerate(self.coeffs[: n + 1]):
-            for j in range(n + 1 - i):
-                out[i + j] = out[i + j] + a * other.coeffs[j]
+            if not a:
+                continue
+            for j, b in enumerate(other.coeffs[: n + 1 - i]):
+                if b:
+                    out[i + j] = out[i + j] + a * b
         return HSeries(n, out)
 
     __rmul__ = __mul__

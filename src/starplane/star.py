@@ -5,6 +5,9 @@ of the implicit pointwise product m_0.  This module provides multiplication,
 the exact associativity defect, the gauge action of operators 1 + hD_1 + ...,
 normalization into the pure dx^a (x) dy^b class, the skew-evaluation map p3,
 and the symmetric Moyal fixture.
+
+The gauge action and normalization share one triangular recursion on
+U o m' = m o (U (x) U), _gauge, which never forms U^{-1}.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .diffop import (
     compose_in_second,
     is_k2_shape,
     _accum,
+    _admissible,
     _splits2,
     _splits3,
 )
@@ -34,17 +38,25 @@ class StarProduct:
     """Truncation order n_order; orders maps k >= 1 to the operator m_k.
 
     quantize() attaches phi and the per-order KTables; these are metadata
-    and do not take part in equality.  orders and ktables are read-only
-    mappings, because quantize() hands one cached product to every caller.
+    and do not take part in equality.  The attributes cannot be rebound and
+    orders and ktables are read-only mappings, because quantize() hands one
+    cached product to every caller.
     """
 
     __slots__ = ("n_order", "orders", "phi", "ktables")
 
     def __init__(self, n_order, orders, phi=None, ktables=None):
-        self.n_order = n_order
-        self.orders = MappingProxyType({k: op for k, op in orders.items() if op})
-        self.phi = phi
-        self.ktables = MappingProxyType(dict(ktables)) if ktables is not None else None
+        init = object.__setattr__
+        init(self, "n_order", n_order)
+        init(self, "orders", MappingProxyType({k: op for k, op in orders.items() if op}))
+        init(self, "phi", phi)
+        init(self, "ktables", MappingProxyType(dict(ktables)) if ktables is not None else None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"StarProduct is read-only; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"StarProduct is read-only; cannot delete {name!r}")
 
     def order_op(self, k: int) -> BiDiffOp:
         if k == 0:
@@ -100,26 +112,6 @@ class GaugeOp:
         if k == 0:
             return DiffOp.identity()
         return self.orders.get(k, DiffOp())
-
-    def apply_series(self, p: Poly2) -> HSeries:
-        coeffs = [p] + [self.order_op(k).apply(p) for k in range(1, self.n_order + 1)]
-        return HSeries(self.n_order, coeffs)
-
-    def inverse(self) -> "GaugeOp":
-        inv = {}
-        for k in range(1, self.n_order + 1):
-            acc = DiffOp()
-            for q in range(1, k + 1):
-                uq = self.orders.get(q)
-                if uq is None:
-                    continue
-                vk = inv.get(k - q) if k - q else DiffOp.identity()
-                if vk is None:
-                    continue
-                acc = acc + vk.compose(uq)
-            if acc:
-                inv[k] = -acc
-        return GaugeOp(self.n_order, inv)
 
     def __eq__(self, other):
         if not isinstance(other, GaugeOp):
@@ -215,32 +207,99 @@ def _postcompose(V: DiffOp, M: BiDiffOp) -> BiDiffOp:
     return out
 
 
+def _delta(U: DiffOp) -> BiDiffOp:
+    """The operator (f,g) -> U(fg) - U(f) g - f U(g), with U(fg) by Leibniz."""
+    d = {}
+    for nu, u in U.terms.items():
+        for rho, sigma, mult in _splits2(nu):
+            _accum(d, (rho, sigma), u * mult)
+        _accum(d, (nu, (0, 0)), -u)
+        _accum(d, ((0, 0), nu), -u)
+    out = BiDiffOp.__new__(BiDiffOp)
+    out.terms = d
+    return out
+
+
+def _forced(r: BiDiffOp, k: int, max_op_order) -> DiffOp:
+    """U_k whose dU_k cancels every non-admissible slot of R_k.
+
+    dU_k puts C(nu, rho) u_nu on each slot (rho, sigma) with rho + sigma = nu
+    and both parts nonzero, so a slot (rho, sigma) of R_k outside the
+    admissible shape forces u_(rho+sigma) = coeff / C(rho+sigma, rho).
+    """
+    forced = {}
+    for (A, B), c in r.terms.items():
+        if _admissible(A, B):
+            continue
+        if A == (0, 0) or B == (0, 0):
+            raise Inconsistent(f"order {k}: slot with an underived argument cannot be gauged away")
+        nu = (A[0] + B[0], A[1] + B[1])
+        val = c * Fraction(1, comb(nu[0], A[0]) * comb(nu[1], A[1]))
+        if forced.setdefault(nu, val) != val:
+            raise Inconsistent(f"order {k}: conflicting forced values at {nu}")
+    if max_op_order is not None and any(sum(nu) > max_op_order for nu in forced):
+        raise CapExceeded(f"order {k}: U needs derivative order beyond {max_op_order}")
+    return DiffOp(forced)
+
+
+def _gauge(m: StarProduct, U: GaugeOp | None, max_op_order=None):
+    """Solve U o m' = m o (U (x) U) for m' order by order, and U too if not given.
+
+    Write R_k for the order-k part of that identity without its three U_k
+    terms, namely sum_{q+i+j=k; i,j<k} m_q(U_i., U_j.) minus
+    sum_{p=1..k-1} U_p o m'_(k-p).  Then m'_k = R_k - dU_k with
+    dU(f,g) = U(fg) - U(f)g - fU(g).  Given U, this is the gauge action;
+    with U = None, U_k is read off the non-admissible slots of R_k
+    (_forced), which makes m' pure-shape.  U^{-1} is never formed.
+
+    Each order is re-checked against the identity's full sums, with the U_k
+    terms composed directly rather than through dU.
+    """
+    N = m.n_order
+    mult = BiDiffOp.multiplication()
+    ms = [mult] + [m.order_op(q) for q in range(1, N + 1)]
+    us = [DiffOp.identity()]
+    new = [mult]
+    first = {}  # (q, i) -> m_q(U_i ., .), shared by every later order
+    for k in range(1, N + 1):
+        parts = []
+        for q in range(k + 1):
+            for i in range(k - q + 1):
+                j = k - q - i
+                if i == k or j == k or not ms[q] or not us[i] or not us[j]:
+                    continue
+                if (q, i) not in first:
+                    first[q, i] = _precompose(ms[q], us[i], 0) if i else ms[q]
+                parts.append(_precompose(first[q, i], us[j], 1) if j else first[q, i])
+        rhs = sum(parts, BiDiffOp())
+        lhs = sum((_postcompose(us[p], new[k - p]) for p in range(1, k) if us[p] and new[k - p]),
+                  BiDiffOp())
+        r = rhs - lhs
+        uk = U.order_op(k) if U is not None else _forced(r, k, max_op_order)
+        mk = r - _delta(uk)
+        if U is None:
+            for A, B in mk.terms:
+                if not _admissible(A, B):
+                    raise Inconsistent(f"order {k}: residual non-admissible term at {(A, B)}")
+        if (mk + lhs + _postcompose(uk, mult)
+                != rhs + _precompose(mult, uk, 0) + _precompose(mult, uk, 1)):
+            raise Inconsistent(f"order {k}: U o m' = m o (U (x) U) fails its re-check")
+        us.append(uk)
+        new.append(mk)
+    out = StarProduct(N, dict(enumerate(new[1:], 1)))
+    if U is not None:
+        return out
+    U = GaugeOp(N, dict(enumerate(us[1:], 1)))
+    if not spq_membership(out):
+        raise Inconsistent("normalized product failed the shape check")
+    return U, out
+
+
 def gauge_transform(m: StarProduct, U: GaugeOp) -> StarProduct:
-    """m'(f,g) = U^{-1}(m(Uf, Ug)), truncated at h^N, by exact composition."""
+    """The m' with U(m'(f,g)) = m(Uf, Ug), i.e. U^{-1} m(U., U.), through h^N."""
     if U.n_order < m.n_order:
         raise ValueError("gauge operator truncated below the product order")
-    N = m.n_order
-    V = U.inverse()
-    new_orders = {}
-    for k in range(1, N + 1):
-        acc = BiDiffOp()
-        for q in range(k + 1):
-            mq = m.order_op(q)
-            if not mq:
-                continue
-            for i in range(k - q + 1):
-                step1 = _precompose(mq, U.order_op(i), 0) if i else mq
-                if not step1:
-                    continue
-                for j in range(k - q - i + 1):
-                    p = k - q - i - j
-                    step2 = _precompose(step1, U.order_op(j), 1) if j else step1
-                    if not step2:
-                        continue
-                    step3 = _postcompose(V.order_op(p), step2) if p else step2
-                    acc = acc + step3
-        new_orders[k] = acc
-    return StarProduct(N, new_orders)
+    return _gauge(m, U)
 
 
 # -- normalization (unique gauge into the pure-shape class) ------------------
@@ -249,52 +308,14 @@ def gauge_transform(m: StarProduct, U: GaugeOp) -> StarProduct:
 def normalize(m: StarProduct, max_op_order: int | None = None):
     """Unique U with U1=1, Ux=x, Uy=y and U^{-1} m(U.,U.) of pure shape.
 
-    Order by order, the non-conforming coefficients of the partially
-    transformed product determine U_k exactly: a slot (rho, sigma) outside the
-    admissible shape forces u_(rho+sigma) = coeff / C(rho+sigma, rho), and the
-    polar conditions pin the remaining order-<=1 coefficients to zero.
-    Conflicting forced values raise Inconsistent; max_op_order, when given,
-    bounds the derivative order of each U_k (CapExceeded otherwise).
+    One pass of the gauge recursion (_gauge) with each U_k read off the
+    non-admissible slots of R_k (_forced); every forced derivative has
+    order >= 2, so U kills 1, x and y.  A slot with an underived argument,
+    conflicting forced values, or a non-admissible slot left in m'_k raise
+    Inconsistent; max_op_order, when given, bounds the derivative order of
+    each U_k (CapExceeded otherwise).
     """
-    N = m.n_order
-    U = GaugeOp(N, {})
-    for k in range(1, N + 1):
-        current = gauge_transform(m, U)
-        known = current.order_op(k)
-        forced = {}
-        for ((ax, ay), (bx, by)), c in known.terms.items():
-            if ay == 0 and bx == 0 and ax >= 1 and by >= 1:
-                continue  # admissible slot, no constraint
-            if (ax, ay) == (0, 0) or (bx, by) == (0, 0):
-                raise Inconsistent(
-                    f"order {k}: slot with an underived argument cannot be gauged away"
-                )
-            nu = (ax + bx, ay + by)
-            mult = comb(nu[0], ax) * comb(nu[1], ay)
-            val = c * Fraction(1, mult)
-            if nu in forced:
-                if forced[nu] != val:
-                    raise Inconsistent(f"order {k}: conflicting forced values at {nu}")
-            else:
-                forced[nu] = val
-        # polar conditions: no constant, dx, or dy part
-        for nu in ((0, 0), (1, 0), (0, 1)):
-            forced.pop(nu, None)
-        if max_op_order is not None:
-            over = [nu for nu in forced if nu[0] + nu[1] > max_op_order]
-            if over:
-                raise CapExceeded(f"order {k}: U needs derivative order beyond {max_op_order}")
-        if forced:
-            U = GaugeOp(N, {**U.orders, k: DiffOp(forced)})
-        # verify every non-admissible slot now cancels at this order
-        check = gauge_transform(m, U).order_op(k)
-        for ((ax, ay), (bx, by)), c in check.terms.items():
-            if not (ay == 0 and bx == 0 and ax >= 1 and by >= 1):
-                raise Inconsistent(f"order {k}: residual non-admissible term at {((ax, ay), (bx, by))}")
-    out = gauge_transform(m, U)
-    if not spq_membership(out):
-        raise Inconsistent("normalized product failed the shape check")
-    return U, out
+    return _gauge(m, None, max_op_order)
 
 
 # -- Poisson extraction ------------------------------------------------------
@@ -329,6 +350,3 @@ def moyal_fixture(c, N: int) -> StarProduct:
         orders[k] = BiDiffOp(terms)
     return StarProduct(N, orders)
 
-
-def pointwise_product(N: int) -> StarProduct:
-    return StarProduct(N, {})

@@ -4,14 +4,16 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from starplane import cli, docs
+from starplane.diffop import DiffOp
 from starplane.parser import parse_poly
 from starplane.quantize import quantize
-from starplane.star import moyal_fixture
+from starplane.star import GaugeOp, gauge_transform, moyal_fixture
 
 def run_cli(argv):
     out = io.StringIO()
@@ -176,6 +178,27 @@ GOLDEN = Path(__file__).parent / "data"
 def test_quantize_stdout_matches_golden_bytes(phi, order, name):
     # captured from the generic sparse solver; any solver must reproduce them
     cmd = [sys.executable, "-m", "starplane.cli", "quantize", "--phi", phi, "--order", str(order)]
+    out = subprocess.run(cmd, capture_output=True, check=True).stdout
+    assert out == (GOLDEN / name).read_bytes()
+
+# U = 1 + h(2 dxdy + 1/3 dx^2) - h^2 dy^2, a polar gauge with mixed and pure derivatives
+GAUGE = GaugeOp(4, {1: DiffOp({(1, 1): 2, (2, 0): Fraction(1, 3)}), 2: DiffOp({(0, 2): -1})})
+
+@pytest.mark.parametrize("kind, arg, order, name", [
+    ("gauged", "x*y", 4, "normalize_xy_N4_gauged.json"),
+    ("gauged", "x^2*y + x*y^2", 4, "normalize_x2y_plus_xy2_N4_gauged.json"),
+    ("moyal", "1", 4, "normalize_moyal_1_N4.json"),
+    ("moyal", "3/7", 5, "normalize_moyal_3_7_N5.json"),
+])
+def test_normalize_stdout_matches_golden_bytes(tmp_path, kind, arg, order, name):
+    # captured from the inverse-based normalize that re-gauged once per order
+    if kind == "gauged":
+        m = gauge_transform(quantize(parse_poly(arg), order), GAUGE)
+    else:
+        m = moyal_fixture(Fraction(arg), order)
+    f = tmp_path / "p.json"
+    f.write_text(docs.render(docs.star_product_doc(m)))
+    cmd = [sys.executable, "-m", "starplane.cli", "normalize", "--product", str(f)]
     out = subprocess.run(cmd, capture_output=True, check=True).stdout
     assert out == (GOLDEN / name).read_bytes()
 

@@ -3,11 +3,15 @@
 from fractions import Fraction
 from math import factorial
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from gauge_oracle import oracle_apply_series, oracle_gauge_transform, oracle_inverse, oracle_normalize
+from starplane import star
 from starplane.diffop import BiDiffOp, DiffOp
-
+from starplane.errors import CapExceeded, Inconsistent
+from starplane.parser import parse_poly
 from starplane.poly import ONE, X, Y, Poly2
 from starplane.quantize import quantize
 from starplane.series import HSeries
@@ -20,7 +24,6 @@ from starplane.star import (
     is_associative,
     moyal_fixture,
     normalize,
-    pointwise_product,
     spq_membership,
     star_mul,
     star_mul_series,
@@ -67,7 +70,7 @@ def test_assoc_defect_flags_broken_products():
     assert not is_associative(bad)
 
 def test_pointwise_product_is_associative():
-    assert is_associative(pointwise_product(3))
+    assert is_associative(StarProduct(3, {}))
 
 def test_gauge_transform_preserves_associativity():
     m = moyal_fixture(1, 3)
@@ -91,7 +94,7 @@ def test_gauge_by_half_dxdy_normal_orders_moyal():
 
 def test_gauge_inverse_composes_to_identity():
     U = GaugeOp(3, {1: DiffOp({(1, 1): X}), 2: DiffOp({(2, 0): Y})})
-    V = U.inverse()
+    V = oracle_inverse(U)
     m = quantize(X * Y, 3)
     assert gauge_transform(gauge_transform(m, U), V) == m
 
@@ -101,10 +104,10 @@ def test_gauge_transform_matches_pointwise_conjugation(f, g):
     m = quantize(X, 2)
     U = GaugeOp(2, {1: DiffOp({(1, 1): Y}), 2: DiffOp({(2, 1): X})})
     out = gauge_transform(m, U)
-    V = U.inverse()
+    V = oracle_inverse(U)
     # m'(f,g) = U^{-1} m(Uf, Ug) evaluated as h-series (independent oracle)
-    Uf = U.apply_series(f).truncate(2)
-    Ug = U.apply_series(g).truncate(2)
+    Uf = oracle_apply_series(U, f).truncate(2)
+    Ug = oracle_apply_series(U, g).truncate(2)
     conj = star_mul_series(m, Uf, Ug)
     expected = conj
     for k, op in V.orders.items():
@@ -142,3 +145,95 @@ def test_extract_poisson_p3():
 def test_spq_membership():
     assert spq_membership(quantize(X, 2))
     assert not spq_membership(moyal_fixture(1, 2))
+
+# -- the gauge recursion against the inverse-based route ----------------------
+
+coeffs = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.integers(0, 1)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    max_size=2,
+).map(Poly2)
+indices = st.tuples(st.integers(0, 2), st.integers(0, 2))
+PHIS = [parse_poly(t) for t in ("1", "x", "x*y", "x^2*y")]
+
+
+@st.composite
+def gauges(draw, N, polar):
+    """U of order N; polar ones use derivatives of order >= 2 only."""
+    nus = indices.filter(lambda nu: sum(nu) >= 2) if polar else indices
+    return GaugeOp(N, {k: DiffOp(draw(st.dictionaries(nus, coeffs, max_size=2)))
+                       for k in range(1, N + 1)})
+
+
+def _outcome(fn, *args, **kw):
+    try:
+        return fn(*args, **kw)
+    except (Inconsistent, CapExceeded) as exc:
+        return type(exc)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_gauge_transform_matches_inverse_route(data):
+    N = data.draw(st.integers(1, 3))
+    m = quantize(data.draw(st.sampled_from(PHIS)), N)
+    U = data.draw(gauges(N, polar=False))
+    assert gauge_transform(m, U) == oracle_gauge_transform(m, U)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_normalize_matches_inverse_route(data):
+    # a gauged product, sometimes with one stray term, under an optional cap:
+    # both routes return the same (U, m') or raise the same error class
+    N = data.draw(st.integers(1, 3))
+    m = oracle_gauge_transform(quantize(data.draw(st.sampled_from(PHIS)), N),
+                               data.draw(gauges(N, polar=True)))
+    if data.draw(st.booleans()):
+        k = data.draw(st.integers(1, N))
+        slot = st.tuples(st.integers(0, 1), st.integers(0, 1))
+        stray = BiDiffOp({(data.draw(slot), data.draw(slot)): data.draw(coeffs)})
+        m = StarProduct(N, {**m.orders, k: m.order_op(k) + stray})
+    cap = data.draw(st.sampled_from([None, 1, 2, 3, 4]))
+    got = _outcome(normalize, m, max_op_order=cap)
+    event(got.__name__ if isinstance(got, type) else "normalized")
+    assert got == _outcome(oracle_normalize, m, max_op_order=cap)
+
+
+_GAUGED = GaugeOp(3, {1: DiffOp({(1, 1): 2, (2, 0): Fraction(1, 3)}), 2: DiffOp({(0, 2): -1})})
+
+
+@pytest.mark.parametrize("m, cap, error", [
+    (StarProduct(2, {1: BiDiffOp({((0, 0), (0, 1)): ONE})}), None, Inconsistent),
+    (StarProduct(2, {1: BiDiffOp({((1, 0), (1, 1)): 2, ((1, 1), (1, 0)): 4})}), None, Inconsistent),
+    (StarProduct(2, {1: BiDiffOp({((1, 0), (1, 1)): 2})}), None, Inconsistent),
+    (moyal_fixture(1, 3), 1, CapExceeded),
+    (oracle_gauge_transform(quantize(X * Y, 3), _GAUGED), 2, CapExceeded),
+], ids=["underived-slot", "conflicting-values", "residual-slot", "moyal-cap", "gauged-cap"])
+def test_normalize_failures_match_inverse_route(m, cap, error):
+    with pytest.raises(error):
+        normalize(m, max_op_order=cap)
+    with pytest.raises(error):
+        oracle_normalize(m, max_op_order=cap)
+
+
+def test_identity_recheck_catches_a_wrong_delta(monkeypatch):
+    # an admissible-shaped error in dU_k passes the shape scan; only the
+    # re-check of U o m' = m o (U (x) U) can see it
+    right = star._delta
+    wrong = BiDiffOp({((1, 0), (0, 1)): ONE})
+    monkeypatch.setattr(star, "_delta", lambda U: right(U) + wrong if U else right(U))
+    with pytest.raises(Inconsistent, match="re-check"):
+        gauge_transform(quantize(X * Y, 3), _GAUGED)
+    with pytest.raises(Inconsistent, match="re-check"):
+        normalize(moyal_fixture(1, 3))
+
+
+def test_star_product_attributes_are_read_only():
+    m = quantize(X * Y, 3)
+    for name in StarProduct.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(m, name, {})
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+    assert m.n_order == 3 and sorted(m.orders) == [1, 2, 3] and m.phi == X * Y
