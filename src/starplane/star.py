@@ -207,19 +207,6 @@ def _postcompose(V: DiffOp, M: BiDiffOp) -> BiDiffOp:
     return out
 
 
-def _delta(U: DiffOp) -> BiDiffOp:
-    """The operator (f,g) -> U(fg) - U(f) g - f U(g), with U(fg) by Leibniz."""
-    d = {}
-    for nu, u in U.terms.items():
-        for rho, sigma, mult in _splits2(nu):
-            _accum(d, (rho, sigma), u * mult)
-        _accum(d, (nu, (0, 0)), -u)
-        _accum(d, ((0, 0), nu), -u)
-    out = BiDiffOp.__new__(BiDiffOp)
-    out.terms = d
-    return out
-
-
 def _forced(r: BiDiffOp, k: int, max_op_order) -> DiffOp:
     """U_k whose dU_k cancels every non-admissible slot of R_k.
 
@@ -251,9 +238,6 @@ def _gauge(m: StarProduct, U: GaugeOp | None, max_op_order=None):
     dU(f,g) = U(fg) - U(f)g - fU(g).  Given U, this is the gauge action;
     with U = None, U_k is read off the non-admissible slots of R_k
     (_forced), which makes m' pure-shape.  U^{-1} is never formed.
-
-    Each order is re-checked against the identity's full sums, with the U_k
-    terms composed directly rather than through dU.
     """
     N = m.n_order
     mult = BiDiffOp.multiplication()
@@ -271,19 +255,15 @@ def _gauge(m: StarProduct, U: GaugeOp | None, max_op_order=None):
                 if (q, i) not in first:
                     first[q, i] = _precompose(ms[q], us[i], 0) if i else ms[q]
                 parts.append(_precompose(first[q, i], us[j], 1) if j else first[q, i])
-        rhs = sum(parts, BiDiffOp())
-        lhs = sum((_postcompose(us[p], new[k - p]) for p in range(1, k) if us[p] and new[k - p]),
-                  BiDiffOp())
-        r = rhs - lhs
+        r = sum(parts, BiDiffOp()) - sum(
+            (_postcompose(us[p], new[k - p]) for p in range(1, k) if us[p] and new[k - p]),
+            BiDiffOp())
         uk = U.order_op(k) if U is not None else _forced(r, k, max_op_order)
-        mk = r - _delta(uk)
+        mk = r - (_postcompose(uk, mult) - _precompose(mult, uk, 0) - _precompose(mult, uk, 1))
         if U is None:
             for A, B in mk.terms:
                 if not _admissible(A, B):
                     raise Inconsistent(f"order {k}: residual non-admissible term at {(A, B)}")
-        if (mk + lhs + _postcompose(uk, mult)
-                != rhs + _precompose(mult, uk, 0) + _precompose(mult, uk, 1)):
-            raise Inconsistent(f"order {k}: U o m' = m o (U (x) U) fails its re-check")
         us.append(uk)
         new.append(mk)
     out = StarProduct(N, dict(enumerate(new[1:], 1)))

@@ -8,7 +8,6 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from gauge_oracle import oracle_apply_series, oracle_gauge_transform, oracle_inverse, oracle_normalize
-from starplane import star
 from starplane.diffop import BiDiffOp, DiffOp
 from starplane.errors import CapExceeded, Inconsistent
 from starplane.parser import parse_poly
@@ -215,18 +214,6 @@ def test_normalize_failures_match_inverse_route(m, cap, error):
         normalize(m, max_op_order=cap)
     with pytest.raises(error):
         oracle_normalize(m, max_op_order=cap)
-
-
-def test_identity_recheck_catches_a_wrong_delta(monkeypatch):
-    # an admissible-shaped error in dU_k passes the shape scan; only the
-    # re-check of U o m' = m o (U (x) U) can see it
-    right = star._delta
-    wrong = BiDiffOp({((1, 0), (0, 1)): ONE})
-    monkeypatch.setattr(star, "_delta", lambda U: right(U) + wrong if U else right(U))
-    with pytest.raises(Inconsistent, match="re-check"):
-        gauge_transform(quantize(X * Y, 3), _GAUGED)
-    with pytest.raises(Inconsistent, match="re-check"):
-        normalize(moyal_fixture(1, 3))
 
 
 def test_star_product_attributes_are_read_only():
