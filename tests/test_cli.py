@@ -202,6 +202,32 @@ def test_normalize_stdout_matches_golden_bytes(tmp_path, kind, arg, order, name)
     out = subprocess.run(cmd, capture_output=True, check=True).stdout
     assert out == (GOLDEN / name).read_bytes()
 
+def _cli_stdout(*argv):
+    cmd = [sys.executable, "-m", "starplane.cli", *argv]
+    return subprocess.run(cmd, capture_output=True, check=True).stdout
+
+@pytest.mark.parametrize("argv, name", [
+    (["berezin", "--phi", "x^2*y+x*y^2", "--order", "3"], "berezin_x2y_plus_xy2_N3.json"),
+    (["fit-lie", "--k", "2", "--samples", "x*y,x^2*y,x*y^2,x^3*y^2"],
+     "fit_lie_k2_four_samples.json"),
+    (["quantize", "--phi", "x*y+1/3*x^3*y^2", "--order", "4"],
+     "quantize_xy_plus_x3y2_3_N4.json"),
+])
+def test_stdout_matches_golden_bytes(argv, name):
+    # captured from the Fraction-dict Poly2; the printer and parser must keep them
+    assert _cli_stdout(*argv) == (GOLDEN / name).read_bytes()
+
+@pytest.mark.parametrize("argv, name", [
+    (["classify"], "classify_xy_plus_x3y2_3_N4.json"),
+    (["star-mul", "--f", "x^2*y+3/5*y", "--g", "x*y^3-1/2*x"], "star_mul_xy_plus_x3y2_3_N4.json"),
+    (["assoc-check"], "assoc_check_xy_plus_x3y2_3_N4.json"),
+])
+def test_saved_product_stdout_matches_golden_bytes(argv, name):
+    # the product file is the quantize golden of x*y + 1/3*x^3*y^2 at order 4
+    product = str(GOLDEN / "quantize_xy_plus_x3y2_3_N4.json")
+    out = _cli_stdout(argv[0], "--product", product, *argv[1:])
+    assert out == (GOLDEN / name).read_bytes()
+
 def test_console_script_entry_point():
     proc = subprocess.run(["starplane", "quantize", "--phi", "0", "--order", "2"],
                           capture_output=True)
