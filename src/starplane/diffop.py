@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
+from types import MappingProxyType
 
 from .errors import MissingPriorOrder
 from .poly import Poly2
@@ -63,7 +64,22 @@ def _accum(d, key, poly):
             del d[key]
 
 
-class _OpBase:
+class ReadOnly:
+    """Attributes are set once, in __init__ through object.__setattr__, and never
+    rebound or deleted."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only; cannot delete {name!r}")
+
+
+class _OpBase(ReadOnly):
+    """Operators are values: terms is a read-only mapping that cannot be rebound."""
+
     __slots__ = ("terms",)
     arity = None
 
@@ -75,7 +91,14 @@ class _OpBase:
                 if isinstance(p, (int, Fraction)):
                     p = Poly2.const(p)
                 _accum(d, k, p)
-        self.terms = d
+        object.__setattr__(self, "terms", MappingProxyType(d))
+
+    @classmethod
+    def _of(cls, d):
+        """The operator whose terms are the dict d, taken over without a copy."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "terms", MappingProxyType(d))
+        return out
 
     def __bool__(self):
         return bool(self.terms)
@@ -92,14 +115,10 @@ class _OpBase:
         d = dict(self.terms)
         for k, p in other.terms.items():
             _accum(d, k, p)
-        out = type(self).__new__(type(self))
-        out.terms = d
-        return out
+        return type(self)._of(d)
 
     def __neg__(self):
-        out = type(self).__new__(type(self))
-        out.terms = {k: -p for k, p in self.terms.items()}
-        return out
+        return type(self)._of({k: -p for k, p in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -109,9 +128,7 @@ class _OpBase:
         d = {}
         for k, p in self.terms.items():
             _accum(d, k, p * poly)
-        out = type(self).__new__(type(self))
-        out.terms = d
-        return out
+        return type(self)._of(d)
 
     def __repr__(self):
         if not self.terms:
@@ -146,9 +163,7 @@ class DiffOp(_OpBase):
                         continue
                     key = (tail[0] + bx, tail[1] + by)
                     _accum(d, key, a * db * m)
-        out = DiffOp.__new__(DiffOp)
-        out.terms = d
-        return out
+        return DiffOp._of(d)
 
 
 class BiDiffOp(_OpBase):
@@ -226,9 +241,7 @@ def hochschild_b(D) -> TriDiffOp:
         for p, q, m in _splits2(B):
             _accum(d, (A, p, q), c * m)
         _accum(d, (A, B, (0, 0)), -c)
-    out = TriDiffOp.__new__(TriDiffOp)
-    out.terms = d
-    return out
+    return TriDiffOp._of(d)
 
 
 # -- compositions and the recursion right-hand side -------------------------
@@ -245,9 +258,7 @@ def compose_in_first(outer: BiDiffOp, inner: BiDiffOp) -> TriDiffOp:
                     continue
                 key = ((al[0] + q[0], al[1] + q[1]), (be[0] + r[0], be[1] + r[1]), B)
                 _accum(d, key, c * de * m)
-    out = TriDiffOp.__new__(TriDiffOp)
-    out.terms = d
-    return out
+    return TriDiffOp._of(d)
 
 
 def compose_in_second(outer: BiDiffOp, inner: BiDiffOp) -> TriDiffOp:
@@ -261,9 +272,7 @@ def compose_in_second(outer: BiDiffOp, inner: BiDiffOp) -> TriDiffOp:
                     continue
                 key = (A, (al[0] + q[0], al[1] + q[1]), (be[0] + r[0], be[1] + r[1]))
                 _accum(d, key, c * de * m)
-    out = TriDiffOp.__new__(TriDiffOp)
-    out.terms = d
-    return out
+    return TriDiffOp._of(d)
 
 
 def build_rhs_T(k: int, phi: Poly2, K_list) -> TriDiffOp:

@@ -126,7 +126,7 @@ class LocalizedFn:
     def inverse(self) -> "LocalizedFn":
         """Units of the localized ring are c * phi^k; invert those only."""
         if self.num.is_constant() and not self.num.is_zero():
-            c = self.num.terms[(0, 0)]
+            c = self.num.coeff(0, 0)
             return LocalizedFn(self.phi ** self.power * (1 / c), 0, self.phi)
         raise NonUnitLeadingTerm(f"{self!r} is not a unit of the phi-localized ring")
 

@@ -1,24 +1,29 @@
 """Sparse exact-rational bivariate polynomials in x, y.
 
-Terms are kept in a dict mapping exponent pairs (dx, dy) to Fraction
-coefficients; zero coefficients are never stored, so equality is structural.
-The canonical term order used for printing and serialization is graded-lex
-on (dx, dy), highest first.
+A Poly2 keeps integer numerators over one shared positive denominator: a
+dict mapping exponent pairs (dx, dy) to nonzero ints, plus den.  The pair is
+held in lowest terms (gcd(den, *numerators) == 1, and den == 1 for the zero
+polynomial), so equality and hashing are structural.  Ring operations,
+scaling and derivatives do integer work and one gcd reduction per result.
+Fraction appears only at the edges: coeff(), the read-only terms view,
+exact_div, inverse and the printer.  The canonical term order used for
+printing and serialization is graded-lex on (dx, dy), highest first.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import perm
+from math import gcd, lcm, perm
 
 from .errors import NonUnitLeadingTerm, NotDivisible
 
 
-def _q(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
+def _ratio(c):
+    """(numerator, denominator) of an int or Fraction scalar."""
     if isinstance(c, int):
-        return Fraction(c)
+        return c, 1
+    if isinstance(c, Fraction):
+        return c.numerator, c.denominator
     raise TypeError(f"cannot coerce {c!r} to a rational")
 
 
@@ -28,26 +33,26 @@ def grlex_key(exp):
 
 
 class Poly2:
-    __slots__ = ("terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms=None):
-        d = {}
+        items = []
+        den = 1
         if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for exp, c in items:
-                c = _q(c)
-                if not c:
+            for (i, j), c in terms.items() if isinstance(terms, dict) else terms:
+                n, d = _ratio(c)
+                if not n:
                     continue
-                i, j = exp
                 if i < 0 or j < 0:
-                    raise ValueError(f"negative exponent in {exp}")
-                key = (int(i), int(j))
-                acc = d.get(key, 0) + c
-                if acc:
-                    d[key] = acc
-                elif key in d:
-                    del d[key]
-        self.terms = d
+                    raise ValueError(f"negative exponent in {(i, j)}")
+                items.append(((int(i), int(j)), n, d))
+                den = lcm(den, d)
+        num = {}
+        for key, n, d in items:
+            num[key] = num.get(key, 0) + n * (den // d)
+        p = _make({k: v for k, v in num.items() if v}, den)
+        self._num = p._num
+        self._den = p._den
 
     # -- constructors -------------------------------------------------
 
@@ -57,101 +62,127 @@ class Poly2:
 
     @classmethod
     def const(cls, c) -> "Poly2":
-        return cls({(0, 0): _q(c)})
+        return cls({(0, 0): c})
 
     @classmethod
     def monomial(cls, i: int, j: int, c=1) -> "Poly2":
-        return cls({(i, j): _q(c)})
+        return cls({(i, j): c})
 
     # -- basic queries ------------------------------------------------
 
+    @property
+    def terms(self) -> dict:
+        """A fresh {(i, j): Fraction} dict; changing it leaves self alone."""
+        den = self._den
+        return {k: Fraction(v, den) for k, v in self._num.items()}
+
     def coeff(self, i: int, j: int) -> Fraction:
-        return self.terms.get((i, j), Fraction(0))
+        return Fraction(self._num.get((i, j), 0), self._den)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {(0, 0)}
+        n = self._num
+        return not n or (len(n) == 1 and (0, 0) in n)
 
     def total_degree(self) -> int:
         """Max total degree of a term; 0 for the zero polynomial."""
-        return max((i + j for i, j in self.terms), default=0)
+        return max((i + j for i, j in self._num), default=0)
 
     def sorted_terms(self):
-        """Terms in descending graded-lex order."""
+        """(exponent, Fraction) pairs in descending graded-lex order."""
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._num)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly2.const(other)
         if not isinstance(other, Poly2):
             return NotImplemented
-        return self.terms == other.terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self._den, frozenset(self._num.items())))
 
     # -- ring operations ----------------------------------------------
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
+        """self + sign * other for sign in {1, -1}."""
         if isinstance(other, (int, Fraction)):
             other = Poly2.const(other)
-        if not isinstance(other, Poly2):
+        elif not isinstance(other, Poly2):
             return NotImplemented
-        d = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = d.get(k, 0) + c
+        b = other._num
+        if not b:
+            return self
+        da, db = self._den, other._den
+        if da == db:
+            d = dict(self._num)
+            mb = sign
+        else:
+            g = gcd(da, db)
+            ma, mb = db // g, sign * (da // g)
+            d = {k: v * ma for k, v in self._num.items()}
+            da *= ma
+        get = d.get
+        for k, v in b.items():
+            acc = get(k, 0) + v * mb
             if acc:
                 d[k] = acc
-            elif k in d:
+            else:
                 del d[k]
-        out = Poly2.__new__(Poly2)
-        out.terms = d
-        return out
+        return _make(d, da)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        out = Poly2.__new__(Poly2)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly2.const(other)
-        if not isinstance(other, Poly2):
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def __neg__(self):
+        out = _new(Poly2)
+        out._num = {k: -v for k, v in self._num.items()}
+        out._den = self._den
+        return out
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _q(other)
-            if not c:
-                return Poly2.zero()
-            out = Poly2.__new__(Poly2)
-            out.terms = {k: v * c for k, v in self.terms.items()}
+        if isinstance(other, Poly2):
+            a, b = self._num, other._num
+            if not a or not b:
+                return Poly2()
+            d = {}
+            get = d.get
+            for (i1, j1), c1 in a.items():
+                for (i2, j2), c2 in b.items():
+                    k = (i1 + i2, j1 + j2)
+                    d[k] = get(k, 0) + c1 * c2
+            if 0 in d.values():
+                d = {k: v for k, v in d.items() if v}
+            return _make(d, self._den * other._den)
+        if isinstance(other, int):
+            if not other:
+                return Poly2()
+            # gcd(den, numerators) == 1, so dividing out gcd(den, c) keeps lowest terms
+            g = gcd(self._den, other)
+            c = other // g
+            out = _new(Poly2)
+            out._num = {k: v * c for k, v in self._num.items()}
+            out._den = self._den // g
             return out
-        if not isinstance(other, Poly2):
-            return NotImplemented
-        d = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                k = (i1 + i2, j1 + j2)
-                acc = d.get(k, 0) + c1 * c2
-                if acc:
-                    d[k] = acc
-                elif k in d:
-                    del d[k]
-        out = Poly2.__new__(Poly2)
-        out.terms = d
-        return out
+        if isinstance(other, Fraction):
+            if not other:
+                return Poly2()
+            c = other.numerator
+            return _make({k: v * c for k, v in self._num.items()}, self._den * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -172,24 +203,14 @@ class Poly2:
     def dx(self, n: int = 1) -> "Poly2":
         if n == 0:
             return self
-        d = {}
-        for (i, j), c in self.terms.items():
-            if i >= n:
-                d[(i - n, j)] = c * perm(i, n)
-        out = Poly2.__new__(Poly2)
-        out.terms = d
-        return out
+        return _make({(i - n, j): c * perm(i, n)
+                      for (i, j), c in self._num.items() if i >= n}, self._den)
 
     def dy(self, n: int = 1) -> "Poly2":
         if n == 0:
             return self
-        d = {}
-        for (i, j), c in self.terms.items():
-            if j >= n:
-                d[(i, j - n)] = c * perm(j, n)
-        out = Poly2.__new__(Poly2)
-        out.terms = d
-        return out
+        return _make({(i, j - n): c * perm(j, n)
+                      for (i, j), c in self._num.items() if j >= n}, self._den)
 
     # -- division -----------------------------------------------------
 
@@ -201,9 +222,10 @@ class Poly2:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return Poly2.zero()
-        lt_exp = max(other.terms, key=grlex_key)
-        lt_c = other.terms[lt_exp]
-        rem = dict(self.terms)
+        divisor = other.terms
+        lt_exp = max(divisor, key=grlex_key)
+        lt_c = divisor[lt_exp]
+        rem = self.terms
         quo = {}
         while rem:
             r_exp = max(rem, key=grlex_key)
@@ -213,21 +235,19 @@ class Poly2:
                 raise NotDivisible(f"no polynomial quotient (stuck at {r_exp})")
             qc = rem[r_exp] / lt_c
             quo[(di, dj)] = qc
-            for (i, j), c in other.terms.items():
+            for (i, j), c in divisor.items():
                 k = (i + di, j + dj)
                 acc = rem.get(k, 0) - c * qc
                 if acc:
                     rem[k] = acc
                 elif k in rem:
                     del rem[k]
-        out = Poly2.__new__(Poly2)
-        out.terms = quo
-        return out
+        return Poly2(quo)
 
     def inverse(self) -> "Poly2":
         """Multiplicative inverse; only nonzero constants are units."""
         if self.is_constant() and not self.is_zero():
-            return Poly2.const(1 / self.terms[(0, 0)])
+            return Poly2.const(1 / self.coeff(0, 0))
         raise NonUnitLeadingTerm(f"{self} is not a unit in Q[x,y]")
 
     # -- formatting -----------------------------------------------------
@@ -237,6 +257,22 @@ class Poly2:
 
     def __repr__(self):
         return f"Poly2({format_poly(self)})"
+
+
+_new = Poly2.__new__
+
+
+def _make(num, den):
+    """The Poly2 num/den in lowest terms; num has no zero value and den > 0."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {k: v // g for k, v in num.items()}
+            den //= g
+    out = _new(Poly2)
+    out._num = num
+    out._den = den
+    return out
 
 
 X = Poly2.monomial(1, 0)

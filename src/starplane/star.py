@@ -20,6 +20,7 @@ from types import MappingProxyType
 from .diffop import (
     BiDiffOp,
     DiffOp,
+    ReadOnly,
     TriDiffOp,
     compose_in_first,
     compose_in_second,
@@ -34,13 +35,14 @@ from .poly import Poly2
 from .series import HSeries
 
 
-class StarProduct:
+class StarProduct(ReadOnly):
     """Truncation order n_order; orders maps k >= 1 to the operator m_k.
 
     quantize() attaches phi and the per-order KTables; these are metadata
-    and do not take part in equality.  The attributes cannot be rebound and
-    orders and ktables are read-only mappings, because quantize() hands one
-    cached product to every caller.
+    and do not take part in equality.  The attributes cannot be rebound,
+    orders and ktables are read-only mappings and the operators in them are
+    read-only values, because quantize() hands one cached product to every
+    caller.
     """
 
     __slots__ = ("n_order", "orders", "phi", "ktables")
@@ -51,12 +53,6 @@ class StarProduct:
         init(self, "orders", MappingProxyType({k: op for k, op in orders.items() if op}))
         init(self, "phi", phi)
         init(self, "ktables", MappingProxyType(dict(ktables)) if ktables is not None else None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"StarProduct is read-only; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"StarProduct is read-only; cannot delete {name!r}")
 
     def order_op(self, k: int) -> BiDiffOp:
         if k == 0:
@@ -95,18 +91,18 @@ class PoissonSeries:
         return self.trimmed() == other.trimmed()
 
 
-class GaugeOp:
-    """U = 1 + sum h^k U_k with U_k ordinary differential operators."""
+class GaugeOp(ReadOnly):
+    """U = 1 + sum h^k U_k with U_k ordinary differential operators.
+
+    Read-only like StarProduct: normalize() returns one with its product.
+    """
 
     __slots__ = ("n_order", "orders")
 
     def __init__(self, n_order, orders=None):
-        self.n_order = n_order
-        self.orders = {k: op for k, op in (orders or {}).items() if op}
-
-    @classmethod
-    def identity(cls, n_order):
-        return cls(n_order, {})
+        object.__setattr__(self, "n_order", n_order)
+        object.__setattr__(self, "orders",
+                           MappingProxyType({k: op for k, op in (orders or {}).items() if op}))
 
     def order_op(self, k: int) -> DiffOp:
         if k == 0:
@@ -186,9 +182,7 @@ def _precompose(M: BiDiffOp, U: DiffOp, slot: int) -> BiDiffOp:
                 new = (tail[0] + ux, tail[1] + uy)
                 key = (new, B) if slot == 0 else (A, new)
                 _accum(d, key, c * du * mult)
-    out = BiDiffOp.__new__(BiDiffOp)
-    out.terms = d
-    return out
+    return BiDiffOp._of(d)
 
 
 def _postcompose(V: DiffOp, M: BiDiffOp) -> BiDiffOp:
@@ -202,9 +196,7 @@ def _postcompose(V: DiffOp, M: BiDiffOp) -> BiDiffOp:
                     continue
                 key = ((A[0] + q[0], A[1] + q[1]), (B[0] + r[0], B[1] + r[1]))
                 _accum(d, key, v * dc * mult)
-    out = BiDiffOp.__new__(BiDiffOp)
-    out.terms = d
-    return out
+    return BiDiffOp._of(d)
 
 
 def _forced(r: BiDiffOp, k: int, max_op_order) -> DiffOp:

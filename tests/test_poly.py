@@ -1,6 +1,7 @@
 """Exact bivariate polynomial arithmetic."""
 
 from fractions import Fraction
+from math import gcd, perm
 
 import pytest
 from hypothesis import given, settings
@@ -112,3 +113,84 @@ def test_exact_div_roundtrip(p, q):
 @settings(max_examples=100, deadline=None)
 def test_hash_consistent_with_eq(p):
     assert hash(p) == hash(Poly2(dict(p.terms)))
+
+
+# -- representation: integer numerators over one shared denominator ----------
+
+big_ints = st.integers(-2 ** 64, 2 ** 64)
+scalars = st.one_of(big_ints, rationals, st.builds(Fraction, big_ints, st.integers(1, 2 ** 64)))
+raw_polys = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), scalars, max_size=6)
+
+
+def assert_canonical(p):
+    num, den = p._num, p._den
+    assert type(den) is int and den > 0
+    assert all(type(v) is int and v for v in num.values())
+    assert gcd(den, *num.values()) == 1  # den == 1 for the zero polynomial
+
+
+def ref(d):
+    return {k: Fraction(v) for k, v in d.items() if v}
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + sign * v
+    return ref(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            k = (i1 + i2, j1 + j2)
+            out[k] = out.get(k, 0) + c1 * c2
+    return ref(out)
+
+
+def ref_pow(a, n):
+    out = {(0, 0): Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_dx(a, n):
+    return ref({(i - n, j): c * perm(i, n) for (i, j), c in a.items() if i >= n})
+
+
+def ref_dy(a, n):
+    return ref({(i, j - n): c * perm(j, n) for (i, j), c in a.items() if j >= n})
+
+
+@given(raw_polys, raw_polys, scalars, st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_operations_stay_canonical_and_match_reference(da, db, c, n):
+    p, q = Poly2(da), Poly2(db)
+    a, b = ref(da), ref(db)
+    cases = [
+        (p, a), (q, b),
+        (p + q, ref_add(a, b)), (p - q, ref_add(a, b, -1)), (-p, ref_add({}, a, -1)),
+        (p * q, ref_mul(a, b)), (p ** n, ref_pow(a, n)),
+        (p.dx(n), ref_dx(a, n)), (p.dy(n), ref_dy(a, n)),
+        (p * c, ref({k: v * c for k, v in a.items()})), (c * p, ref({k: v * c for k, v in a.items()})),
+        (p + c, ref_add(a, {(0, 0): c})), (c - p, ref_add({(0, 0): c}, a, -1)),
+    ]
+    if q:
+        cases.append(((p * q).exact_div(q), a))
+    for got, want in cases:
+        assert_canonical(got)
+        assert got.terms == want
+
+
+@given(raw_polys)
+@settings(max_examples=100, deadline=None)
+def test_terms_is_a_fresh_fraction_view(d):
+    p = Poly2(d)
+    view = p.terms
+    assert all(type(v) is Fraction for v in view.values())
+    assert Poly2(view) == p and hash(Poly2(view)) == hash(p)
+    view.clear()
+    view[(7, 7)] = Fraction(1, 3)
+    assert p.terms == ref(d)

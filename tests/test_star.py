@@ -224,3 +224,34 @@ def test_star_product_attributes_are_read_only():
         with pytest.raises(AttributeError):
             delattr(m, name)
     assert m.n_order == 3 and sorted(m.orders) == [1, 2, 3] and m.phi == X * Y
+
+
+def test_cached_product_operators_are_read_only():
+    m = quantize(parse_poly("x*y"), 3)
+    op = m.orders[2]
+    with pytest.raises(AttributeError):
+        op.terms.clear()
+    with pytest.raises(TypeError):
+        op.terms[((1, 0), (0, 1))] = ONE
+    for name in ("terms", "other"):
+        with pytest.raises(AttributeError):
+            setattr(op, name, {})
+    with pytest.raises(AttributeError):
+        del op.terms
+    with pytest.raises(AttributeError):
+        m.ktables[2].terms.clear()
+    assert is_associative(quantize(parse_poly("x*y"), 3))
+
+
+def test_gauge_op_is_read_only():
+    U, _ = normalize(moyal_fixture(1, 3))
+    for name in GaugeOp.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(U, name, {})
+        with pytest.raises(AttributeError):
+            delattr(U, name)
+    with pytest.raises(TypeError):
+        U.orders[1] = DiffOp()
+    with pytest.raises(AttributeError):
+        U.orders[1].terms.clear()
+    assert U.order_op(1).terms == {(1, 1): Poly2.const(Fraction(-1, 2))}
