@@ -94,7 +94,8 @@ class PoissonSeries:
 class GaugeOp(ReadOnly):
     """U = 1 + sum h^k U_k with U_k ordinary differential operators.
 
-    Read-only like StarProduct: normalize() returns one with its product.
+    Like StarProduct, its attributes cannot be rebound and orders is a
+    read-only mapping of read-only operators.
     """
 
     __slots__ = ("n_order", "orders")
