@@ -3,7 +3,8 @@
 Exit codes: 0 success; 1 a checked property failed (nonzero associativity
 defect, classifier round trip, unrepresentable fit); 2 infeasible or caps
 exceeded; 3 parse or usage errors, including arguments out of range and
-malformed product files.  Output is deterministic byte-for-byte.
+malformed product files.  Every nonzero exit writes one "error:" line to
+stderr.  Output is deterministic byte-for-byte.
 """
 
 from __future__ import annotations
@@ -14,23 +15,11 @@ import sys
 
 from . import docs
 from .berezin import berezin_pipeline
-from .errors import (
-    CapExceeded,
-    EngineError,
-    Infeasible,
-    Inconsistent,
-    IntegrationObstruction,
-    NotInImage,
-    NotNormalized,
-    ParseError,
-    UsageError,
-)
+from .errors import EngineError, NotInImage, ParseError, UsageError
 from .liewords import fit_lie_words
 from .parser import parse_poly
 from .quantize import classify_p2, quantize
 from .star import assoc_defect, normalize, star_mul
-
-_INFEASIBLE = (Infeasible, CapExceeded, Inconsistent, IntegrationObstruction, NotNormalized)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -72,11 +61,13 @@ def _build_parser() -> _ArgumentParser:
 
 
 def _load_product(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise UsageError(f"{path} is not a JSON document: {exc}") from None
+    except OSError as exc:  # missing file, a directory, no permission, ...
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise UsageError(f"{path} is not a JSON document: {exc}") from None
     return docs.star_product_from_doc(doc)
 
 
@@ -94,7 +85,12 @@ def _run(args, out) -> int:
         m = _load_product(args.product)
         defects = assoc_defect(m)
         out.write(docs.render(docs.defect_report_doc(defects, m.n_order)))
-        return 0 if all(op.is_zero() for op in defects.values()) else 1
+        bad = [str(k) for k, op in sorted(defects.items()) if op]
+        if bad:
+            print(f"error: the product is not associative at order {', '.join(bad)}",
+                  file=sys.stderr)
+            return 1
+        return 0
     if args.command == "normalize":
         m = _load_product(args.product)
         u, normed = normalize(m, max_op_order=args.max_op_order)
@@ -114,27 +110,23 @@ def _run(args, out) -> int:
         samples = [parse_poly(s) for s in args.samples.split(",")]
         report = fit_lie_words(samples, args.k)
         out.write(docs.render(docs.fit_report_doc(report)))
-        return 0 if report.status != "not_representable" else 1
+        if report.status == "not_representable":
+            print(f"error: the samples are not representable by Lie words at k = {args.k}",
+                  file=sys.stderr)
+            return 1
+        return 0
     raise ParseError(f"unknown command {args.command!r}", 0, 0, expected=())
 
 
 def main(argv=None) -> int:
-    out = sys.stdout
     try:
         args = _build_parser().parse_args(argv)
-        return _run(args, out)
-    except (ParseError, UsageError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NotInImage as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _INFEASIBLE as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _run(args, sys.stdout)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, (ParseError, UsageError)):
+            return 3
+        return 1 if isinstance(exc, NotInImage) else 2
 
 
 if __name__ == "__main__":

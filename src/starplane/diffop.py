@@ -3,51 +3,31 @@
 DiffOp / BiDiffOp / TriDiffOp act on 1 / 2 / 3 polynomial arguments as
 sum_terms c * d^alpha f [* d^beta g [* d^gamma h]].  KTable is the restricted
 bidifferential shape used throughout the engine: pure-x derivatives on the
-first slot, pure-y on the second, both of positive order.
+first slot, pure-y on the second, both of positive order.  Coefficients are
+Poly2, or HSeries of Poly2 when quantize_series runs the recursion over
+Q[x,y][t]/t^N.
 
-This module also provides the Hochschild differential b, the recursion
-right-hand side T_k, Euler-Lagrange constraint maps, and the pure-shape
-membership test.
+Every composition of operators is one kernel, substitute_sum (substitute
+for a single term): it feeds an inner operator's output into one argument
+of an outer operator by the Leibniz rule, on integer numerators lifted once
+per call.  The Hochschild differential b, the recursion right-hand side T_k,
+the associator and the gauge recursion in star.py are sums of such
+substitutions.  This module also provides the Euler-Lagrange constraint
+maps and the pure-shape membership test.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from functools import lru_cache
+from math import comb, lcm, perm
 from types import MappingProxyType
 
 from .errors import MissingPriorOrder
-from .poly import Poly2
+from .poly import Poly2, _make
+from .series import HSeries
 
 Idx = tuple  # (i, j) derivative multi-index
-
-
-def _splits2(n: Idx):
-    """All (p, q) with p+q == n componentwise, with binomial multiplicities."""
-    nx, ny = n
-    out = []
-    for px in range(nx + 1):
-        for py in range(ny + 1):
-            m = comb(nx, px) * comb(ny, py)
-            out.append(((px, py), (nx - px, ny - py), m))
-    return out
-
-
-def _splits3(n: Idx):
-    """All (p, q, r) with p+q+r == n componentwise, with multinomials."""
-    nx, ny = n
-    out = []
-    fx, fy = factorial(nx), factorial(ny)
-    for px in range(nx + 1):
-        for qx in range(nx - px + 1):
-            rx = nx - px - qx
-            mx = fx // (factorial(px) * factorial(qx) * factorial(rx))
-            for py in range(ny + 1):
-                for qy in range(ny - py + 1):
-                    ry = ny - py - qy
-                    my = fy // (factorial(py) * factorial(qy) * factorial(ry))
-                    out.append(((px, py), (qx, qy), (rx, ry), mx * my))
-    return out
 
 
 def _accum(d, key, poly):
@@ -123,6 +103,15 @@ class _OpBase(ReadOnly):
     def __sub__(self, other):
         return self + (-other)
 
+    def apply(self, *args):
+        """The operator applied to one polynomial per argument."""
+        out = Poly2.zero()
+        for key, c in self.terms.items():
+            for (i, j), f in zip((key,) if self.arity == 1 else key, args, strict=True):
+                c = c * f.dx(i).dy(j)
+            out = out + c
+        return out
+
     def scale(self, poly):
         """Multiply every coefficient by a polynomial (or scalar)."""
         d = {}
@@ -146,24 +135,9 @@ class DiffOp(_OpBase):
     def identity(cls):
         return cls({(0, 0): Poly2.const(1)})
 
-    def apply(self, f: Poly2) -> Poly2:
-        out = Poly2.zero()
-        for (i, j), c in self.terms.items():
-            out = out + c * f.dx(i).dy(j)
-        return out
-
     def compose(self, other: "DiffOp") -> "DiffOp":
         """self after other: (self.compose(other))(f) == self(other(f))."""
-        d = {}
-        for (ax, ay), a in self.terms.items():
-            for (bx, by), b in other.terms.items():
-                for rho, tail, m in _splits2((ax, ay)):
-                    db = b.dx(rho[0]).dy(rho[1])
-                    if not db:
-                        continue
-                    key = (tail[0] + bx, tail[1] + by)
-                    _accum(d, key, a * db * m)
-        return DiffOp._of(d)
+        return substitute(self, 0, other)
 
 
 class BiDiffOp(_OpBase):
@@ -175,38 +149,11 @@ class BiDiffOp(_OpBase):
     def multiplication(cls):
         return cls({((0, 0), (0, 0)): Poly2.const(1)})
 
-    def apply(self, f: Poly2, g: Poly2) -> Poly2:
-        out = Poly2.zero()
-        for ((ax, ay), (bx, by)), c in self.terms.items():
-            df = f.dx(ax).dy(ay)
-            if not df:
-                continue
-            dg = g.dx(bx).dy(by)
-            if not dg:
-                continue
-            out = out + c * df * dg
-        return out
-
 
 class TriDiffOp(_OpBase):
     """Tridifferential operator: terms keyed by (alpha, beta, gamma)."""
 
     arity = 3
-
-    def apply(self, f: Poly2, g: Poly2, h: Poly2) -> Poly2:
-        out = Poly2.zero()
-        for (a, b, g3), c in self.terms.items():
-            df = f.dx(a[0]).dy(a[1])
-            if not df:
-                continue
-            dg = g.dx(b[0]).dy(b[1])
-            if not dg:
-                continue
-            dh = h.dx(g3[0]).dy(g3[1])
-            if not dh:
-                continue
-            out = out + c * df * dg * dh
-        return out
 
 
 class KTable(_OpBase):
@@ -226,6 +173,130 @@ class KTable(_OpBase):
         return self.to_bidiff().apply(f, g)
 
 
+# -- the composition kernel ---------------------------------------------------
+
+_ARITY = {1: DiffOp, 2: BiDiffOp, 3: TriDiffOp}
+
+
+@lru_cache(maxsize=None)
+def _shares(n: Idx, parts: int) -> tuple:
+    """Every way to write n as an ordered sum of `parts` multi-indices, with
+    its multinomial coefficient; the Leibniz rule of substitute."""
+    if parts == 1:
+        return (((n,), 1),)
+    nx, ny = n
+    return tuple((((qx, qy),) + rest, comb(nx, qx) * comb(ny, qy) * m)
+                 for qx in range(nx + 1) for qy in range(ny + 1)
+                 for rest, m in _shares((nx - qx, ny - qy), parts - 1))
+
+
+def _lift(ops):
+    """The coefficients of ops as integer numerators over one denominator.
+
+    Returns (den, order, lifted): order is the lowest truncation order of an
+    HSeries coefficient (None if every coefficient is a Poly2) and lifted[n]
+    lists (key, [(t, i, j, numerator), ...]) for ops[n], the key being a tuple
+    with one multi-index per argument.  A Poly2 sits at t = 0.
+    """
+    den, order = 1, None
+    for op in ops:
+        for c in op.terms.values():
+            if isinstance(c, HSeries) and all(isinstance(p, Poly2) for p in c.coeffs):
+                order = c.order if order is None else min(order, c.order)
+                den = lcm(den, *(p._den for p in c.coeffs))
+            elif isinstance(c, Poly2):
+                den = lcm(den, c._den)
+            else:
+                raise TypeError(f"operator coefficients must be Poly2 or HSeries of Poly2, "
+                                f"got {type(c).__name__}")
+    lifted = []
+    for op in ops:
+        terms = []
+        for key, c in op.terms.items():
+            parts = c.coeffs[:order + 1] if isinstance(c, HSeries) else (c,)
+            flat = [(t, i, j, n * (den // p._den))
+                    for t, p in enumerate(parts) for (i, j), n in p._num.items()]
+            if flat:
+                terms.append(((key,) if op.arity == 1 else key, flat))
+        lifted.append(terms)
+    return den, order, lifted
+
+
+def substitute_sum(items):
+    """sum of sign * substitute(outer, slot, inner) over (sign, outer, slot, inner).
+
+    Each operator is lifted once (_lift); t-exponents beyond the lowest HSeries
+    order present are dropped.  For outer term c d^A in the slot and inner term
+    e d^B1 .. d^Bn, d^A (e F) = sum C(A; p, q1..qn) d^p e d^(B1+q1) .. d^(Bn+qn):
+    each d^p e is formed once per call and c * d^p e once per p, plain ints are
+    accumulated per output slot, and each output coefficient is built once.
+    Every item must give the same arity.
+    """
+    (arity,) = {outer.arity + inner.arity - 1 for _, outer, _, inner in items}
+    outers = list({id(o): o for _, o, _, _ in items}.values())
+    inners = list({id(i): i for _, _, _, i in items}.values())
+    dout, oout, lout = _lift(outers)
+    din, oin, lin = _lift(inners)
+    lout = {id(o): t for o, t in zip(outers, lout)}
+    lin = {id(i): t for i, t in zip(inners, lin)}
+    orders = [o for o in (oout, oin) if o is not None]
+    order = min(orders) if orders else None
+    top = 0 if order is None else order
+    derived = {id(i): {} for i in inners}  # per inner: (term index, px, py) -> d^p e
+    acc = {}
+    for sign, outer, slot, inner in items:
+        lo, li, cache = lout[id(outer)], lin[id(inner)], derived[id(inner)]
+        nin = inner.arity
+        for okey, c in lo:
+            ax, ay = okey[slot]
+            head, tail = okey[:slot], okey[slot + 1:]
+            for n, (ikey, e) in enumerate(li):
+                for ((px, py), rest), w in _shares((ax, ay), 2):
+                    de = cache.get((n, px, py))
+                    if de is None:
+                        de = cache[n, px, py] = [
+                            (t, i - px, j - py, v * perm(i, px) * perm(j, py))
+                            for t, i, j, v in e if i >= px and j >= py]
+                    if not de:
+                        continue
+                    prod = {}
+                    get = prod.get
+                    for t1, i1, j1, v1 in c:
+                        for t2, i2, j2, v2 in de:
+                            if t1 + t2 <= top:
+                                k = (t1 + t2, i1 + i2, j1 + j2)
+                                prod[k] = get(k, 0) + v1 * v2
+                    if not prod:
+                        continue
+                    w *= sign
+                    for qs, m in _shares(rest, nin):
+                        key = head + tuple((b[0] + q[0], b[1] + q[1])
+                                           for b, q in zip(ikey, qs)) + tail
+                        a = acc.get(key)
+                        if a is None:
+                            a = acc[key] = {}
+                        f = w * m
+                        for k, v in prod.items():
+                            a[k] = a.get(k, 0) + v * f
+    den = dout * din
+    d = {}
+    for key, a in acc.items():
+        per_t = [{} for _ in range(top + 1)]
+        for (t, i, j), v in a.items():
+            if v:
+                per_t[t][i, j] = v
+        if any(per_t):
+            coeffs = [_make(num, den) for num in per_t]
+            d[key[0] if arity == 1 else key] = coeffs[0] if order is None else HSeries(order, coeffs)
+    return _ARITY[arity]._of(d)
+
+
+def substitute(outer, slot: int, inner):
+    """outer with inner's output fed into argument `slot`: for a BiDiffOp
+    outer and slot 0, (f, g, h) -> outer(inner(f, g), h)."""
+    return substitute_sum([(1, outer, slot, inner)])
+
+
 # -- Hochschild differential ------------------------------------------------
 
 
@@ -233,15 +304,8 @@ def hochschild_b(D) -> TriDiffOp:
     """(bD)(f,g,h) = f D(g,h) - D(fg,h) + D(f,gh) - D(f,g) h, as an operator."""
     if isinstance(D, KTable):
         D = D.to_bidiff()
-    d = {}
-    for (A, B), c in D.terms.items():
-        _accum(d, ((0, 0), A, B), c)
-        for p, q, m in _splits2(A):
-            _accum(d, (p, q, B), c * (-m))
-        for p, q, m in _splits2(B):
-            _accum(d, (A, p, q), c * m)
-        _accum(d, (A, B, (0, 0)), -c)
-    return TriDiffOp._of(d)
+    mult = BiDiffOp.multiplication()
+    return substitute_sum([(1, mult, 1, D), (-1, D, 0, mult), (1, D, 1, mult), (-1, mult, 0, D)])
 
 
 # -- compositions and the recursion right-hand side -------------------------
@@ -249,30 +313,12 @@ def hochschild_b(D) -> TriDiffOp:
 
 def compose_in_first(outer: BiDiffOp, inner: BiDiffOp) -> TriDiffOp:
     """The tridifferential operator (f,g,h) -> outer(inner(f,g), h)."""
-    d = {}
-    for (A, B), c in outer.terms.items():
-        for (al, be), e in inner.terms.items():
-            for p, q, r, m in _splits3(A):
-                de = e.dx(p[0]).dy(p[1])
-                if not de:
-                    continue
-                key = ((al[0] + q[0], al[1] + q[1]), (be[0] + r[0], be[1] + r[1]), B)
-                _accum(d, key, c * de * m)
-    return TriDiffOp._of(d)
+    return substitute(outer, 0, inner)
 
 
 def compose_in_second(outer: BiDiffOp, inner: BiDiffOp) -> TriDiffOp:
     """The tridifferential operator (f,g,h) -> outer(f, inner(g,h))."""
-    d = {}
-    for (A, B), c in outer.terms.items():
-        for (al, be), e in inner.terms.items():
-            for p, q, r, m in _splits3(B):
-                de = e.dx(p[0]).dy(p[1])
-                if not de:
-                    continue
-                key = (A, (al[0] + q[0], al[1] + q[1]), (be[0] + r[0], be[1] + r[1]))
-                _accum(d, key, c * de * m)
-    return TriDiffOp._of(d)
+    return substitute(outer, 1, inner)
 
 
 def build_rhs_T(k: int, phi: Poly2, K_list) -> TriDiffOp:
@@ -285,13 +331,10 @@ def build_rhs_T(k: int, phi: Poly2, K_list) -> TriDiffOp:
         raise ValueError("recursion starts at k = 2")
     if len(K_list) < k - 1:
         raise MissingPriorOrder(f"need tables for orders 1..{k - 1}, got {len(K_list)}")
-    total = TriDiffOp()
-    for i in range(1, k):
-        j = k - i
-        outer = K_list[i - 1].to_bidiff()
-        inner = K_list[j - 1].to_bidiff().scale(phi)
-        total = total + compose_in_first(outer, inner) - compose_in_second(outer, inner)
-    return total
+    outer = [K.to_bidiff() for K in K_list[:k - 1]]
+    inner = [K.scale(phi) for K in outer]
+    return substitute_sum([(sign, outer[i - 1], slot, inner[k - i - 1])
+                           for i in range(1, k) for sign, slot in ((1, 0), (-1, 1))])
 
 
 # -- Euler-Lagrange constraints and shape tests ------------------------------

@@ -42,6 +42,12 @@ def star_product_doc(m: StarProduct) -> dict:
     return {"kind": "star_product", "h_order": m.n_order, "terms": terms}
 
 
+def _multi_index(v) -> tuple:
+    if type(v) is not list or len(v) != 2 or any(type(e) is not int or e < 0 for e in v):
+        raise UsageError(f"a multi-index must be a pair of integers >= 0, got {v!r}")
+    return tuple(v)
+
+
 def star_product_from_doc(doc: dict) -> StarProduct:
     """Read a star_product document; a malformed one raises UsageError."""
     try:
@@ -59,7 +65,10 @@ def star_product_from_doc(doc: dict) -> StarProduct:
                 raise UsageError(f"term order k = {k} appears twice")
             terms = {}
             for op in entry["ops"]:
-                key = (tuple(op["df"]), tuple(op["dg"]))
+                key = (_multi_index(op["df"]), _multi_index(op["dg"]))
+                if key in terms:
+                    raise UsageError(f"order k = {k} repeats the entry df = {op['df']}, "
+                                     f"dg = {op['dg']}")
                 terms[key] = parse_poly(op["coeff"])
             orders[k] = BiDiffOp(terms)
         return StarProduct(n, orders)

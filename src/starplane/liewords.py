@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import permutations, product
 
 from . import linsolve
-from .diffop import BiDiffOp, DiffOp
+from .diffop import BiDiffOp, DiffOp, substitute
 from .errors import UsageError
 from .poly import Poly2
 from .quantize import quantize
@@ -54,27 +54,13 @@ def _word_op(letters, order, axis):
     return op
 
 
-def _tensor(a: DiffOp, b: DiffOp) -> BiDiffOp:
-    terms = {}
-    for da, ca in a.terms.items():
-        for db, cb in b.terms.items():
-            key = (da, db)
-            c = ca * cb
-            if key in terms:
-                c = terms[key] + c
-            if c:
-                terms[key] = c
-            elif key in terms:
-                del terms[key]
-    return BiDiffOp(terms)
-
-
 def _ansatz_ops(phi: Poly2, k: int):
     """BiDiffOp per (sigma, tau) word pair, summed over index tuples."""
     terms = _separable_terms(phi)
     n = len(terms)
     words = list(permutations(range(k)))
     ops = {(s, t): BiDiffOp() for s in words for t in words}
+    mult = BiDiffOp.multiplication()
     for tup in product(range(n), repeat=k + 1):
         xis = [terms[i][0] for i in tup]
         etas = [terms[i][1] for i in tup]
@@ -85,8 +71,9 @@ def _ansatz_ops(phi: Poly2, k: int):
             x_words[w] = _word_op(xis, order, "x")
             y_words[w] = _word_op(etas, order, "y")
         for s in words:
+            left = substitute(mult, 0, x_words[s])  # (f, g) -> word_s(f) * g
             for t in words:
-                ops[(s, t)] = ops[(s, t)] + _tensor(x_words[s], y_words[t])
+                ops[(s, t)] = ops[(s, t)] + substitute(left, 1, y_words[t])
     return ops
 
 

@@ -6,8 +6,8 @@ held in lowest terms (gcd(den, *numerators) == 1, and den == 1 for the zero
 polynomial), so equality and hashing are structural.  Ring operations,
 scaling and derivatives do integer work and one gcd reduction per result.
 Fraction appears only at the edges: coeff(), the read-only terms view,
-exact_div, inverse and the printer.  The canonical term order used for
-printing and serialization is graded-lex on (dx, dy), highest first.
+inverse and the printer.  The canonical term order used for printing and
+serialization is graded-lex on (dx, dy), highest first.
 """
 
 from __future__ import annotations
@@ -215,34 +215,50 @@ class Poly2:
     # -- division -----------------------------------------------------
 
     def exact_div(self, other: "Poly2") -> "Poly2":
-        """Quotient q with other*q == self, or raise NotDivisible."""
+        """Quotient q with other*q == self, or raise NotDivisible.
+
+        Long division on the integer numerators, over one denominator that grows
+        only when the divisor's leading numerator does not divide the
+        remainder's.  A quotient needs the divisor's leading and trailing grlex
+        exponents to divide the dividend's, which is tested first.
+        """
         if isinstance(other, (int, Fraction)):
             other = Poly2.const(other)
-        if other.is_zero():
+        b = other._num
+        if not b:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return Poly2.zero()
-        divisor = other.terms
-        lt_exp = max(divisor, key=grlex_key)
-        lt_c = divisor[lt_exp]
-        rem = self.terms
+        rem = dict(self._num)
+        if not rem:
+            return Poly2()
+        lead = max(b, key=grlex_key)
+        for ea, eb in ((max(rem, key=grlex_key), lead),
+                       (min(rem, key=grlex_key), min(b, key=grlex_key))):
+            if ea[0] < eb[0] or ea[1] < eb[1]:
+                raise NotDivisible(f"no polynomial quotient (stuck at {ea})")
+        lc = b[lead]
         quo = {}
+        den = 1  # rem and quo are numerators over den
         while rem:
             r_exp = max(rem, key=grlex_key)
-            di = r_exp[0] - lt_exp[0]
-            dj = r_exp[1] - lt_exp[1]
+            di, dj = r_exp[0] - lead[0], r_exp[1] - lead[1]
             if di < 0 or dj < 0:
                 raise NotDivisible(f"no polynomial quotient (stuck at {r_exp})")
-            qc = rem[r_exp] / lt_c
-            quo[(di, dj)] = qc
-            for (i, j), c in divisor.items():
+            g = gcd(rem[r_exp], lc) if lc > 0 else -gcd(rem[r_exp], lc)
+            s, qn = lc // g, rem[r_exp] // g  # the quotient term is qn / (den * s), s > 0
+            if s != 1:
+                rem = {k: v * s for k, v in rem.items()}
+                quo = {k: v * s for k, v in quo.items()}
+                den *= s
+            quo[di, dj] = qn
+            for (i, j), c in b.items():
                 k = (i + di, j + dj)
-                acc = rem.get(k, 0) - c * qc
+                acc = rem.get(k, 0) - c * qn
                 if acc:
                     rem[k] = acc
-                elif k in rem:
+                else:
                     del rem[k]
-        return Poly2(quo)
+        # self / other = (quo / den) * other._den / self._den
+        return _make({k: v * other._den for k, v in quo.items()}, den * self._den)
 
     def inverse(self) -> "Poly2":
         """Multiplicative inverse; only nonzero constants are units."""

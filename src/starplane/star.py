@@ -21,14 +21,10 @@ from .diffop import (
     BiDiffOp,
     DiffOp,
     ReadOnly,
-    TriDiffOp,
-    compose_in_first,
-    compose_in_second,
     is_k2_shape,
-    _accum,
     _admissible,
-    _splits2,
-    _splits3,
+    substitute,
+    substitute_sum,
 )
 from .errors import CapExceeded, Inconsistent
 from .poly import Poly2
@@ -147,14 +143,8 @@ def assoc_defect(m: StarProduct) -> dict:
     """Exact order-k associator operators for k = 2..N (zero ops included)."""
     out = {}
     for k in range(2, m.n_order + 1):
-        total = TriDiffOp()
-        for i in range(k + 1):
-            outer = m.order_op(i)
-            inner = m.order_op(k - i)
-            if not outer or not inner:
-                continue
-            total = total + compose_in_first(outer, inner) - compose_in_second(outer, inner)
-        out[k] = total
+        out[k] = substitute_sum([(sign, m.order_op(i), slot, m.order_op(k - i))
+                                 for i in range(k + 1) for sign, slot in ((1, 0), (-1, 1))])
     return out
 
 
@@ -168,36 +158,6 @@ def spq_membership(m: StarProduct) -> bool:
 
 
 # -- gauge action ------------------------------------------------------------
-
-
-def _precompose(M: BiDiffOp, U: DiffOp, slot: int) -> BiDiffOp:
-    """Replace argument `slot` of M by U(argument), as an exact operator."""
-    d = {}
-    for (A, B), c in M.terms.items():
-        tgt = A if slot == 0 else B
-        for (ux, uy), u in U.terms.items():
-            for rho, tail, mult in _splits2(tgt):
-                du = u.dx(rho[0]).dy(rho[1])
-                if not du:
-                    continue
-                new = (tail[0] + ux, tail[1] + uy)
-                key = (new, B) if slot == 0 else (A, new)
-                _accum(d, key, c * du * mult)
-    return BiDiffOp._of(d)
-
-
-def _postcompose(V: DiffOp, M: BiDiffOp) -> BiDiffOp:
-    """The operator (f,g) -> V(M(f,g))."""
-    d = {}
-    for (mu_x, mu_y), v in V.terms.items():
-        for (A, B), c in M.terms.items():
-            for p, q, r, mult in _splits3((mu_x, mu_y)):
-                dc = c.dx(p[0]).dy(p[1])
-                if not dc:
-                    continue
-                key = ((A[0] + q[0], A[1] + q[1]), (B[0] + r[0], B[1] + r[1]))
-                _accum(d, key, v * dc * mult)
-    return BiDiffOp._of(d)
 
 
 def _forced(r: BiDiffOp, k: int, max_op_order) -> DiffOp:
@@ -237,28 +197,20 @@ def _gauge(m: StarProduct, U: GaugeOp | None, max_op_order=None):
     ms = [mult] + [m.order_op(q) for q in range(1, N + 1)]
     us = [DiffOp.identity()]
     new = [mult]
-    first = {}  # (q, i) -> m_q(U_i ., .), shared by every later order
+    first = [ms]  # first[i][q] = m_q(U_i ., .), shared by every later order
     for k in range(1, N + 1):
-        parts = []
-        for q in range(k + 1):
-            for i in range(k - q + 1):
-                j = k - q - i
-                if i == k or j == k or not ms[q] or not us[i] or not us[j]:
-                    continue
-                if (q, i) not in first:
-                    first[q, i] = _precompose(ms[q], us[i], 0) if i else ms[q]
-                parts.append(_precompose(first[q, i], us[j], 1) if j else first[q, i])
-        r = sum(parts, BiDiffOp()) - sum(
-            (_postcompose(us[p], new[k - p]) for p in range(1, k) if us[p] and new[k - p]),
-            BiDiffOp())
+        r = substitute_sum([(1, first[i][q], 1, us[k - q - i])
+                            for i in range(k) for q in range(k - i + 1) if q + i]
+                           + [(-1, us[p], 0, new[k - p]) for p in range(1, k)])
         uk = U.order_op(k) if U is not None else _forced(r, k, max_op_order)
-        mk = r - (_postcompose(uk, mult) - _precompose(mult, uk, 0) - _precompose(mult, uk, 1))
+        mk = r - substitute_sum([(1, uk, 0, mult), (-1, mult, 0, uk), (-1, mult, 1, uk)])
         if U is None:
             for A, B in mk.terms:
                 if not _admissible(A, B):
                     raise Inconsistent(f"order {k}: residual non-admissible term at {(A, B)}")
         us.append(uk)
         new.append(mk)
+        first.append([substitute(mq, 0, uk) for mq in ms[:N - k + 1]])
     out = StarProduct(N, dict(enumerate(new[1:], 1)))
     if U is not None:
         return out

@@ -12,10 +12,11 @@ R_k - dU_k bookkeeping, so tests compare the two routes.
 from fractions import Fraction
 from math import comb
 
+from compose_oracle import _postcompose, _precompose, compose
 from starplane.diffop import BiDiffOp, DiffOp
 from starplane.errors import CapExceeded, Inconsistent
 from starplane.series import HSeries
-from starplane.star import GaugeOp, StarProduct, _postcompose, _precompose, spq_membership
+from starplane.star import GaugeOp, StarProduct, spq_membership
 
 
 def oracle_inverse(U: GaugeOp) -> GaugeOp:
@@ -30,7 +31,7 @@ def oracle_inverse(U: GaugeOp) -> GaugeOp:
             vk = inv.get(k - q) if k - q else DiffOp.identity()
             if vk is None:
                 continue
-            acc = acc + vk.compose(uq)
+            acc = acc + compose(vk, uq)
         if acc:
             inv[k] = -acc
     return GaugeOp(U.n_order, inv)

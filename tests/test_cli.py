@@ -138,6 +138,17 @@ def test_argument_outside_domain_exit_code(argv, capsys):
     '{"kind": "star_product", "h_order": 2, "terms": ['
     '{"k": 1, "ops": [{"df": [1, 0], "dg": [0, 1], "coeff": "1"}]}, '
     '{"k": 1, "ops": [{"df": [1, 0], "dg": [0, 1], "coeff": "x"}]}]}',
+    '{"kind": "star_product", "h_order": 1, "terms": ['
+    '{"k": 1, "ops": [{"df": [1], "dg": [0, 1], "coeff": "1"}]}]}',
+    '{"kind": "star_product", "h_order": 1, "terms": ['
+    '{"k": 1, "ops": [{"df": [-1, 0], "dg": [0, 1], "coeff": "1"}]}]}',
+    '{"kind": "star_product", "h_order": 1, "terms": ['
+    '{"k": 1, "ops": [{"df": ["a", 0], "dg": [0, 1], "coeff": "1"}]}]}',
+    '{"kind": "star_product", "h_order": 1, "terms": ['
+    '{"k": 1, "ops": [{"df": [1.5, 0], "dg": [0, 1], "coeff": "1"}]}]}',
+    '{"kind": "star_product", "h_order": 1, "terms": ['
+    '{"k": 1, "ops": [{"df": [1, 0], "dg": [0, 1], "coeff": "1"}, '
+    '{"df": [1, 0], "dg": [0, 1], "coeff": "x"}]}]}',
 ])
 def test_malformed_product_file_exit_code(tmp_path, capsys, content):
     f = tmp_path / "p.json"
@@ -150,6 +161,12 @@ def test_malformed_product_file_exit_code(tmp_path, capsys, content):
 def test_missing_file_exit_code():
     code, _ = run_cli(["classify", "--product", "/nonexistent/p.json"])
     assert code == 3
+
+def test_unreadable_product_path_exit_code(tmp_path, capsys):
+    code, out = run_cli(["normalize", "--product", str(tmp_path)])  # a directory
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 def test_infeasible_exit_code(tmp_path):
     # classify on a product that is not pure-shape is a NotNormalized failure

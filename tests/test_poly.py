@@ -109,6 +109,42 @@ def test_exact_div_roundtrip(p, q):
     assert (p * q).exact_div(q) == p
 
 
+def fraction_div(a, b):
+    """Long division on {exp: Fraction} dicts; the quotient dict, or None if stuck."""
+    lt = max(b, key=grlex_key)
+    rem, quo = dict(a), {}
+    while rem:
+        r = max(rem, key=grlex_key)
+        di, dj = r[0] - lt[0], r[1] - lt[1]
+        if di < 0 or dj < 0:
+            return None
+        quo[di, dj] = qc = rem[r] / b[lt]
+        for (i, j), c in b.items():
+            k = (i + di, j + dj)
+            rem[k] = rem.get(k, 0) - c * qc
+            if not rem[k]:
+                del rem[k]
+    return quo
+
+
+@given(polys, polys, polys)
+@settings(max_examples=150, deadline=None)
+def test_exact_div_matches_fraction_long_division(p, q, r):
+    # p*q + r is divisible by q for r = 0 and for many small r, and not for most
+    if q.is_zero():
+        return
+    for a in (p * q, p * q + r, p + r):
+        want = fraction_div(a.terms, q.terms)
+        if want is None:
+            with pytest.raises(NotDivisible):
+                a.exact_div(q)
+        else:
+            got = a.exact_div(q)
+            assert_canonical(got)
+            assert got.terms == {k: v for k, v in want.items() if v}
+            assert got * q == a
+
+
 @given(polys)
 @settings(max_examples=100, deadline=None)
 def test_hash_consistent_with_eq(p):
