@@ -235,17 +235,17 @@ def substitute_sum(items):
     (arity,) = {outer.arity + inner.arity - 1 for _, outer, _, inner in items}
     outers = list({id(o): o for _, o, _, _ in items}.values())
     inners = list({id(i): i for _, _, _, i in items}.values())
-    dout, oout, lout = _lift(outers)
-    din, oin, lin = _lift(inners)
-    lout = {id(o): t for o, t in zip(outers, lout)}
-    lin = {id(i): t for i, t in zip(inners, lin)}
+    dout, oout, lifted = _lift(outers)
+    outer_terms = dict(zip(map(id, outers), lifted))
+    din, oin, lifted = _lift(inners)
+    inner_terms = dict(zip(map(id, inners), lifted))
     orders = [o for o in (oout, oin) if o is not None]
     order = min(orders) if orders else None
     top = 0 if order is None else order
     derived = {id(i): {} for i in inners}  # per inner: (term index, px, py) -> d^p e
     acc = {}
     for sign, outer, slot, inner in items:
-        lo, li, cache = lout[id(outer)], lin[id(inner)], derived[id(inner)]
+        lo, li, cache = outer_terms[id(outer)], inner_terms[id(inner)], derived[id(inner)]
         nin = inner.arity
         for okey, c in lo:
             ax, ay = okey[slot]
