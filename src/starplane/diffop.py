@@ -292,8 +292,8 @@ def substitute_sum(items):
 
 
 def substitute(outer, slot: int, inner):
-    """outer with inner's output fed into argument `slot`: for a BiDiffOp
-    outer and slot 0, (f, g, h) -> outer(inner(f, g), h)."""
+    """outer with inner's output fed into argument `slot`; for two BiDiffOps
+    and slot 0, the TriDiffOp (f, g, h) -> outer(inner(f, g), h)."""
     return substitute_sum([(1, outer, slot, inner)])
 
 
