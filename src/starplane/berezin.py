@@ -66,11 +66,6 @@ class BerezinData:
     phi: Poly2
     n_order: int
 
-    @property
-    def omega_coeff(self) -> HSeries:
-        """Coefficient of dx ^ dy in the 2-form Omega."""
-        return self.f
-
 
 def ad_x(m: StarProduct, phi: Poly2) -> YOpSeries:
     """(1/h)(x * g - g * x) as a y-operator series, read off the a = 1 column.

@@ -308,17 +308,7 @@ def hochschild_b(D) -> TriDiffOp:
     return substitute_sum([(1, mult, 1, D), (-1, D, 0, mult), (1, D, 1, mult), (-1, mult, 0, D)])
 
 
-# -- compositions and the recursion right-hand side -------------------------
-
-
-def compose_in_first(outer: BiDiffOp, inner: BiDiffOp) -> TriDiffOp:
-    """The tridifferential operator (f,g,h) -> outer(inner(f,g), h)."""
-    return substitute(outer, 0, inner)
-
-
-def compose_in_second(outer: BiDiffOp, inner: BiDiffOp) -> TriDiffOp:
-    """The tridifferential operator (f,g,h) -> outer(f, inner(g,h))."""
-    return substitute(outer, 1, inner)
+# -- the recursion right-hand side -------------------------------------------
 
 
 def build_rhs_T(k: int, phi: Poly2, K_list) -> TriDiffOp:

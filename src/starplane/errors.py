@@ -13,10 +13,6 @@ class NotDivisible(EngineError):
     """exact_div found no polynomial quotient."""
 
 
-class NonUnitLeadingTerm(EngineError):
-    """h-series inversion requires an invertible order-0 coefficient."""
-
-
 class MissingPriorOrder(EngineError):
     """Recursion right-hand side requested without all lower orders."""
 
@@ -34,11 +30,12 @@ class IntegrationObstruction(EngineError):
 
 
 class CapExceeded(EngineError):
-    """A fitted operator fell outside the declared caps."""
+    """normalize needs a gauge term U_k of derivative order above max_op_order."""
 
 
 class Inconsistent(EngineError):
-    """A fitted operator failed validation on extra data."""
+    """normalize finds no pure-shape gauge: a slot with an underived argument,
+    conflicting forced values, or a non-admissible slot left in m'_k."""
 
 
 class NotInImage(EngineError):

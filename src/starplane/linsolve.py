@@ -17,7 +17,6 @@ class SolveResult:
     solution: list | None
     rank: int
     kernel_dim: int
-    bad_row: int | None = None  # index of the first inconsistent input row
 
 
 def solve(rows, ncols: int) -> SolveResult:
@@ -26,8 +25,8 @@ def solve(rows, ncols: int) -> SolveResult:
     rows: iterable of (coeffs: dict[int, Fraction], rhs: Fraction).
     """
     pivots = {}  # col -> (rowdict normalized to pivot coeff 1, rhs)
-    bad = None
-    for idx, (coeffs, rhs) in enumerate(rows):
+    consistent = True
+    for coeffs, rhs in rows:
         row = {c: v for c, v in coeffs.items() if v}
         while row:
             col = min(row)
@@ -51,12 +50,10 @@ def solve(rows, ncols: int) -> SolveResult:
                     del row[c]
             rhs = rhs - factor * prhs
         else:
-            if rhs:
-                if bad is None:
-                    bad = idx
+            consistent = consistent and not rhs
     rank = len(pivots)
-    if bad is not None:
-        return SolveResult(False, None, rank, ncols - rank, bad)
+    if not consistent:
+        return SolveResult(False, None, rank, ncols - rank)
     # back substitution, descending pivot columns; free variables are 0
     sol = [Fraction(0)] * ncols
     for col in sorted(pivots, reverse=True):

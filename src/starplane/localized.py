@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NonUnitLeadingTerm, NotDivisible, UsageError
+from .errors import NotDivisible, UsageError
 from .poly import Poly2
 
 
@@ -36,10 +36,6 @@ class LocalizedFn:
         self.num = num
         self.power = power
         self.phi = phi
-
-    @classmethod
-    def from_poly(cls, p, phi):
-        return cls(p, 0, phi)
 
     @classmethod
     def one_over_phi(cls, phi, power: int = 1):
@@ -122,13 +118,6 @@ class LocalizedFn:
         dphi = self.phi.dx() if axis == "x" else self.phi.dy()
         num = dn * self.phi - self.num * dphi * self.power
         return LocalizedFn(num, self.power + 1, self.phi)
-
-    def inverse(self) -> "LocalizedFn":
-        """Units of the localized ring are c * phi^k; invert those only."""
-        if self.num.is_constant() and not self.num.is_zero():
-            c = self.num.coeff(0, 0)
-            return LocalizedFn(self.phi ** self.power * (1 / c), 0, self.phi)
-        raise NonUnitLeadingTerm(f"{self!r} is not a unit of the phi-localized ring")
 
     def as_poly(self) -> Poly2:
         if self.power != 0:

@@ -14,6 +14,7 @@ round-trip; everywhere else a sign must be part of a rational literal.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import ParseError
@@ -46,9 +47,9 @@ def _tokenize(text: str):
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(_Tok("int", text[i:j], line, col))
             col += j - i
@@ -64,6 +65,13 @@ def _tokenize(text: str):
                          expected=("digit", "x", "y", "operator", "parenthesis"))
     toks.append(_Tok("eof", "", line, col))
     return toks
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # past sys.get_int_max_str_digits() digits; Decimal has no limit
+        return int(Decimal(text))
 
 
 class _Parser:
@@ -119,7 +127,7 @@ class _Parser:
         while self.peek().kind == "^":
             self.pos += 1
             e = self.take("int")
-            p = p ** int(e.text)
+            p = p ** _int(e.text)
         return p
 
     def primary(self) -> Poly2:
@@ -144,10 +152,10 @@ class _Parser:
         if self.peek().kind == "-":
             self.pos += 1
             sign = -1
-        num = int(self.take("int").text)
+        num = _int(self.take("int").text)
         if self.peek().kind == "/":
             self.pos += 1
-            den = int(self.take("int").text)
+            den = _int(self.take("int").text)
             if den == 0:
                 t = self.toks[self.pos - 1]
                 raise ParseError("zero denominator", t.line, t.col, expected=("nonzero uint",))

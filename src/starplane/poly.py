@@ -5,17 +5,18 @@ dict mapping exponent pairs (dx, dy) to nonzero ints, plus den.  The pair is
 held in lowest terms (gcd(den, *numerators) == 1, and den == 1 for the zero
 polynomial), so equality and hashing are structural.  Ring operations,
 scaling and derivatives do integer work and one gcd reduction per result.
-Fraction appears only at the edges: coeff(), the read-only terms view,
-inverse and the printer.  The canonical term order used for printing and
-serialization is graded-lex on (dx, dy), highest first.
+Fraction appears only at the edges: coeff(), the read-only terms view and
+the printer.  The canonical term order used for printing and serialization
+is graded-lex on (dx, dy), highest first.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm, perm
 
-from .errors import NonUnitLeadingTerm, NotDivisible
+from .errors import NotDivisible
 
 
 def _ratio(c):
@@ -81,10 +82,6 @@ class Poly2:
 
     def is_zero(self) -> bool:
         return not self._num
-
-    def is_constant(self) -> bool:
-        n = self._num
-        return not n or (len(n) == 1 and (0, 0) in n)
 
     def total_degree(self) -> int:
         """Max total degree of a term; 0 for the zero polynomial."""
@@ -260,12 +257,6 @@ class Poly2:
         # self / other = (quo / den) * other._den / self._den
         return _make({k: v * other._den for k, v in quo.items()}, den * self._den)
 
-    def inverse(self) -> "Poly2":
-        """Multiplicative inverse; only nonzero constants are units."""
-        if self.is_constant() and not self.is_zero():
-            return Poly2.const(1 / self.coeff(0, 0))
-        raise NonUnitLeadingTerm(f"{self} is not a unit in Q[x,y]")
-
     # -- formatting -----------------------------------------------------
 
     def __str__(self):
@@ -296,8 +287,13 @@ Y = Poly2.monomial(0, 1)
 ONE = Poly2.const(1)
 
 
-def format_rational(c: Fraction) -> str:
-    return str(c)  # Fraction prints p/q reduced with q > 0, or just p
+def format_rational(c: Fraction | int) -> str:
+    """p/q reduced with q > 0, or just p, for a Fraction or an int of any length."""
+    try:
+        return str(c)
+    except ValueError:  # past sys.get_int_max_str_digits() digits; Decimal has no limit
+        n = Decimal(c.numerator)
+        return f"{n}" if c.denominator == 1 else f"{n}/{Decimal(c.denominator)}"
 
 
 def format_poly(p: Poly2) -> str:
@@ -310,9 +306,9 @@ def format_poly(p: Poly2) -> str:
         if abs(c) != 1 or (i == 0 and j == 0):
             factors.append(format_rational(abs(c)))
         if i:
-            factors.append("x" if i == 1 else f"x^{i}")
+            factors.append("x" if i == 1 else "x^" + format_rational(i))
         if j:
-            factors.append("y" if j == 1 else f"y^{j}")
+            factors.append("y" if j == 1 else "y^" + format_rational(j))
         body = "*".join(factors)
         if not chunks:
             chunks.append(("-" if c < 0 else "") + body)

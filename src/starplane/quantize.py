@@ -16,7 +16,6 @@ a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -27,13 +26,9 @@ from .series import HSeries
 from .star import PoissonSeries, StarProduct, extract_poisson_p3, spq_membership
 
 
-@dataclass(frozen=True)
-class QuantizeConfig:
-    order: int
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise UsageError("order must be >= 1")
+def _check_order(N) -> None:
+    if type(N) is not int or N < 1:
+        raise UsageError(f"order must be an integer >= 1, got {N!r}")
 
 
 def solve_order(phi, K_prior, k: int) -> KTable:
@@ -63,12 +58,6 @@ def solve_order(phi, K_prior, k: int) -> KTable:
     return K
 
 
-def _as_config(cfg) -> QuantizeConfig:
-    if isinstance(cfg, QuantizeConfig):
-        return cfg
-    return QuantizeConfig(order=int(cfg))
-
-
 def _build(phi, N: int) -> dict:
     """KTables K_1..K_N of the recursion for phi (a Poly2 or an HSeries)."""
     ktables = {1: KTable({(1, 1): 1})}
@@ -80,22 +69,23 @@ def _build(phi, N: int) -> dict:
 # Products are read-only, so every caller may share the cached one.  The
 # bound keeps memory flat in long runs.
 @lru_cache(maxsize=256)
-def _quantize_cached(phi: Poly2, cfg: QuantizeConfig) -> StarProduct:
-    ktables = _build(phi, cfg.order)
+def _quantize_cached(phi: Poly2, N: int) -> StarProduct:
+    ktables = _build(phi, N)
     orders = {k: K.to_bidiff().scale(phi) for k, K in ktables.items()}
-    return StarProduct(cfg.order, orders, phi=phi, ktables=ktables)
+    return StarProduct(N, orders, phi=phi, ktables=ktables)
 
 
-def quantize(phi: Poly2, cfg) -> StarProduct:
-    """Star product fg + sum h^k phi K_k for a single polynomial coefficient."""
-    return _quantize_cached(phi, _as_config(cfg))
+def quantize(phi: Poly2, N: int) -> StarProduct:
+    """Star product fg + sum h^k phi K_k of one polynomial phi, through h^N (an int >= 1)."""
+    _check_order(N)
+    return _quantize_cached(phi, N)
 
 
 # -- formal series inputs ----------------------------------------------------
 
 
 def quantize_series(psi: PoissonSeries | list, N: int) -> StarProduct:
-    """Quantize sum h^i psi_i exactly.
+    """Quantize sum h^i psi_i exactly through h^N, N an int >= 1.
 
     The order-j part of quantize(phi) is homogeneous of degree j in phi, and
     the recursion only scales by phi and differentiates, so running it once
@@ -103,14 +93,14 @@ def quantize_series(psi: PoissonSeries | list, N: int) -> StarProduct:
     component; the t^d piece of order j lands at h^(j+d).  Hence psi_i with
     i >= N cannot reach h^N and is dropped.
     """
-    cfg = QuantizeConfig(order=N)
+    _check_order(N)
     coeffs = list(psi.coeffs if isinstance(psi, PoissonSeries) else psi)[:N]
     while coeffs and coeffs[-1].is_zero():
         coeffs.pop()
     if not coeffs:
         return StarProduct(N, {})
     if len(coeffs) == 1:
-        return quantize(coeffs[0], cfg)
+        return quantize(coeffs[0], N)
     phi_t = HSeries(N - 1, coeffs + [Poly2.zero()] * (N - len(coeffs)))
     orders = {n: [] for n in range(1, N + 1)}
     for j, K in _build(phi_t, N).items():

@@ -1,8 +1,8 @@
 """Truncated formal series in the deformation parameter h.
 
-HSeries is ring-agnostic: coefficients just need +, -, * and (for
-inversion) an .inverse() method, which Poly2 and LocalizedFn both provide.
-All operations truncate consistently at the stated order.  dx and dy act
+HSeries is ring-agnostic: coefficients just need +, - and *, which Poly2
+and LocalizedFn both provide.  All operations truncate consistently at the
+stated order.  dx and dy act
 coefficientwise, so a series of polynomials is itself a coefficient ring for
 polydifferential operators (quantize_series runs the recursion over it).
 """
@@ -73,17 +73,6 @@ class HSeries:
         """Multiply by h^k, keeping the truncation order."""
         zero = self.coeffs[0] * 0
         return HSeries(self.order, [zero] * k + self.coeffs[: self.order + 1 - k])
-
-    def invert(self) -> "HSeries":
-        """w with self * w == 1 mod h^(order+1); leading term must be a unit."""
-        w0 = self.coeffs[0].inverse()
-        out = [w0]
-        for k in range(1, self.order + 1):
-            acc = self.coeffs[0] * 0
-            for i in range(1, k + 1):
-                acc = acc + self.coeffs[i] * out[k - i]
-            out.append(-(w0 * acc))
-        return HSeries(self.order, out)
 
     def dx(self, n: int = 1) -> "HSeries":
         return HSeries(self.order, [c.dx(n) for c in self.coeffs])

@@ -26,42 +26,50 @@ from .diffop import (
     substitute,
     substitute_sum,
 )
-from .errors import CapExceeded, Inconsistent
+from .errors import CapExceeded, Inconsistent, UsageError
 from .poly import Poly2
 from .series import HSeries
 
 
-class StarProduct(ReadOnly):
-    """Truncation order n_order; orders maps k >= 1 to the operator m_k.
+class _OrderSeries(ReadOnly):
+    """_unit + sum h^k orders[k] for k = 1..n_order; each subclass sets _unit and
+    _zero, the operators order_op gives at k = 0 and at an absent order.
 
-    quantize() attaches phi and the per-order KTables; these are metadata
-    and do not take part in equality.  The attributes cannot be rebound,
-    orders and ktables are read-only mappings and the operators in them are
-    read-only values, because quantize() hands one cached product to every
-    caller.
+    Read-only, like the operators in orders, because quantize() hands one
+    cached product to every caller.  Equality is type-strict.
     """
 
-    __slots__ = ("n_order", "orders", "phi", "ktables")
+    __slots__ = ("n_order", "orders")
 
-    def __init__(self, n_order, orders, phi=None, ktables=None):
-        init = object.__setattr__
-        init(self, "n_order", n_order)
-        init(self, "orders", MappingProxyType({k: op for k, op in orders.items() if op}))
-        init(self, "phi", phi)
-        init(self, "ktables", MappingProxyType(dict(ktables)) if ktables is not None else None)
+    def __init__(self, n_order, orders=None):
+        object.__setattr__(self, "n_order", n_order)
+        object.__setattr__(self, "orders",
+                           MappingProxyType({k: op for k, op in (orders or {}).items() if op}))
 
-    def order_op(self, k: int) -> BiDiffOp:
-        if k == 0:
-            return BiDiffOp.multiplication()
-        return self.orders.get(k, BiDiffOp())
+    def order_op(self, k: int):
+        return self._unit if k == 0 else self.orders.get(k, self._zero)
 
     def __eq__(self, other):
-        if not isinstance(other, StarProduct):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.n_order == other.n_order and self.orders == other.orders
 
     def __repr__(self):
-        return f"StarProduct(N={self.n_order}, orders={sorted(self.orders)})"
+        return f"{type(self).__name__}(N={self.n_order}, orders={sorted(self.orders)})"
+
+
+class StarProduct(_OrderSeries):
+    """m_0 + sum h^k m_k with m_0 the pointwise product.  quantize() attaches phi
+    and the per-order KTables (a read-only mapping) as metadata outside equality."""
+
+    __slots__ = ("phi", "ktables")
+    _unit, _zero = BiDiffOp.multiplication(), BiDiffOp()
+
+    def __init__(self, n_order, orders, phi=None, ktables=None):
+        super().__init__(n_order, orders)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "ktables",
+                           None if ktables is None else MappingProxyType(dict(ktables)))
 
 
 @dataclass
@@ -87,32 +95,11 @@ class PoissonSeries:
         return self.trimmed() == other.trimmed()
 
 
-class GaugeOp(ReadOnly):
-    """U = 1 + sum h^k U_k with U_k ordinary differential operators.
+class GaugeOp(_OrderSeries):
+    """U = 1 + sum h^k U_k with U_k ordinary differential operators."""
 
-    Like StarProduct, its attributes cannot be rebound and orders is a
-    read-only mapping of read-only operators.
-    """
-
-    __slots__ = ("n_order", "orders")
-
-    def __init__(self, n_order, orders=None):
-        object.__setattr__(self, "n_order", n_order)
-        object.__setattr__(self, "orders",
-                           MappingProxyType({k: op for k, op in (orders or {}).items() if op}))
-
-    def order_op(self, k: int) -> DiffOp:
-        if k == 0:
-            return DiffOp.identity()
-        return self.orders.get(k, DiffOp())
-
-    def __eq__(self, other):
-        if not isinstance(other, GaugeOp):
-            return NotImplemented
-        return self.n_order == other.n_order and self.orders == other.orders
-
-    def __repr__(self):
-        return f"GaugeOp(N={self.n_order}, orders={sorted(self.orders)})"
+    __slots__ = ()
+    _unit, _zero = DiffOp.identity(), DiffOp()
 
 
 # -- multiplication ----------------------------------------------------------
@@ -237,9 +224,11 @@ def normalize(m: StarProduct, max_op_order: int | None = None):
     non-admissible slots of R_k (_forced); every forced derivative has
     order >= 2, so U kills 1, x and y.  A slot with an underived argument,
     conflicting forced values, or a non-admissible slot left in m'_k raise
-    Inconsistent; max_op_order, when given, bounds the derivative order of
-    each U_k (CapExceeded otherwise).
+    Inconsistent; max_op_order, when given, must be >= 0 and bounds the
+    derivative order of each U_k (CapExceeded otherwise).
     """
+    if max_op_order is not None and max_op_order < 0:
+        raise UsageError(f"max_op_order must be >= 0, got {max_op_order!r}")
     return _gauge(m, None, max_op_order)
 
 

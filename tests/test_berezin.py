@@ -114,7 +114,6 @@ def test_density_flat():
     assert data.S.is_zero()
     assert data.f == HSeries.constant(LocalizedFn(1, 0, ONE), 3)
     assert data.tau.is_zero()
-    assert data.omega_coeff == data.f
 
 
 @pytest.mark.parametrize("phi", [X, X * Y])

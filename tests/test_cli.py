@@ -15,6 +15,8 @@ from starplane.parser import parse_poly
 from starplane.quantize import quantize
 from starplane.star import GaugeOp, gauge_transform, moyal_fixture
 
+GOLDEN = Path(__file__).parent / "data"
+
 def run_cli(argv):
     out = io.StringIO()
     stdout = sys.stdout
@@ -115,6 +117,7 @@ def test_usage_error_exit_code():
     ["quantize", "--phi", "x", "--order", "0"],
     ["fit-lie", "--k", "0", "--samples", "x*y"],
     ["berezin", "--phi", "0", "--order", "2"],
+    ["normalize", "--product", str(GOLDEN / "quantize_xy_N5.json"), "--max-op-order", "-1"],
 ])
 def test_argument_outside_domain_exit_code(argv, capsys):
     code, out = run_cli(argv)
@@ -184,7 +187,15 @@ def test_byte_determinism_across_processes():
     in_proc = run_cli(["quantize", "--phi", "x^2*y - 3*y", "--order", "3"])[1]
     assert runs[0].decode() == in_proc
 
-GOLDEN = Path(__file__).parent / "data"
+@pytest.mark.parametrize("phi, order", [
+    ("1" * 5000, 1),             # a literal beyond the 4,300-digit str -> int limit
+    ("7" * 3000 + "*x*y", 3),    # order-3 numerators beyond the int -> str limit
+    ("x^" + "1" * 5000, 1),      # an exponent beyond both
+])
+def test_integers_of_any_length_round_trip(phi, order):
+    code, out = run_cli(["quantize", "--phi", phi, "--order", str(order)])
+    assert code == 0
+    assert docs.star_product_from_doc(json.loads(out)) == quantize(parse_poly(phi), order)
 
 @pytest.mark.parametrize("phi, order, name", [
     ("x*y", 5, "quantize_xy_N5.json"),

@@ -15,11 +15,10 @@ from starplane.diffop import (
     TriDiffOp,
     _accum,
     build_rhs_T,
-    compose_in_first,
-    compose_in_second,
     euler_lagrange,
     hochschild_b,
     is_k2_shape,
+    substitute,
 )
 from starplane.errors import MissingPriorOrder
 from starplane.poly import ONE, X, Y, Poly2
@@ -98,8 +97,8 @@ def test_hochschild_b_ktable_closed_form_agrees():
 def test_compositions_match_pointwise():
     outer = BiDiffOp({((1, 0), (0, 1)): X, ((2, 0), (0, 0)): ONE})
     inner = BiDiffOp({((1, 0), (0, 2)): Y, ((0, 0), (0, 1)): X})
-    first = compose_in_first(outer, inner)
-    second = compose_in_second(outer, inner)
+    first = substitute(outer, 0, inner)
+    second = substitute(outer, 1, inner)
     for f in monomials(2):
         for g in monomials(2):
             for h in monomials(2):

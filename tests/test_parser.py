@@ -50,6 +50,25 @@ def test_error_positions():
     assert e.value.col == 3
 
 
+def test_superscript_digit_is_a_parse_error():
+    # '²' passes str.isdigit but not int(); it must not reach a conversion
+    for text in ("x^²", "²"):
+        with pytest.raises(ParseError) as e:
+            parse_poly(text)
+        assert "'²'" in str(e.value)
+
+
+def test_integers_of_any_length():
+    # 5,001 digits: past the interpreter's str <-> int limit, so the test spells
+    # the digits out instead of calling str() or int()
+    n = "1" + "0" * 4999 + "1"
+    big = 10 ** 5000 + 1
+    assert parse_poly(n).coeff(0, 0) == big
+    assert parse_poly(f"{n}/3*x") == Fraction(big, 3) * X
+    assert parse_poly(f"x^{n}") == Poly2.monomial(big, 0)
+    assert format_poly(parse_poly(f"-{n}/7*y^{n}")) == f"-{n}/7*y^{n}"
+
+
 def test_error_reports_expectations():
     with pytest.raises(ParseError) as e:
         parse_poly("(x + y")

@@ -54,12 +54,6 @@ def test_exact_div():
         X.exact_div(Poly2.zero())
 
 
-def test_inverse_of_constants_only():
-    assert Poly2.const(Fraction(3, 2)).inverse() == Poly2.const(Fraction(2, 3))
-    with pytest.raises(Exception):
-        X.inverse()
-
-
 def test_subs_affine():
     p = X * Y
     assert subs_affine(p, 2, 1, -1, 0) == (2 * X + 1) * (-Y)

@@ -12,11 +12,10 @@ from series_oracle import oracle_quantize_series
 from solve_oracle import oracle_solve_order
 from starplane import docs
 from starplane.diffop import BiDiffOp, KTable, euler_lagrange, hochschild_b, build_rhs_T
-from starplane.errors import NotInImage, NotNormalized
+from starplane.errors import NotInImage, NotNormalized, UsageError
 
 from starplane.poly import ONE, X, Y, Poly2
 from starplane.quantize import (
-    QuantizeConfig,
     classify_p2,
     quantize,
     quantize_series,
@@ -130,7 +129,13 @@ def test_cocycle_breaks_euler_lagrange():
         assert euler_lagrange(bumped, "x") != {}
 
 def test_quantize_caching_returns_identical_object():
-    assert quantize(X * Y, 3) is quantize(X * Y, QuantizeConfig(order=3))
+    assert quantize(X * Y, 3) is quantize(Y * X, 3)
+
+@pytest.mark.parametrize("build, arg", [(quantize, X * Y), (quantize_series, [X * Y, X])])
+@pytest.mark.parametrize("order", [0, -1, 2.5, "3", True])
+def test_order_must_be_an_int_at_least_one(build, arg, order):
+    with pytest.raises(UsageError):
+        build(arg, order)
 
 def test_cached_product_cannot_be_mutated():
     # quantize hands one cached product to every caller, so a write into it

@@ -1,12 +1,10 @@
 """Truncated h-series and the phi-localized coefficient ring."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starplane.errors import NonUnitLeadingTerm, NotDivisible
+from starplane.errors import NotDivisible
 from starplane.localized import LocalizedFn
 from starplane.poly import ONE, X, Y, Poly2
 from starplane.series import HSeries
@@ -35,18 +33,6 @@ def test_mul_truncates():
     prod = s * t
     assert prod.order == 2
     assert prod.coeffs == [ONE, X + Y, X * Y + Y]
-
-
-def test_invert_poly_series():
-    s = HSeries(3, [Poly2.const(2), X, X * Y, Y])
-    w = s.invert()
-    assert (s * w).coeffs == [ONE] + [Poly2.zero()] * 3
-
-
-def test_invert_needs_unit():
-    s = HSeries(1, [X, ONE])
-    with pytest.raises(NonUnitLeadingTerm):
-        s.invert()
 
 
 @given(poly_series(3), poly_series(3), poly_series(3))
@@ -81,28 +67,11 @@ def test_localized_quotient_rule():
     assert f.dx() == LocalizedFn(-Y, 2, phi)
 
 
-def test_localized_inverse():
-    phi = X + 1
-    u = LocalizedFn(Poly2.const(Fraction(1, 3)), 2, phi)
-    assert u * u.inverse() == LocalizedFn(1, 0, phi)
-    with pytest.raises(NonUnitLeadingTerm):
-        LocalizedFn(X, 0, phi).inverse()
-
-
 def test_localized_as_poly():
     phi = X
     assert LocalizedFn(Y, 0, phi).as_poly() == Y
     with pytest.raises(NotDivisible):
         LocalizedFn(Y, 1, phi).as_poly()
-
-
-def test_localized_series_invert():
-    phi = X * Y
-    one = LocalizedFn(1, 0, phi)
-    s = HSeries(2, [one, LocalizedFn(X, 1, phi), LocalizedFn(Y, 1, phi)])
-    w = s.invert()
-    prod = s * w
-    assert prod.coeffs[0] == one and not prod.coeffs[1] and not prod.coeffs[2]
 
 
 def test_mixed_phi_rejected():

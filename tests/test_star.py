@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gauge_oracle import oracle_apply_series, oracle_gauge_transform, oracle_inverse, oracle_normalize
 from starplane.diffop import BiDiffOp, DiffOp
-from starplane.errors import CapExceeded, Inconsistent
+from starplane.errors import CapExceeded, Inconsistent, UsageError
 from starplane.parser import parse_poly
 from starplane.poly import ONE, X, Y, Poly2
 from starplane.quantize import quantize
@@ -218,7 +218,7 @@ def test_normalize_failures_match_inverse_route(m, cap, error):
 
 def test_star_product_attributes_are_read_only():
     m = quantize(X * Y, 3)
-    for name in StarProduct.__slots__:
+    for name in ("n_order", "orders", "phi", "ktables"):
         with pytest.raises(AttributeError):
             setattr(m, name, {})
         with pytest.raises(AttributeError):
@@ -243,9 +243,34 @@ def test_cached_product_operators_are_read_only():
     assert is_associative(quantize(parse_poly("x*y"), 3))
 
 
+def test_star_product_and_gauge_op_never_compare_equal():
+    assert StarProduct(2, {}) != GaugeOp(2, {})
+    assert not StarProduct(2, {}) == GaugeOp(2, {})
+    assert StarProduct(2, {}) == StarProduct(2, {}) and GaugeOp(2, {}) == GaugeOp(2)
+
+
+def test_order_op_units_and_zeros():
+    m, U = quantize(X * Y, 2), GaugeOp(2, {1: DiffOp({(1, 1): ONE})})
+    assert m.order_op(0) == BiDiffOp.multiplication()
+    assert m.order_op(0).apply(X, Y) == X * Y
+    assert U.order_op(0) == DiffOp.identity()
+    assert U.order_op(0).apply(X * Y) == X * Y
+    assert StarProduct(2, {}).order_op(1) == BiDiffOp() and U.order_op(2) == DiffOp()
+
+
+def test_normalize_rejects_a_negative_cap():
+    gauged = gauge_transform(quantize(X * Y, 4), GaugeOp(4, {1: DiffOp({(1, 1): 2})}))
+    for m in (gauged, quantize(X * Y, 4)):
+        with pytest.raises(UsageError):
+            normalize(m, max_op_order=-1)
+    U, m = normalize(quantize(X * Y, 4), max_op_order=0)
+    assert U == GaugeOp(4) and m == quantize(X * Y, 4)
+    assert normalize(quantize(X * Y, 4), max_op_order=1) == (U, m)
+
+
 def test_gauge_op_is_read_only():
     U, _ = normalize(moyal_fixture(1, 3))
-    for name in GaugeOp.__slots__:
+    for name in ("n_order", "orders"):
         with pytest.raises(AttributeError):
             setattr(U, name, {})
         with pytest.raises(AttributeError):
