@@ -301,9 +301,23 @@ def substitute(outer, slot: int, inner):
 
 
 def hochschild_b(D) -> TriDiffOp:
-    """(bD)(f,g,h) = f D(g,h) - D(fg,h) + D(f,gh) - D(f,g) h, as an operator."""
+    """(bD)(f,g,h) = f D(g,h) - D(fg,h) + D(f,gh) - D(f,g) h, as an operator.
+
+    A KTable has the closed form
+    kappa_ab [ sum_{0<s<b} C(b,s) dx^a f dy^s g dy^(b-s) h
+               - sum_{0<r<a} C(a,r) dx^r f dx^(a-r) g dy^b h ]:
+    the boundary terms cancel, no two slots coincide, and each coefficient
+    keeps its own type (all Poly2, or all HSeries of one order, as in the
+    recursion).  A BiDiffOp goes through the composition kernel.
+    """
     if isinstance(D, KTable):
-        D = D.to_bidiff()
+        d = {}
+        for (a, b), kappa in D.terms.items():
+            for s in range(1, b):
+                d[(a, 0), (0, s), (0, b - s)] = kappa * comb(b, s)
+            for r in range(1, a):
+                d[(r, 0), (a - r, 0), (0, b)] = kappa * -comb(a, r)
+        return TriDiffOp._of(d)
     mult = BiDiffOp.multiplication()
     return substitute_sum([(1, mult, 1, D), (-1, D, 0, mult), (1, D, 1, mult), (-1, mult, 0, D)])
 

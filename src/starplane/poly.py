@@ -287,31 +287,46 @@ Y = Poly2.monomial(0, 1)
 ONE = Poly2.const(1)
 
 
+def _digits(n: int) -> str:
+    """str(n) for an int of any length."""
+    try:
+        return str(n)
+    except ValueError:  # past sys.get_int_max_str_digits() digits; Decimal has no limit
+        return str(Decimal(n))
+
+
+def _ratio_str(n: int, d: int) -> str:
+    return _digits(n) if d == 1 else f"{_digits(n)}/{_digits(d)}"
+
+
 def format_rational(c: Fraction | int) -> str:
     """p/q reduced with q > 0, or just p, for a Fraction or an int of any length."""
-    try:
-        return str(c)
-    except ValueError:  # past sys.get_int_max_str_digits() digits; Decimal has no limit
-        n = Decimal(c.numerator)
-        return f"{n}" if c.denominator == 1 else f"{n}/{Decimal(c.denominator)}"
+    return _ratio_str(c.numerator, c.denominator)
 
 
 def format_poly(p: Poly2) -> str:
-    """Canonical text form; graded-lex descending, parseable by parse_poly."""
-    if p.is_zero():
+    """Canonical text form; graded-lex descending, parseable by parse_poly.
+
+    Printed from the integer numerators: one gcd per term reduces n/den.
+    """
+    num, den = p._num, p._den
+    if not num:
         return "0"
     chunks = []
-    for (i, j), c in p.sorted_terms():
+    for i, j in sorted(num, key=grlex_key, reverse=True):
+        n = num[i, j]
+        g = gcd(n, den)
+        a, d = abs(n) // g, den // g
         factors = []
-        if abs(c) != 1 or (i == 0 and j == 0):
-            factors.append(format_rational(abs(c)))
+        if a != d or (i == 0 and j == 0):  # a/d is in lowest terms, so a == d means |c| == 1
+            factors.append(_ratio_str(a, d))
         if i:
-            factors.append("x" if i == 1 else "x^" + format_rational(i))
+            factors.append("x" if i == 1 else "x^" + _digits(i))
         if j:
-            factors.append("y" if j == 1 else "y^" + format_rational(j))
+            factors.append("y" if j == 1 else "y^" + _digits(j))
         body = "*".join(factors)
         if not chunks:
-            chunks.append(("-" if c < 0 else "") + body)
+            chunks.append(("-" if n < 0 else "") + body)
         else:
-            chunks.append(("- " if c < 0 else "+ ") + body)
+            chunks.append(("- " if n < 0 else "+ ") + body)
     return " ".join(chunks)

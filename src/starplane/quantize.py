@@ -5,13 +5,15 @@ dx (x) dy and each later K_k is the unique pure-shape table solving
 b(K_k) = T_k under vanishing Euler-Lagrange constraints on both axes.
 That system is triangular: every kappa_ab except kappa_11 is read off one
 slot of T_k, and kappa_11 follows from the x-axis Euler-Lagrange functional.
-The read-off is then re-checked against the generic b(K_k) = T_k and both
-Euler-Lagrange functionals, which certifies every slot it did not use.
+The read-off is then re-checked against b(K_k) = T_k on every slot of T_k
+(b of a KTable in closed form) and both Euler-Lagrange functionals, which
+certifies every slot it did not use.
 
 quantize_series extends the construction to formal series sum h^i psi_i by
 running the same recursion once with coefficients in Q[x,y][t]/t^N (an
-HSeries of polynomials); classify_p2 inverts the construction one h-order at
-a time.
+HSeries of polynomials), order k only to t^(N-k), the part that reaches h^N;
+classify_p2 inverts the construction one h-order at a time and certifies the
+result by a round trip that reuses its last Newton product.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def solve_order(phi, K_prior, k: int) -> KTable:
             table[(B[0] + 1, 1)] = t * Fraction(-1, B[0] + 1)
     k11 = [((1, 1), kappa.dx(a - 1) * (-1) ** a) for (a, b), kappa in table.items() if b == 1]
     K = KTable(list(table.items()) + k11)
-    # dual-route verification: generic Hochschild b and both EL functionals
+    # dual-route verification: b(K) on every slot of T and both EL functionals
     if hochschild_b(K) != T:
         raise Infeasible(f"order {k}: solution fails b(K) = T re-check")
     if euler_lagrange(K, "x") or euler_lagrange(K, "y"):
@@ -59,10 +61,15 @@ def solve_order(phi, K_prior, k: int) -> KTable:
 
 
 def _build(phi, N: int) -> dict:
-    """KTables K_1..K_N of the recursion for phi (a Poly2 or an HSeries)."""
+    """KTables K_1..K_N of the recursion for phi (a Poly2 or an HSeries).
+
+    An HSeries phi runs order k to t^(N-k) only: K_k[t^d] lands at h^(k+d),
+    and T_k's t^d part reads K_i[t^a] and phi[t^a] with a <= d alone.
+    """
     ktables = {1: KTable({(1, 1): 1})}
     for k in range(2, N + 1):
-        ktables[k] = solve_order(phi, [ktables[i] for i in range(1, k)], k)
+        phi_k = phi.truncate(N - k) if isinstance(phi, HSeries) else phi
+        ktables[k] = solve_order(phi_k, [ktables[i] for i in range(1, k)], k)
     return ktables
 
 
@@ -91,7 +98,8 @@ def quantize_series(psi: PoissonSeries | list, N: int) -> StarProduct:
     the recursion only scales by phi and differentiates, so running it once
     on phi_t = sum t^i psi_i over Q[x,y][t]/t^N gives every multilinear
     component; the t^d piece of order j lands at h^(j+d).  Hence psi_i with
-    i >= N cannot reach h^N and is dropped.
+    i >= N cannot reach h^N and is dropped, and order j is carried only to
+    t^(N-j).
     """
     _check_order(N)
     coeffs = list(psi.coeffs if isinstance(psi, PoissonSeries) else psi)[:N]
@@ -105,7 +113,7 @@ def quantize_series(psi: PoissonSeries | list, N: int) -> StarProduct:
     orders = {n: [] for n in range(1, N + 1)}
     for j, K in _build(phi_t, N).items():
         for key, s in K.to_bidiff().scale(phi_t).terms.items():
-            for d, c in enumerate(s.coeffs[: N + 1 - j]):
+            for d, c in enumerate(s.coeffs):
                 orders[j + d].append((key, c))
     return StarProduct(N, {n: BiDiffOp(terms) for n, terms in orders.items()})
 
@@ -116,7 +124,10 @@ def classify_p2(m: StarProduct) -> PoissonSeries:
     Newton-style: psi_j is read off from the h^j mismatch of the skew
     evaluations, which m_(j+1) alone carries, and orders <= j+1 of a series
     product do not depend on its truncation, so step j quantizes only
-    through h^(j+1); the final round-trip at N is asserted outright.
+    through h^(j+1).  The round trip quantize_series(psi, N) == m is then
+    asserted on every order and slot.  The last step's product already
+    quantizes psi_0..psi_(N-2) through h^N, and psi_(N-1) reaches h^N only
+    through K_1, as h^N psi_(N-1) dx (x) dy, so that one term completes it.
     """
     if not spq_membership(m):
         raise NotNormalized("classify_p2 requires a pure-shape product")
@@ -128,7 +139,8 @@ def classify_p2(m: StarProduct) -> PoissonSeries:
         got = extract_poisson_p3(q).coeffs
         psi.append(target[j] - got[j])
     result = PoissonSeries(N - 1, psi)
-    final = quantize_series(result, N)
+    top = q.order_op(N) + BiDiffOp({((1, 0), (0, 1)): psi[-1]})
+    final = StarProduct(N, {**q.orders, N: top})
     if final != m:
         raise NotInImage("product is not in the image of quantization")
     return result

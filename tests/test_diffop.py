@@ -1,9 +1,6 @@
 """Multidifferential operators, the Hochschild differential, and the
 recursion right-hand side."""
 
-from fractions import Fraction
-from math import comb
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +9,6 @@ from starplane.diffop import (
     BiDiffOp,
     DiffOp,
     KTable,
-    TriDiffOp,
-    _accum,
     build_rhs_T,
     euler_lagrange,
     hochschild_b,
@@ -22,6 +17,7 @@ from starplane.diffop import (
 )
 from starplane.errors import MissingPriorOrder
 from starplane.poly import ONE, X, Y, Poly2
+from starplane.series import HSeries
 
 rationals = st.fractions(min_value=-12, max_value=12, max_denominator=6)
 small_polys = st.dictionaries(
@@ -35,21 +31,6 @@ diffops = st.dictionaries(
 def b_value(D, f, g, h):
     """Four-term defining formula of b, evaluated pointwise."""
     return f * D.apply(g, h) - D.apply(f * g, h) + D.apply(f, g * h) - D.apply(f, g) * h
-
-
-def hochschild_b_ktable(K):
-    """Closed form of b on KTable terms; coefficients are never differentiated.
-
-    bK = kappa_ab [ sum_{l=1..b-1} C(b,l) dx^a f dy^l g dy^(b-l) h
-                    - sum_{j=1..a-1} C(a,j) dx^j f dx^(a-j) g dy^b h ].
-    """
-    d = {}
-    for (a, b), kappa in K.terms.items():
-        for l in range(1, b):
-            _accum(d, ((a, 0), (0, l), (0, b - l)), kappa * comb(b, l))
-        for j in range(1, a):
-            _accum(d, ((j, 0), (a - j, 0), (0, b)), kappa * (-comb(a, j)))
-    return TriDiffOp(d)
 
 
 def monomials(maxdeg):
@@ -89,9 +70,21 @@ def test_hochschild_b_matches_pointwise_formula():
                 assert bD.apply(f, g, h) == b_value(D, f, g, h)
 
 
-def test_hochschild_b_ktable_closed_form_agrees():
-    K = KTable({(2, 3): X * Y, (1, 2): Poly2.const(Fraction(1, 2)), (3, 1): Y})
-    assert hochschild_b_ktable(K) == hochschild_b(K)
+ktable_keys = st.tuples(st.integers(1, 4), st.integers(1, 4))
+poly_ktables = st.dictionaries(ktable_keys, small_polys, max_size=4).map(KTable)
+series_ktables = st.integers(0, 3).flatmap(lambda n: st.dictionaries(
+    ktable_keys,
+    st.lists(small_polys, min_size=n + 1, max_size=n + 1).map(lambda cs: HSeries(n, cs)),
+    max_size=4,
+).map(KTable))
+
+
+@given(st.one_of(poly_ktables, series_ktables))
+@settings(max_examples=60, deadline=None)
+def test_hochschild_b_ktable_closed_form_matches_kernel(K):
+    # the KTable branch of hochschild_b is a closed form; the composition
+    # kernel on the same operator as a BiDiffOp is its oracle
+    assert hochschild_b(K) == hochschild_b(K.to_bidiff())
 
 
 def test_compositions_match_pointwise():

@@ -181,6 +181,8 @@ def test_quantize_series_respects_homogeneity():
     ([X * Y, Poly2.zero(), X], 3),
     ([Poly2.zero(), X, Y], 3),
     ([X * Y, X, Y], 4),
+    ([X * Y, X, Y], 5),
+    ([X * Y, X, Y, X ** 2 * Y], 4),
 ])
 def test_quantize_series_matches_interpolation_oracle(psi, N):
     # one pass over Q[x,y][t]/t^N against D+1 quantizations and a Vandermonde
@@ -210,6 +212,40 @@ def test_classify_rejects_products_outside_the_image():
     broken = StarProduct(3, tweaked)
     with pytest.raises(NotInImage):
         classify_p2(broken)
+
+def test_classify_rejects_a_top_order_tweak():
+    # at order N = 3, dx (x) dy^2 is invisible to extract_poisson_p3, so the
+    # round trip built from the last Newton product must catch it
+    m = quantize(X, 3)
+    tweaked = dict(m.orders)
+    tweaked[3] = tweaked[3] + type(tweaked[3])({((1, 0), (0, 2)): ONE})
+    with pytest.raises(NotInImage):
+        classify_p2(StarProduct(3, tweaked))
+
+@pytest.mark.parametrize("psi, N", [
+    ([X * Y], 1),                          # N = 1: the round trip is h psi_0 dx (x) dy alone
+    ([X * Y, X, Poly2.zero()], 3),         # psi_(N-1) = 0
+    ([X * Y, X], 2),                       # the last Newton product comes from quantize
+    ([Poly2.zero(), X], 2),                # ... and from an empty series
+    ([Poly2.zero()], 2),
+])
+def test_classify_round_trip_edge_cases(psi, N):
+    assert classify_p2(quantize_series(psi, N)) == PoissonSeries(len(psi) - 1, psi)
+
+series_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3), max_size=2,
+).map(Poly2)
+
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(series_polys, min_size=n, max_size=n)))
+@settings(max_examples=25, deadline=None)
+def test_top_coefficient_reaches_h_to_the_n_only_through_k1(psi):
+    # the identity classify_p2's round trip rests on:
+    # quantize_series(psi, N) = quantize_series(psi[:N-1], N) + h^N psi_(N-1) dx (x) dy
+    N = len(psi)
+    q = quantize_series(psi[:-1], N)
+    top = q.order_op(N) + BiDiffOp({((1, 0), (0, 1)): psi[-1]})
+    assert quantize_series(psi, N) == StarProduct(N, {**q.orders, N: top})
 
 def test_skew_evaluation_leads_with_phi():
     phi = 2 * X + 5
