@@ -9,10 +9,12 @@ Q[x,y][t]/t^N.
 
 Every composition of operators is one kernel, substitute_sum (substitute
 for a single term): it feeds an inner operator's output into one argument
-of an outer operator by the Leibniz rule, on integer numerators lifted once
-per call.  The Hochschild differential b, the recursion right-hand side T_k,
-the associator and the gauge recursion in star.py are sums of such
-substitutions.  This module also provides the Euler-Lagrange constraint
+of an outer operator by the Leibniz rule, on integer numerators.  Each
+operator is lifted to that integer form once and keeps it in a private slot
+that equality, repr and the documents ignore; a kernel result keeps the form
+it was accumulated in.  The Hochschild differential b, the recursion
+right-hand side T_k, the associator and the gauge recursion in star.py are
+sums of such substitutions.  This module also provides the Euler-Lagrange constraint
 maps and the pure-shape membership test.
 """
 
@@ -60,7 +62,7 @@ class ReadOnly:
 class _OpBase(ReadOnly):
     """Operators are values: terms is a read-only mapping that cannot be rebound."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_lifted")  # _lifted: the kernel's integer form, set once
     arity = None
 
     def __init__(self, terms=None):
@@ -190,73 +192,103 @@ def _shares(n: Idx, parts: int) -> tuple:
                  for rest, m in _shares((nx - qx, ny - qy), parts - 1))
 
 
-def _lift(ops):
-    """The coefficients of ops as integer numerators over one denominator.
+@lru_cache(maxsize=None)
+def _spread(ikey: tuple, rest: Idx) -> tuple:
+    """(shifted key, multinomial) for every way the derivative `rest` spreads
+    over the arguments of the inner term ikey."""
+    if len(ikey) == 1:
+        ((bx, by),) = ikey
+        return ((((bx + rest[0], by + rest[1]),), 1),)
+    return tuple([(tuple([(b[0] + q[0], b[1] + q[1]) for b, q in zip(ikey, qs)]), m)
+                  for qs, m in _shares(rest, len(ikey))])
 
-    Returns (den, order, lifted): order is the lowest truncation order of an
-    HSeries coefficient (None if every coefficient is a Poly2) and lifted[n]
-    lists (key, [(t, i, j, numerator), ...]) for ops[n], the key being a tuple
-    with one multi-index per argument.  A Poly2 sits at t = 0.
+
+def _lift(op):
+    """Store and return op's coefficients as integer numerators over op's own
+    denominator.
+
+    The form is (den, order, terms): order is the lowest truncation order of
+    an HSeries coefficient (None if every coefficient is a Poly2) and terms
+    lists (key, [(t, i, j, numerator), ...]), the key being a tuple with one
+    multi-index per argument.  A Poly2 sits at t = 0; an HSeries keeps every
+    t-exponent, and each kernel call drops those beyond its own lowest order.
     """
     den, order = 1, None
-    for op in ops:
-        for c in op.terms.values():
-            if isinstance(c, HSeries) and all(isinstance(p, Poly2) for p in c.coeffs):
-                order = c.order if order is None else min(order, c.order)
-                den = lcm(den, *(p._den for p in c.coeffs))
-            elif isinstance(c, Poly2):
-                den = lcm(den, c._den)
-            else:
-                raise TypeError(f"operator coefficients must be Poly2 or HSeries of Poly2, "
-                                f"got {type(c).__name__}")
-    lifted = []
-    for op in ops:
-        terms = []
-        for key, c in op.terms.items():
-            parts = c.coeffs[:order + 1] if isinstance(c, HSeries) else (c,)
-            flat = [(t, i, j, n * (den // p._den))
-                    for t, p in enumerate(parts) for (i, j), n in p._num.items()]
-            if flat:
-                terms.append(((key,) if op.arity == 1 else key, flat))
-        lifted.append(terms)
-    return den, order, lifted
+    for c in op.terms.values():
+        if isinstance(c, HSeries) and all(isinstance(p, Poly2) for p in c.coeffs):
+            order = c.order if order is None else min(order, c.order)
+            den = lcm(den, *(p._den for p in c.coeffs))
+        elif isinstance(c, Poly2):
+            den = lcm(den, c._den)
+        else:
+            raise TypeError(f"operator coefficients must be Poly2 or HSeries of Poly2, "
+                            f"got {type(c).__name__}")
+    terms = []
+    for key, c in op.terms.items():
+        parts = c.coeffs if isinstance(c, HSeries) else (c,)
+        flat = [(t, i, j, n * (den // p._den))
+                for t, p in enumerate(parts) for (i, j), n in p._num.items()]
+        if flat:
+            terms.append(((key,) if op.arity == 1 else key, flat))
+    lifted = (den, order, terms)
+    object.__setattr__(op, "_lifted", lifted)
+    return lifted
+
+
+_IDENTITY = [(((0, 0),), [(0, 0, 0, 1)])]  # the lifted terms of a multiple of the identity
 
 
 def substitute_sum(items):
     """sum of sign * substitute(outer, slot, inner) over (sign, outer, slot, inner).
 
-    Each operator is lifted once (_lift); t-exponents beyond the lowest HSeries
-    order present are dropped.  For outer term c d^A in the slot and inner term
-    e d^B1 .. d^Bn, d^A (e F) = sum C(A; p, q1..qn) d^p e d^(B1+q1) .. d^(Bn+qn):
-    each d^p e is formed once per call and c * d^p e once per p, plain ints are
-    accumulated per output slot, and each output coefficient is built once.
-    Every item must give the same arity.
+    Every operator is lifted once in its life (_lift), and a result keeps the
+    integer form it was accumulated in, so composing it later lifts nothing.
+    A call works over D = lcm of d_outer * d_inner over its items, scaling each
+    item's weight by D / (d_outer * d_inner), and drops t-exponents beyond the
+    lowest HSeries order present.  For outer term c d^A in the slot and inner
+    term e d^B1 .. d^Bn, d^A (e F) = sum C(A; p, q1..qn) d^p e d^(B1+q1) ..
+    d^(Bn+qn): each d^p e is formed once per call and c * d^p e once per p,
+    plain ints are accumulated per output slot, and each output coefficient
+    is built once.  An inner identity changes no key, so that item adds the
+    outer's numerators as they are.  Every item must give the same arity.
     """
     (arity,) = {outer.arity + inner.arity - 1 for _, outer, _, inner in items}
-    outers = list({id(o): o for _, o, _, _ in items}.values())
-    inners = list({id(i): i for _, _, _, i in items}.values())
-    dout, oout, lifted = _lift(outers)
-    outer_terms = dict(zip(map(id, outers), lifted))
-    din, oin, lifted = _lift(inners)
-    inner_terms = dict(zip(map(id, inners), lifted))
-    orders = [o for o in (oout, oin) if o is not None]
+    forms = {}
+    for _, outer, _, inner in items:
+        for op in (outer, inner):
+            if id(op) not in forms:
+                forms[id(op)] = getattr(op, "_lifted", None) or _lift(op)
+    orders = [f[1] for f in forms.values() if f[1] is not None]
     order = min(orders) if orders else None
     top = 0 if order is None else order
-    derived = {id(i): {} for i in inners}  # per inner: (term index, px, py) -> d^p e
+    den = lcm(*{forms[id(o)][0] * forms[id(i)][0] for _, o, _, i in items})
+    derived = {}  # (id of inner, term index, px, py) -> d^p e
     acc = {}
     for sign, outer, slot, inner in items:
-        lo, li, cache = outer_terms[id(outer)], inner_terms[id(inner)], derived[id(inner)]
-        nin = inner.arity
+        dout, _, lo = forms[id(outer)]
+        din, _, li = forms[id(inner)]
+        scale = sign * (den // (dout * din))
+        if li == _IDENTITY:
+            for okey, c in lo:
+                a = acc.get(okey)
+                if a is None:
+                    a = acc[okey] = {}
+                for t, i, j, v in c:
+                    if t <= top:
+                        k = (t, i, j)
+                        a[k] = a.get(k, 0) + v * scale
+            continue
+        nid = id(inner)
         for okey, c in lo:
             ax, ay = okey[slot]
             head, tail = okey[:slot], okey[slot + 1:]
             for n, (ikey, e) in enumerate(li):
                 for ((px, py), rest), w in _shares((ax, ay), 2):
-                    de = cache.get((n, px, py))
+                    de = derived.get((nid, n, px, py))
                     if de is None:
-                        de = cache[n, px, py] = [
+                        de = derived[nid, n, px, py] = [
                             (t, i - px, j - py, v * perm(i, px) * perm(j, py))
-                            for t, i, j, v in e if i >= px and j >= py]
+                            for t, i, j, v in e if i >= px and j >= py and t <= top]
                     if not de:
                         continue
                     prod = {}
@@ -268,27 +300,30 @@ def substitute_sum(items):
                                 prod[k] = get(k, 0) + v1 * v2
                     if not prod:
                         continue
-                    w *= sign
-                    for qs, m in _shares(rest, nin):
-                        key = head + tuple((b[0] + q[0], b[1] + q[1])
-                                           for b, q in zip(ikey, qs)) + tail
+                    w *= scale
+                    for mid, m in _spread(ikey, rest):
+                        key = head + mid + tail
                         a = acc.get(key)
                         if a is None:
                             a = acc[key] = {}
                         f = w * m
                         for k, v in prod.items():
                             a[k] = a.get(k, 0) + v * f
-    den = dout * din
-    d = {}
+    d, terms = {}, []
     for key, a in acc.items():
+        flat = [(t, i, j, v) for (t, i, j), v in a.items() if v]
+        if not flat:
+            continue
         per_t = [{} for _ in range(top + 1)]
-        for (t, i, j), v in a.items():
-            if v:
-                per_t[t][i, j] = v
-        if any(per_t):
-            coeffs = [_make(num, den) for num in per_t]
-            d[key[0] if arity == 1 else key] = coeffs[0] if order is None else HSeries(order, coeffs)
-    return _ARITY[arity]._of(d)
+        for t, i, j, v in flat:
+            per_t[t][i, j] = v
+        coeffs = [_make(num, den) for num in per_t]
+        d[key[0] if arity == 1 else key] = coeffs[0] if order is None else HSeries(order, coeffs)
+        terms.append((key, flat))
+    out = _ARITY[arity]._of(d)
+    # the form _lift would give, over D: an operator with no terms has no order
+    object.__setattr__(out, "_lifted", (den, order if terms else None, terms))
+    return out
 
 
 def substitute(outer, slot: int, inner):
@@ -325,19 +360,22 @@ def hochschild_b(D) -> TriDiffOp:
 # -- the recursion right-hand side -------------------------------------------
 
 
-def build_rhs_T(k: int, phi: Poly2, K_list) -> TriDiffOp:
+def build_rhs_T(k: int, kops, mops) -> TriDiffOp:
     """Order-k associativity defect with one overall phi factor removed.
 
-    T_k(f,g,h) = sum_{i+j=k, i,j>=1} [ K_i(phi K_j(f,g), h) - K_i(f, phi K_j(g,h)) ],
-    so that phi*T_k equals the order-k associator of fg + sum h^i phi K_i.
+    kops[i-1] is K_i as a BiDiffOp and mops[j-1] is m_j = phi K_j, the
+    product's order-j operator, for every order below k:
+    T_k(f,g,h) = sum_{i+j=k, i,j>=1} [ K_i(m_j(f,g), h) - K_i(f, m_j(g,h)) ],
+    so that phi*T_k equals the order-k associator of fg + sum h^i m_i.  A
+    caller that keeps both lists across orders passes the same operators
+    each time, so the kernel lifts each one once.
     """
     if k < 2:
         raise ValueError("recursion starts at k = 2")
-    if len(K_list) < k - 1:
-        raise MissingPriorOrder(f"need tables for orders 1..{k - 1}, got {len(K_list)}")
-    outer = [K.to_bidiff() for K in K_list[:k - 1]]
-    inner = [K.scale(phi) for K in outer]
-    return substitute_sum([(sign, outer[i - 1], slot, inner[k - i - 1])
+    if min(len(kops), len(mops)) < k - 1:
+        raise MissingPriorOrder(f"need operators for orders 1..{k - 1}, "
+                                f"got {min(len(kops), len(mops))}")
+    return substitute_sum([(sign, kops[i - 1], slot, mops[k - i - 1])
                            for i in range(1, k) for sign, slot in ((1, 0), (-1, 1))])
 
 

@@ -10,6 +10,7 @@ byte output.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .berezin import BerezinData
 from .diffop import BiDiffOp, TriDiffOp
@@ -22,7 +23,42 @@ from .star import GaugeOp, PoissonSeries, StarProduct
 
 
 def render(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """json.dumps(doc, indent=2) plus a newline, byte for byte.
+
+    json.dumps with an indent always runs the pure-Python encoder; writing
+    the few shapes a document has (dicts with str keys, lists, str, int)
+    directly is faster.  Any other scalar goes through json.dumps.
+    """
+    out = []
+    _emit(doc, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit(v, out: list, nl: str) -> None:
+    """Append the JSON text of v to out; nl is the newline and indent of v's line."""
+    t = type(v)
+    if t is str:
+        out.append(_quote(v))
+    elif t is int:
+        out.append(int.__repr__(v))
+    elif t is dict or t is list:
+        if not v:
+            out.append("{}" if t is dict else "[]")
+            return
+        inner = nl + "  "
+        sep = ("{" if t is dict else "[") + inner
+        for x in v:
+            out.append(sep)
+            if t is dict:
+                out.append(_quote(x))
+                out.append(": ")
+                x = v[x]
+            _emit(x, out, inner)
+            sep = "," + inner
+        out.append(nl + ("}" if t is dict else "]"))
+    else:
+        out.append(json.dumps(v))
 
 
 def _bidiff_entries(op: BiDiffOp):

@@ -119,11 +119,6 @@ class LocalizedFn:
         num = dn * self.phi - self.num * dphi * self.power
         return LocalizedFn(num, self.power + 1, self.phi)
 
-    def as_poly(self) -> Poly2:
-        if self.power != 0:
-            raise NotDivisible("denominator present; not a polynomial")
-        return self.num
-
     def __repr__(self):
         if self.power == 0:
             return f"({self.num})"

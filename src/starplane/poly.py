@@ -83,10 +83,6 @@ class Poly2:
     def is_zero(self) -> bool:
         return not self._num
 
-    def total_degree(self) -> int:
-        """Max total degree of a term; 0 for the zero polynomial."""
-        return max((i + j for i, j in self._num), default=0)
-
     def sorted_terms(self):
         """(exponent, Fraction) pairs in descending graded-lex order."""
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)

@@ -33,17 +33,16 @@ def _check_order(N) -> None:
         raise UsageError(f"order must be an integer >= 1, got {N!r}")
 
 
-def solve_order(phi, K_prior, k: int) -> KTable:
+def solve_order(T, k: int) -> KTable:
     """The unique admissible KTable with b(K_k) = T_k at order k >= 2.
 
-    b(K) puts b * kappa_ab on the slot dx^a f dy g dy^(b-1) h and
-    -a * kappa_ab on dx f dx^(a-1) g dy^b h, and no other kappa reaches
-    either slot, so kappa_ab (b >= 2) and kappa_a1 (a >= 2) are read off T_k;
-    kappa_11 = sum_{a>=2} (-1)^a dx^(a-1) kappa_a1 makes the x-axis
-    Euler-Lagrange functional vanish at b = 1.  Everything here is linear
-    over Q, so phi may be a Poly2 or an HSeries of them.
+    T is build_rhs_T's T_k.  b(K) puts b * kappa_ab on the slot
+    dx^a f dy g dy^(b-1) h and -a * kappa_ab on dx f dx^(a-1) g dy^b h, and no
+    other kappa reaches either slot, so kappa_ab (b >= 2) and kappa_a1 (a >= 2)
+    are read off T_k; kappa_11 = sum_{a>=2} (-1)^a dx^(a-1) kappa_a1 makes the
+    x-axis Euler-Lagrange functional vanish at b = 1.  Everything here is
+    linear over Q, so the coefficients may be Poly2 or HSeries of them.
     """
-    T = build_rhs_T(k, phi, K_prior)
     table = {}
     for (A, B, C), t in T.terms.items():
         if B == (0, 1) and A[0] >= 1 and A[1] == 0 and C[0] == 0 and C[1] >= 1:
@@ -60,26 +59,46 @@ def solve_order(phi, K_prior, k: int) -> KTable:
     return K
 
 
-def _build(phi, N: int) -> dict:
-    """KTables K_1..K_N of the recursion for phi (a Poly2 or an HSeries).
+def _build(phi, N: int):
+    """(ktables, kops, mops) of the recursion for phi (a Poly2 or an HSeries).
 
+    ktables maps k to K_k for k = 1..N, kops lists K_k as BiDiffOps and mops
+    the products phi K_k; each is formed once and read by every later order.
     An HSeries phi runs order k to t^(N-k) only: K_k[t^d] lands at h^(k+d),
-    and T_k's t^d part reads K_i[t^a] and phi[t^a] with a <= d alone.
+    and T_k's t^d part reads K_i[t^a] and phi[t^a] with a <= d alone.  So
+    phi K_j, first read at order j+1, is formed at t^(N-j-1), and mops stops
+    at N-1.  T_k is cut to t^(N-k): the kernel keeps the lowest order among
+    the operators it reads, and phi K_(k-1), which sets it, may have no
+    coefficient left to carry its order.
     """
+    series = isinstance(phi, HSeries)
     ktables = {1: KTable({(1, 1): 1})}
-    for k in range(2, N + 1):
-        phi_k = phi.truncate(N - k) if isinstance(phi, HSeries) else phi
-        ktables[k] = solve_order(phi_k, [ktables[i] for i in range(1, k)], k)
-    return ktables
+    kops, mops = [], []
+    for k in range(1, N + 1):
+        if k > 1:
+            T = build_rhs_T(k, kops, mops)
+            ktables[k] = solve_order(_cut(T, N - k) if series else T, k)
+        kops.append(ktables[k].to_bidiff())
+        if not series:
+            mops.append(kops[-1].scale(phi))
+        elif k < N:
+            mops.append(kops[-1].scale(phi.truncate(N - k - 1)))
+    return ktables, kops, mops
+
+
+def _cut(op, n: int):
+    """op with every HSeries coefficient above t^n dropped."""
+    if all(c.order <= n for c in op.terms.values()):
+        return op
+    return type(op)({key: c.truncate(n) for key, c in op.terms.items()})
 
 
 # Products are read-only, so every caller may share the cached one.  The
 # bound keeps memory flat in long runs.
 @lru_cache(maxsize=256)
 def _quantize_cached(phi: Poly2, N: int) -> StarProduct:
-    ktables = _build(phi, N)
-    orders = {k: K.to_bidiff().scale(phi) for k, K in ktables.items()}
-    return StarProduct(N, orders, phi=phi, ktables=ktables)
+    ktables, _, mops = _build(phi, N)
+    return StarProduct(N, dict(enumerate(mops, 1)), phi=phi, ktables=ktables)
 
 
 def quantize(phi: Poly2, N: int) -> StarProduct:
@@ -111,8 +130,8 @@ def quantize_series(psi: PoissonSeries | list, N: int) -> StarProduct:
         return quantize(coeffs[0], N)
     phi_t = HSeries(N - 1, coeffs + [Poly2.zero()] * (N - len(coeffs)))
     orders = {n: [] for n in range(1, N + 1)}
-    for j, K in _build(phi_t, N).items():
-        for key, s in K.to_bidiff().scale(phi_t).terms.items():
+    for j, K in enumerate(_build(phi_t, N)[1], 1):
+        for key, s in K.scale(phi_t).terms.items():
             for d, c in enumerate(s.coeffs):
                 orders[j + d].append((key, c))
     return StarProduct(N, {n: BiDiffOp(terms) for n, terms in orders.items()})

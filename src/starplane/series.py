@@ -69,11 +69,6 @@ class HSeries:
         zero = self.coeffs[0] * 0
         return HSeries(order, self.coeffs + [zero] * (order - self.order))
 
-    def shift(self, k: int) -> "HSeries":
-        """Multiply by h^k, keeping the truncation order."""
-        zero = self.coeffs[0] * 0
-        return HSeries(self.order, [zero] * k + self.coeffs[: self.order + 1 - k])
-
     def dx(self, n: int = 1) -> "HSeries":
         return HSeries(self.order, [c.dx(n) for c in self.coeffs])
 

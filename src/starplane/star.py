@@ -180,24 +180,29 @@ def _gauge(m: StarProduct, U: GaugeOp | None, max_op_order=None):
     (_forced), which makes m' pure-shape.  U^{-1} is never formed.
     """
     N = m.n_order
-    mult = BiDiffOp.multiplication()
+    mult = StarProduct._unit  # the shared units keep their lifted forms across calls
     ms = [mult] + [m.order_op(q) for q in range(1, N + 1)]
-    us = [DiffOp.identity()]
+    us = [GaugeOp._unit]
     new = [mult]
-    first = [ms]  # first[i][q] = m_q(U_i ., .), shared by every later order
+    first = [ms]  # first[i][q] = m_q(U_i ., .), shared by every later order; None if U_i = 0
     for k in range(1, N + 1):
-        r = substitute_sum([(1, first[i][q], 1, us[k - q - i])
-                            for i in range(k) for q in range(k - i + 1) if q + i]
-                           + [(-1, us[p], 0, new[k - p]) for p in range(1, k)])
+        # with U_0 = 1 in the second argument (q + i = k) the kernel adds first[i][q] as it is
+        items = [(1, first[i][q], 1, us[k - q - i])
+                 for i in range(k) if first[i] for q in range(k - i + 1)
+                 if q + i and first[i][q] and (q + i == k or us[k - q - i])]
+        items += [(-1, us[p], 0, new[k - p]) for p in range(1, k) if us[p] and new[k - p]]
+        r = substitute_sum(items) if items else BiDiffOp()
         uk = U.order_op(k) if U is not None else _forced(r, k, max_op_order)
-        mk = r - substitute_sum([(1, uk, 0, mult), (-1, mult, 0, uk), (-1, mult, 1, uk)])
+        mk = substitute_sum([(1, r, 1, us[0]), (-1, uk, 0, mult), (1, mult, 0, uk),
+                             (1, mult, 1, uk)]) if uk else r
         if U is None:
             for A, B in mk.terms:
                 if not _admissible(A, B):
                     raise Inconsistent(f"order {k}: residual non-admissible term at {(A, B)}")
         us.append(uk)
         new.append(mk)
-        first.append([substitute(mq, 0, uk) for mq in ms[:N - k + 1]])
+        if k < N:
+            first.append([substitute(mq, 0, uk) for mq in ms[:N - k + 1]] if uk else None)
     out = StarProduct(N, dict(enumerate(new[1:], 1)))
     if U is not None:
         return out

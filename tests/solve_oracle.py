@@ -17,6 +17,18 @@ from starplane.diffop import KTable, TriDiffOp, build_rhs_T
 from starplane.poly import Poly2
 
 
+def prior_ops(phi, tables):
+    """(kops, mops) of build_rhs_T for the tables K_1.. of phi: each K_i as a
+    BiDiffOp and each product order phi K_i."""
+    kops = [K.to_bidiff() for K in tables]
+    return kops, [K.scale(phi) for K in kops]
+
+
+def total_degree(p: Poly2) -> int:
+    """Max total degree of a term; 0 for the zero polynomial."""
+    return max((i + j for i, j in p._num), default=0)
+
+
 def _mons_upto(deg: int):
     out = []
     for t in range(deg + 1):
@@ -97,9 +109,9 @@ def oracle_solve_order(phi: Poly2, K_prior, k: int, escalation_steps: int = 3):
     The caps start at 2k on a, b and at deg T_k + deg phi + 2 on the
     coefficient degree, and double up to escalation_steps times.
     """
-    T = build_rhs_T(k, phi, K_prior)
-    deg_T = max((p.total_degree() for p in T.terms.values()), default=0)
-    op_cap0, deg_cap0 = 2 * k, deg_T + phi.total_degree() + 2
+    T = build_rhs_T(k, *prior_ops(phi, K_prior))
+    deg_T = max((total_degree(p) for p in T.terms.values()), default=0)
+    op_cap0, deg_cap0 = 2 * k, deg_T + total_degree(phi) + 2
     for esc in range(escalation_steps + 1):
         built = _build_system(T, op_cap0 * 2 ** esc, deg_cap0 * 2 ** esc)
         if built is None:

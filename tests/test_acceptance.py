@@ -12,7 +12,7 @@ from math import factorial
 import random
 
 from affine_oracle import subs_affine
-from solve_oracle import oracle_solve_order
+from solve_oracle import oracle_solve_order, prior_ops
 from starplane.berezin import berezin_pipeline
 from starplane.diffop import KTable, euler_lagrange, hochschild_b, build_rhs_T
 from starplane.liewords import fit_lie_words
@@ -53,7 +53,7 @@ def test_criterion_2_order2_closed_form():
     K1 = KTable({(1, 1): ONE})
     half = Fraction(1, 2)
     for phi in [X * Y, X ** 2, X ** 2 * Y - 3 * Y, X + Y + 1]:
-        K2 = solve_order(phi, [K1], 2)
+        K2 = solve_order(build_rhs_T(2, *prior_ops(phi, [K1])), 2)
         expected = KTable({
             (1, 1): phi.dx().dy() * half,
             (2, 1): phi.dy() * half,
@@ -62,7 +62,7 @@ def test_criterion_2_order2_closed_form():
         })
         assert K2 == expected
         # independent validation: b(phi*K_2) = phi*T_2 on monomial triples
-        T2 = build_rhs_T(2, phi, [K1])
+        T2 = build_rhs_T(2, *prior_ops(phi, [K1]))
         bK = hochschild_b(expected)
         mons = [Poly2.monomial(i, j) for i in range(4) for j in range(4 - i)]
         for f in mons:

@@ -104,8 +104,8 @@ def test_build_rhs_T_is_the_order2_associator():
     # m = fg + h*phi*K_1
     phi = X ** 2 * Y - 3 * Y
     K1 = KTable({(1, 1): ONE})
-    T2 = build_rhs_T(2, phi, [K1])
     m1 = K1.to_bidiff().scale(phi)
+    T2 = build_rhs_T(2, [K1.to_bidiff()], [m1])
     for f in monomials(3):
         for g in monomials(3):
             for h in monomials(3):
@@ -114,10 +114,11 @@ def test_build_rhs_T_is_the_order2_associator():
 
 
 def test_build_rhs_T_needs_priors():
+    K1 = KTable({(1, 1): ONE}).to_bidiff()
     with pytest.raises(MissingPriorOrder):
-        build_rhs_T(3, X, [KTable({(1, 1): ONE})])
+        build_rhs_T(3, [K1], [K1.scale(X)])
     with pytest.raises(ValueError):
-        build_rhs_T(1, X, [])
+        build_rhs_T(1, [], [])
 
 
 def test_euler_lagrange_examples():

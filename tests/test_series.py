@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starplane.errors import NotDivisible
 from starplane.localized import LocalizedFn
 from starplane.poly import ONE, X, Y, Poly2
 from starplane.series import HSeries
@@ -21,10 +20,9 @@ def poly_series(order):
     )
 
 
-def test_constant_and_shift():
+def test_constant():
     s = HSeries.constant(X, 2)
     assert s.coeffs == [X, Poly2.zero(), Poly2.zero()]
-    assert s.shift(1).coeffs == [Poly2.zero(), X, Poly2.zero()]
 
 
 def test_mul_truncates():
@@ -65,13 +63,6 @@ def test_localized_quotient_rule():
     # d/dy 1/(xy) = -1/(x y^2) = -x/(xy)^2
     assert f.dy() == LocalizedFn(-X, 2, phi)
     assert f.dx() == LocalizedFn(-Y, 2, phi)
-
-
-def test_localized_as_poly():
-    phi = X
-    assert LocalizedFn(Y, 0, phi).as_poly() == Y
-    with pytest.raises(NotDivisible):
-        LocalizedFn(Y, 1, phi).as_poly()
 
 
 def test_mixed_phi_rejected():

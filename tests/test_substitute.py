@@ -1,11 +1,16 @@
 """diffop.substitute, the one composition kernel, against the per-slot
 Leibniz loops it replaced (tests/compose_oracle.py)."""
 
+import json
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import compose_oracle as oracle
+from starplane import diffop, docs
 from starplane.diffop import (
     BiDiffOp,
     DiffOp,
@@ -15,8 +20,11 @@ from starplane.diffop import (
     substitute_sum,
 )
 from starplane.localized import LocalizedFn
+from starplane.parser import parse_poly
 from starplane.poly import X, Y, Poly2
+from starplane.quantize import _quantize_cached, quantize
 from starplane.series import HSeries
+from starplane.star import GaugeOp, assoc_defect, gauge_transform, normalize
 
 small_polys = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)),
@@ -104,3 +112,123 @@ def test_other_coefficient_rings_are_refused():
             substitute(BiDiffOp.multiplication(), 0, op)
         with pytest.raises(TypeError):
             substitute(op, 1, BiDiffOp.multiplication())
+
+
+# -- the lifted form each operator keeps -------------------------------------
+
+denominators = st.sampled_from([1, 2, 3, 7, 12])
+PROBE = DiffOp({(1, 0): X, (0, 2): Poly2.const(Fraction(1, 3))})
+
+
+def lifted_lists(op):
+    """Every list in op's cached integer form."""
+    _, _, terms = op._lifted
+    return [terms] + [flat for _, flat in terms]
+
+
+def public_values(op):
+    """What a caller can reach from op without a leading underscore."""
+    out = [op.terms]
+    for c in op.terms.values():
+        out.append(c)
+        if isinstance(c, HSeries):
+            out += [c.coeffs, *c.coeffs]
+    return out
+
+
+@st.composite
+def reuse_cases(draw):
+    """One shared operator and partners for it in both roles, over different
+    denominators and truncation orders."""
+    arity = draw(st.sampled_from([1, 2]))
+    shared = draw(operators(arity, draw(st.sampled_from([None, 0, 1, 3])))).scale(
+        Fraction(1, draw(denominators)))
+    calls = []
+    for _ in range(draw(st.integers(2, 4))):
+        as_outer = draw(st.booleans())
+        arity_out, slot, arity_in = draw(st.sampled_from(
+            [p for p in PAIRINGS if (p[0] if as_outer else p[2]) == arity]))
+        other = draw(operators(arity_in if as_outer else arity_out,
+                               draw(st.sampled_from([None, 0, 1, 2])))).scale(
+            Fraction(1, draw(denominators)))
+        calls.append((shared, slot, other) if as_outer else (other, slot, shared))
+    return shared, calls
+
+
+@given(reuse_cases())
+@settings(max_examples=100, deadline=None)
+def test_a_reused_operator_composes_like_the_oracle(case):
+    shared, calls = case
+    twin = type(shared)._of(dict(shared.terms))  # equal, never lifted
+    before = repr(shared)
+    for outer, slot, inner in calls:
+        got = substitute(outer, slot, inner)
+        assert got == oracle_substitute(outer, slot, inner)
+        # a kernel result is an operand too, read through the form it was summed in
+        assert substitute(got, 0, DiffOp.identity()) == got
+        if got.arity < 3:
+            assert substitute(got, 0, PROBE) == oracle_substitute(got, 0, PROBE)
+            assert substitute(PROBE, 0, got) == oracle_substitute(PROBE, 0, got)
+        cached = {id(x) for x in lifted_lists(got)}
+        assert not cached & {id(v) for v in public_values(got)}
+    assert shared == twin and dict(shared.terms) == dict(twin.terms) and repr(shared) == before
+    cached = {id(x) for x in lifted_lists(shared)}
+    assert not cached & {id(v) for v in public_values(shared)}
+
+
+def test_the_lifted_form_is_invisible_in_values_and_documents():
+    m = quantize(parse_poly("x^2*y+x*y^2"), 4)
+    text = docs.render(docs.star_product_doc(m))
+    fresh = docs.star_product_from_doc(json.loads(text))  # equal operators, never lifted
+    assert all(not hasattr(op, "_lifted") for op in fresh.orders.values())
+    reprs = [repr(op) for op in m.orders.values()]
+    defect = assoc_defect(m)  # lifts every order of m
+    assert all(not op for op in defect.values())
+    assert all(hasattr(op, "_lifted") for op in m.orders.values())
+    assert m == fresh and fresh == m
+    assert [repr(op) for op in m.orders.values()] == reprs
+    assert docs.render(docs.star_product_doc(m)) == text
+    assert docs.render(docs.star_product_doc(fresh)) == text
+
+
+def count_lifts(monkeypatch):
+    """Patch diffop._lift to record every operator it computes a form for."""
+    seen = Counter()
+    lift = diffop._lift
+
+    def counted(op):
+        seen[repr(op)] += 1  # by value: an equal operator rebuilt counts again
+        return lift(op)
+
+    monkeypatch.setattr(diffop, "_lift", counted)
+    return seen
+
+
+def test_quantize_lifts_each_operator_once(monkeypatch):
+    _quantize_cached.cache_clear()
+    seen = count_lifts(monkeypatch)
+    quantize(parse_poly("x^2*y+x*y^2"), 6)
+    # K_1..K_5 as outer operators and phi K_1..phi K_5 as inner ones
+    assert len(seen) == 10 and max(seen.values()) == 1
+
+
+def test_normalize_lifts_each_operator_once(monkeypatch):
+    _quantize_cached.cache_clear()
+    m = quantize(parse_poly("x^2*y+x*y^2"), 4)
+    U = GaugeOp(4, {1: DiffOp({(1, 1): 2, (2, 0): Fraction(1, 3)}), 2: DiffOp({(0, 2): -1})})
+    seen = count_lifts(monkeypatch)
+    W, out = normalize(gauge_transform(m, U))
+    assert out == m
+    assert seen and max(seen.values()) == 1
+
+
+def test_an_empty_result_carries_no_order():
+    # a series result that cancels to zero must not turn a later Poly2 call into series
+    A = BiDiffOp({((1, 0), (0, 0)): HSeries(1, [X, Y])})
+    C = DiffOp({(0, 1): X})
+    empty = substitute_sum([(1, A, 0, C), (-1, A, 0, C)])
+    assert empty.is_zero() and isinstance(empty, BiDiffOp)
+    B = BiDiffOp({((0, 0), (0, 1)): X * Y})
+    P = DiffOp({(1, 0): X})
+    got = substitute_sum([(1, P, 0, B), (1, empty, 0, DiffOp.identity())])
+    assert got == substitute(P, 0, B) == oracle._postcompose(P, B)
