@@ -15,7 +15,11 @@ that equality, repr and the documents ignore; a kernel result keeps the form
 it was accumulated in.  The Hochschild differential b, the recursion
 right-hand side T_k, the associator and the gauge recursion in star.py are
 sums of such substitutions.  This module also provides the Euler-Lagrange constraint
-maps and the pure-shape membership test.
+maps and the pure-shape membership test.  The certificates of the
+recursion, b(K) = T on every slot and both Euler-Lagrange functionals, run
+on integer numerators and closed forms: hochschild_b_equals compares T
+with the closed form of b(K) slot by slot, and euler_lagrange sums on
+K's integer numerators.
 """
 
 from __future__ import annotations
@@ -203,15 +207,15 @@ def _spread(ikey: tuple, rest: Idx) -> tuple:
                   for qs, m in _shares(rest, len(ikey))])
 
 
-def _lift(op):
-    """Store and return op's coefficients as integer numerators over op's own
-    denominator.
+def _numerators(op):
+    """op's coefficients as integer numerators over op's own denominator.
 
     The form is (den, order, terms): order is the lowest truncation order of
     an HSeries coefficient (None if every coefficient is a Poly2) and terms
     lists (key, [(t, i, j, numerator), ...]), the key being a tuple with one
-    multi-index per argument.  A Poly2 sits at t = 0; an HSeries keeps every
-    t-exponent, and each kernel call drops those beyond its own lowest order.
+    multi-index per argument (a KTable keeps its (a, b)).  A Poly2 sits at
+    t = 0; an HSeries keeps every t-exponent, and each kernel call drops
+    those beyond its own lowest order.
     """
     den, order = 1, None
     for c in op.terms.values():
@@ -230,7 +234,12 @@ def _lift(op):
                 for t, p in enumerate(parts) for (i, j), n in p._num.items()]
         if flat:
             terms.append(((key,) if op.arity == 1 else key, flat))
-    lifted = (den, order, terms)
+    return den, order, terms
+
+
+def _lift(op):
+    """Store and return op's kernel form, _numerators(op)."""
+    lifted = _numerators(op)
     object.__setattr__(op, "_lifted", lifted)
     return lifted
 
@@ -335,26 +344,69 @@ def substitute(outer, slot: int, inner):
 # -- Hochschild differential ------------------------------------------------
 
 
+def _b_terms(K: KTable):
+    """(slot, kappa, factor) for every slot of b(K), K a KTable; b(K) puts
+    kappa * factor on the slot.
+
+    The closed form is
+    kappa_ab [ sum_{0<s<b} C(b,s) dx^a f dy^s g dy^(b-s) h
+               - sum_{0<r<a} C(a,r) dx^r f dx^(a-r) g dy^b h ]:
+    the boundary terms cancel, no two slots coincide and no factor is zero.
+    """
+    for (a, b), kappa in K.terms.items():
+        for s in range(1, b):
+            yield ((a, 0), (0, s), (0, b - s)), kappa, comb(b, s)
+        for r in range(1, a):
+            yield ((r, 0), (a - r, 0), (0, b)), kappa, -comb(a, r)
+
+
 def hochschild_b(D) -> TriDiffOp:
     """(bD)(f,g,h) = f D(g,h) - D(fg,h) + D(f,gh) - D(f,g) h, as an operator.
 
-    A KTable has the closed form
-    kappa_ab [ sum_{0<s<b} C(b,s) dx^a f dy^s g dy^(b-s) h
-               - sum_{0<r<a} C(a,r) dx^r f dx^(a-r) g dy^b h ]:
-    the boundary terms cancel, no two slots coincide, and each coefficient
-    keeps its own type (all Poly2, or all HSeries of one order, as in the
-    recursion).  A BiDiffOp goes through the composition kernel.
+    A KTable is built from the closed form of _b_terms, and each
+    coefficient keeps its own type (all Poly2, or all HSeries of one order,
+    as in the recursion).  A BiDiffOp goes through the composition kernel.
+    The recursion's certificate does not build this operator:
+    hochschild_b_equals compares T with the same closed form slot by slot,
+    on integer numerators.
     """
     if isinstance(D, KTable):
-        d = {}
-        for (a, b), kappa in D.terms.items():
-            for s in range(1, b):
-                d[(a, 0), (0, s), (0, b - s)] = kappa * comb(b, s)
-            for r in range(1, a):
-                d[(r, 0), (a - r, 0), (0, b)] = kappa * -comb(a, r)
-        return TriDiffOp._of(d)
+        return TriDiffOp._of({slot: kappa * f for slot, kappa, f in _b_terms(D)})
     mult = BiDiffOp.multiplication()
     return substitute_sum([(1, mult, 1, D), (-1, D, 0, mult), (1, D, 1, mult), (-1, mult, 0, D)])
+
+
+def _is_multiple(t, kappa, f: int) -> bool:
+    """t == kappa * f for a nonzero int f, by integer cross-multiplication:
+    both Poly2, or both HSeries of one order with Poly2 coefficients."""
+    if type(t) is not type(kappa):
+        return False
+    if isinstance(t, HSeries):
+        return t.order == kappa.order and all(
+            _is_multiple(p, q, f) for p, q in zip(t.coeffs, kappa.coeffs))
+    a, b = t._num, kappa._num
+    if a.keys() != b.keys():
+        return False
+    # both are in lowest terms, so t == kappa * f iff a / dt == b * f / dk
+    left, right = kappa._den, f * t._den
+    return all(v * left == b[k] * right for k, v in a.items())
+
+
+def hochschild_b_equals(K: KTable, T: TriDiffOp) -> bool:
+    """hochschild_b(K) == T, decided slot by slot without building b(K).
+
+    Each slot of b(K) must be a slot of T whose coefficient equals kappa *
+    factor, and T may have no other slot; the slots of b(K) are distinct, so
+    counting them settles the second condition.
+    """
+    terms = T.terms
+    n = 0
+    for slot, kappa, f in _b_terms(K):
+        t = terms.get(slot)
+        if t is None or not _is_multiple(t, kappa, f):
+            return False
+        n += 1
+    return n == len(terms)
 
 
 # -- the recursion right-hand side -------------------------------------------
@@ -387,16 +439,43 @@ def euler_lagrange(K: KTable, axis: str) -> dict:
 
     axis "x": for each b, sum_a (-1)^(a-1) dx^(a-1) kappa_ab.
     K is in the admissible divergence-form class iff both axes vanish.
+    The sums run on K's integer numerators over its one denominator,
+    one accumulator per opposite index, and a Poly2 (or an HSeries at the
+    lowest order among K's coefficients) is built only for a functional
+    that does not vanish.
     """
+    if axis not in ("x", "y"):
+        raise ValueError("axis must be 'x' or 'y'")
+    den, order, terms = _numerators(K)
+    top = 0 if order is None else order
+    acc = {}
+    for (a, b), flat in terms:
+        key, n = (b, a - 1) if axis == "x" else (a, b - 1)
+        sign = -1 if n & 1 else 1
+        sums = acc.setdefault(key, {})
+        get = sums.get
+        for t, i, j, v in flat:
+            if t > top:
+                continue
+            if axis == "x":
+                if i < n:
+                    continue
+                k, v = (t, i - n, j), v * perm(i, n)
+            else:
+                if j < n:
+                    continue
+                k, v = (t, i, j - n), v * perm(j, n)
+            sums[k] = get(k, 0) + sign * v
     out = {}
-    for (a, b), kappa in K.terms.items():
-        if axis == "x":
-            key, val = b, kappa.dx(a - 1) * ((-1) ** (a - 1))
-        elif axis == "y":
-            key, val = a, kappa.dy(b - 1) * ((-1) ** (b - 1))
-        else:
-            raise ValueError("axis must be 'x' or 'y'")
-        _accum(out, key, val)
+    for key, sums in acc.items():
+        if not any(sums.values()):
+            continue
+        per_t = [{} for _ in range(top + 1)]
+        for (t, i, j), v in sums.items():
+            if v:
+                per_t[t][i, j] = v
+        coeffs = [_make(num, den) for num in per_t]
+        out[key] = coeffs[0] if order is None else HSeries(order, coeffs)
     return out
 
 

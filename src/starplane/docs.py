@@ -105,7 +105,10 @@ def star_product_from_doc(doc: dict) -> StarProduct:
                 if key in terms:
                     raise UsageError(f"order k = {k} repeats the entry df = {op['df']}, "
                                      f"dg = {op['dg']}")
-                terms[key] = parse_poly(op["coeff"])
+                coeff = op["coeff"]
+                if type(coeff) is not str:
+                    raise UsageError(f"coeff must be a polynomial string, got {coeff!r}")
+                terms[key] = parse_poly(coeff)
             orders[k] = BiDiffOp(terms)
         return StarProduct(n, orders)
     except KeyError as exc:

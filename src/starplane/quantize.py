@@ -6,8 +6,11 @@ b(K_k) = T_k under vanishing Euler-Lagrange constraints on both axes.
 That system is triangular: every kappa_ab except kappa_11 is read off one
 slot of T_k, and kappa_11 follows from the x-axis Euler-Lagrange functional.
 The read-off is then re-checked against b(K_k) = T_k on every slot of T_k
-(b of a KTable in closed form) and both Euler-Lagrange functionals, which
-certifies every slot it did not use.
+and both Euler-Lagrange functionals, which certifies every slot it did not
+use.  Both certificates run on integer numerators and closed forms: T_k is
+compared slot by slot with the closed form of b(K_k) by integer
+cross-multiplication, and the functionals are summed on K_k's numerators,
+so no polynomial is built for a check that passes.
 
 quantize_series extends the construction to formal series sum h^i psi_i by
 running the same recursion once with coefficients in Q[x,y][t]/t^N (an
@@ -21,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .diffop import BiDiffOp, KTable, build_rhs_T, euler_lagrange, hochschild_b
+from .diffop import BiDiffOp, KTable, build_rhs_T, euler_lagrange, hochschild_b_equals
 from .errors import Infeasible, NotInImage, NotNormalized, UsageError
 from .poly import Poly2
 from .series import HSeries
@@ -42,6 +45,12 @@ def solve_order(T, k: int) -> KTable:
     are read off T_k; kappa_11 = sum_{a>=2} (-1)^a dx^(a-1) kappa_a1 makes the
     x-axis Euler-Lagrange functional vanish at b = 1.  Everything here is
     linear over Q, so the coefficients may be Poly2 or HSeries of them.
+
+    The result is certified before it is returned: every slot of T must equal
+    the closed-form slot of b(K) (hochschild_b_equals, integer
+    cross-multiplication, no b(K) built) and T may have no other slot, and
+    both Euler-Lagrange functionals must vanish (summed on K's integer
+    numerators); any mismatch raises Infeasible.
     """
     table = {}
     for (A, B, C), t in T.terms.items():
@@ -52,7 +61,7 @@ def solve_order(T, k: int) -> KTable:
     k11 = [((1, 1), kappa.dx(a - 1) * (-1) ** a) for (a, b), kappa in table.items() if b == 1]
     K = KTable(list(table.items()) + k11)
     # dual-route verification: b(K) on every slot of T and both EL functionals
-    if hochschild_b(K) != T:
+    if not hochschild_b_equals(K, T):
         raise Infeasible(f"order {k}: solution fails b(K) = T re-check")
     if euler_lagrange(K, "x") or euler_lagrange(K, "y"):
         raise Infeasible(f"order {k}: solution fails Euler-Lagrange re-check")
@@ -63,26 +72,27 @@ def _build(phi, N: int):
     """(ktables, kops, mops) of the recursion for phi (a Poly2 or an HSeries).
 
     ktables maps k to K_k for k = 1..N, kops lists K_k as BiDiffOps and mops
-    the products phi K_k; each is formed once and read by every later order.
-    An HSeries phi runs order k to t^(N-k) only: K_k[t^d] lands at h^(k+d),
-    and T_k's t^d part reads K_i[t^a] and phi[t^a] with a <= d alone.  So
-    phi K_j, first read at order j+1, is formed at t^(N-j-1), and mops stops
-    at N-1.  T_k is cut to t^(N-k): the kernel keeps the lowest order among
-    the operators it reads, and phi K_(k-1), which sets it, may have no
-    coefficient left to carry its order.
+    the products phi K_k, the product's order-k operators; each is formed
+    once and read by every later order.  An HSeries phi runs order k to
+    t^(N-k) only: K_k[t^d] lands at h^(k+d), and T_k's t^d part reads K_i[t^a]
+    and phi[t^a] with a <= d alone.  So phi K_j is formed once, at t^(N-j),
+    the precision the product needs, and the recursion reads it cut to
+    t^(N-j-1): the kernel keeps the lowest order among the operators it
+    reads, and that cut sets it to t^(N-k) at order k.  T_k is cut to t^(N-k)
+    too, since phi K_(k-1) may have no coefficient left to carry its order.
     """
     series = isinstance(phi, HSeries)
     ktables = {1: KTable({(1, 1): 1})}
     kops, mops = [], []
+    rops = mops if not series else []  # what the recursion reads of mops
     for k in range(1, N + 1):
         if k > 1:
-            T = build_rhs_T(k, kops, mops)
+            T = build_rhs_T(k, kops, rops)
             ktables[k] = solve_order(_cut(T, N - k) if series else T, k)
         kops.append(ktables[k].to_bidiff())
-        if not series:
-            mops.append(kops[-1].scale(phi))
-        elif k < N:
-            mops.append(kops[-1].scale(phi.truncate(N - k - 1)))
+        mops.append(kops[-1].scale(phi.truncate(N - k) if series else phi))
+        if series and k < N:
+            rops.append(_cut(mops[-1], N - k - 1))
     return ktables, kops, mops
 
 
@@ -118,7 +128,8 @@ def quantize_series(psi: PoissonSeries | list, N: int) -> StarProduct:
     on phi_t = sum t^i psi_i over Q[x,y][t]/t^N gives every multilinear
     component; the t^d piece of order j lands at h^(j+d).  Hence psi_i with
     i >= N cannot reach h^N and is dropped, and order j is carried only to
-    t^(N-j).
+    t^(N-j).  The product is assembled from the recursion's own phi_t K_j,
+    so each K_j is scaled by phi_t once.
     """
     _check_order(N)
     coeffs = list(psi.coeffs if isinstance(psi, PoissonSeries) else psi)[:N]
@@ -130,8 +141,8 @@ def quantize_series(psi: PoissonSeries | list, N: int) -> StarProduct:
         return quantize(coeffs[0], N)
     phi_t = HSeries(N - 1, coeffs + [Poly2.zero()] * (N - len(coeffs)))
     orders = {n: [] for n in range(1, N + 1)}
-    for j, K in enumerate(_build(phi_t, N)[1], 1):
-        for key, s in K.scale(phi_t).terms.items():
+    for j, m in enumerate(_build(phi_t, N)[2], 1):
+        for key, s in m.terms.items():
             for d, c in enumerate(s.coeffs):
                 orders[j + d].append((key, c))
     return StarProduct(N, {n: BiDiffOp(terms) for n, terms in orders.items()})

@@ -242,14 +242,32 @@ def normalize(m: StarProduct, max_op_order: int | None = None):
 
 _X = Poly2.monomial(1, 0)
 _Y = Poly2.monomial(0, 1)
+_D0, _DX, _DY = (0, 0), (1, 0), (0, 1)
+# (slot, sign, factor) of m(x, y) - m(y, x): the identity, dx and dy are
+# the only derivatives that leave x or y nonzero
+_SKEW_SLOTS = (((_DX, _DY), 1, None), ((_DY, _DX), -1, None),
+               ((_D0, _DY), 1, _X), ((_DY, _D0), -1, _X),
+               ((_DX, _D0), 1, _Y), ((_D0, _DX), -1, _Y))
 
 
 def extract_poisson_p3(m: StarProduct) -> PoissonSeries:
-    """Coefficient of h^(k-1) is m_k(x, y) - m_k(y, x)."""
+    """Coefficient of h^(k-1) is m_k(x, y) - m_k(y, x).
+
+    In closed form that is c[dx, dy] - c[dy, dx] + (c[1, dy] - c[dy, 1]) x
+    + (c[dx, 1] - c[1, dx]) y, c being m_k's coefficient on a slot: the
+    xy terms of c[1, 1] cancel, and on every other slot a derivative of x or
+    y vanishes.  So at most six slots are read, for any product.
+    """
     coeffs = []
     for k in range(1, m.n_order + 1):
-        op = m.order_op(k)
-        coeffs.append(op.apply(_X, _Y) - op.apply(_Y, _X))
+        terms = m.order_op(k).terms
+        out = Poly2.zero()
+        for slot, sign, factor in _SKEW_SLOTS:
+            c = terms.get(slot)
+            if c is not None:
+                c = c if factor is None else c * factor
+                out = out + c if sign > 0 else out - c
+        coeffs.append(out)
     return PoissonSeries(m.n_order - 1, coeffs)
 
 

@@ -161,6 +161,17 @@ def test_malformed_product_file_exit_code(tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 
+@pytest.mark.parametrize("command", ["classify", "assoc-check", "normalize"])
+@pytest.mark.parametrize("coeff", ["5", "null"])
+def test_non_string_coeff_is_named(tmp_path, capsys, command, coeff):
+    f = tmp_path / "p.json"
+    f.write_text('{"kind": "star_product", "h_order": 1, "terms": ['
+                 '{"k": 1, "ops": [{"df": [1, 0], "dg": [0, 1], "coeff": %s}]}]}' % coeff)
+    code, out = run_cli([command, "--product", str(f)])
+    assert code == 3 and out == ""
+    value = {"5": "5", "null": "None"}[coeff]
+    assert capsys.readouterr().err == f"error: coeff must be a polynomial string, got {value}\n"
+
 def test_missing_file_exit_code():
     code, _ = run_cli(["classify", "--product", "/nonexistent/p.json"])
     assert code == 3

@@ -1,17 +1,22 @@
 """Multidifferential operators, the Hochschild differential, and the
 recursion right-hand side."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import certify_oracle
 from starplane.diffop import (
     BiDiffOp,
     DiffOp,
     KTable,
+    TriDiffOp,
     build_rhs_T,
     euler_lagrange,
     hochschild_b,
+    hochschild_b_equals,
     is_k2_shape,
     substitute,
 )
@@ -145,3 +150,74 @@ def test_ktable_scale_and_bidiff():
     m = K.to_bidiff().scale(X)
     assert m.terms == {((1, 0), (0, 2)): X * Y}
     assert K.apply(X ** 2, Y ** 2) == 2 * X * Y * 2
+
+
+def balanced(K, axis):
+    """K with kappa_1b (axis x) or kappa_a1 (axis y) shifted so that the
+    oracle's functional on that axis vanishes."""
+    fix = {(1, key) if axis == "x" else (key, 1): -val
+           for key, val in certify_oracle.euler_lagrange(K, axis).items()}
+    return K + KTable(fix)
+
+
+@given(st.one_of(poly_ktables, series_ktables), st.sampled_from([None, "x", "y"]))
+@settings(max_examples=150, deadline=None)
+def test_euler_lagrange_matches_object_level_oracle(K, balance):
+    if balance:
+        K = balanced(K, balance)
+    for axis in ("x", "y"):
+        got, want = euler_lagrange(K, axis), certify_oracle.euler_lagrange(K, axis)
+        assert got == want
+        for key, val in want.items():
+            assert type(got[key]) is type(val)
+            if isinstance(val, HSeries):
+                assert got[key].order == val.order
+    if balance:
+        assert euler_lagrange(K, balance) == {}
+
+
+def test_euler_lagrange_edge_cases():
+    with pytest.raises(ValueError):
+        euler_lagrange(KTable({}), "t")
+    assert euler_lagrange(KTable({}), "x") == {}
+    # HSeries of two orders meet at the lower one, as HSeries addition does
+    K = KTable({(1, 1): HSeries(2, [X, Y, ONE]), (2, 1): HSeries(1, [X ** 2, Y])})
+    assert euler_lagrange(K, "x") == certify_oracle.euler_lagrange(K, "x") == {
+        1: HSeries(1, [-X, Y])}
+
+
+def off_by_one(c):
+    """c with one numerator (over its own denominator) raised by one."""
+    if isinstance(c, HSeries):
+        t = next(t for t, p in enumerate(c.coeffs) if p)
+        return HSeries(c.order, [off_by_one(p) if s == t else p for s, p in enumerate(c.coeffs)])
+    (i, j) = next(iter(c._num))
+    return c + Poly2.monomial(i, j, Fraction(1, c._den))
+
+
+def perturbed(T):
+    """Copies of T that differ from it in one slot, each labelled."""
+    terms = dict(T.terms)
+    slot, c = next(iter(terms.items()))
+    yield "extra slot", TriDiffOp({**terms, ((0, 0), (0, 0), (1, 0)): c})
+    yield "slot dropped", TriDiffOp({k: v for k, v in terms.items() if k != slot})
+    yield "numerator off by one", TriDiffOp({**terms, slot: off_by_one(c)})
+    if isinstance(c, HSeries):
+        other = c.truncate(c.order - 1) if c.order else c.truncate(1)
+        yield "HSeries of another order", TriDiffOp({**terms, slot: other})
+        yield "Poly2 for an HSeries", TriDiffOp({**terms, slot: c.coeffs[0]})
+    else:
+        yield "HSeries for a Poly2", TriDiffOp({**terms, slot: HSeries.constant(c, 1)})
+
+
+@given(st.one_of(poly_ktables, series_ktables))
+@settings(max_examples=100, deadline=None)
+def test_slotwise_b_check_matches_building_b(K):
+    T = hochschild_b(K)
+    assert hochschild_b_equals(K, T)
+    if not T:
+        assert hochschild_b_equals(K, TriDiffOp({((0, 0), (0, 0), (1, 0)): ONE})) is False
+        return
+    for label, bad in perturbed(T):
+        assert bad != T, label
+        assert hochschild_b_equals(K, bad) is (hochschild_b(K) == bad) is False, label

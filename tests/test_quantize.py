@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from series_oracle import oracle_quantize_series
 from solve_oracle import oracle_solve_order, prior_ops
-from starplane import docs
-from starplane.diffop import BiDiffOp, KTable, euler_lagrange, hochschild_b, build_rhs_T
-from starplane.errors import NotInImage, NotNormalized, UsageError
+from starplane import diffop, docs
+from starplane.diffop import BiDiffOp, KTable, TriDiffOp, euler_lagrange, hochschild_b, build_rhs_T
+from starplane.errors import Infeasible, NotInImage, NotNormalized, UsageError
 
 from starplane.poly import ONE, X, Y, Poly2
 from starplane.quantize import (
@@ -127,6 +127,40 @@ def test_cocycle_breaks_euler_lagrange():
         bumped = K + KTable({(1, 1): ONE})
         assert hochschild_b(bumped) == hochschild_b(K)
         assert euler_lagrange(bumped, "x") != {}
+
+def test_solve_order_checks_every_slot_of_T():
+    # a slot that no read-off uses still has to match b(K): one more slot,
+    # or one slot changed, makes the certificate fail
+    phi = X ** 2 * Y + X * Y ** 2
+    m = quantize(phi, 3)
+    for k in (2, 3):
+        T = build_rhs_T(k, *prior_ops(phi, [m.ktables[i] for i in range(1, k)]))
+        assert solve_order(T, k) == m.ktables[k]
+        extra = TriDiffOp({**T.terms, ((0, 0), (0, 0), (1, 0)): ONE})
+        with pytest.raises(Infeasible):
+            solve_order(extra, k)
+        # slots of the shape dx f dx^(a-1) g dy^b h with b >= 2 are read by no kappa
+        unread = [(A, B, C) for A, B, C in T.terms if A == (1, 0) and B[1] == 0 and C[1] >= 2]
+        assert unread
+        for slot in unread:
+            changed = TriDiffOp({**T.terms, slot: T.terms[slot] + X})
+            with pytest.raises(Infeasible):
+                solve_order(changed, k)
+
+@pytest.mark.parametrize("psi, N", [([X * Y, X], 4), ([X * Y, Y, X], 3), ([X * Y, X ** 2 * Y], 5)])
+def test_quantize_series_scales_each_order_once(monkeypatch, psi, N):
+    calls = []
+    scale = diffop._OpBase.scale
+
+    def counted(op, poly):
+        calls.append(repr(op))
+        return scale(op, poly)
+
+    monkeypatch.setattr(diffop._OpBase, "scale", counted)
+    m = quantize_series(psi, N)
+    monkeypatch.undo()
+    assert len(calls) == N and len(set(calls)) == N
+    assert m == oracle_quantize_series(psi, N)
 
 def test_quantize_caching_returns_identical_object():
     assert quantize(X * Y, 3) is quantize(Y * X, 3)

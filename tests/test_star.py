@@ -7,6 +7,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import certify_oracle
 from gauge_oracle import oracle_apply_series, oracle_gauge_transform, oracle_inverse, oracle_normalize
 from starplane.diffop import BiDiffOp, DiffOp
 from starplane.errors import CapExceeded, Inconsistent, UsageError
@@ -303,3 +304,23 @@ def test_gauge_op_is_read_only():
     with pytest.raises(AttributeError):
         U.orders[1].terms.clear()
     assert U.order_op(1).terms == {(1, 1): Poly2.const(Fraction(-1, 2))}
+
+
+# the six slots the closed form of extract_poisson_p3 reads, and all others
+# with derivative orders 0..3 in both arguments
+skew_slots = st.sampled_from([((1, 0), (0, 1)), ((0, 1), (1, 0)), ((0, 0), (0, 1)),
+                              ((0, 1), (0, 0)), ((1, 0), (0, 0)), ((0, 0), (1, 0))])
+multi_index = st.tuples(st.integers(0, 3), st.integers(0, 3))
+any_slots = st.one_of(skew_slots, st.tuples(multi_index, multi_index))
+bidiffs = st.dictionaries(any_slots, small_polys, max_size=6).map(BiDiffOp)
+products = st.integers(1, 3).flatmap(
+    lambda n: st.lists(bidiffs, min_size=n, max_size=n).map(
+        lambda ops: StarProduct(n, dict(enumerate(ops, 1)))))
+
+
+@given(products)
+@settings(max_examples=150, deadline=None)
+def test_extract_poisson_p3_matches_skew_application(m):
+    got = extract_poisson_p3(m)
+    want = certify_oracle.extract_poisson_p3(m)
+    assert got.n_order == want.n_order and got.coeffs == want.coeffs
