@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import IntegrationObstruction, NotNormalized
 from .localized import LocalizedFn
 from .poly import Poly2
-from .quantize import quantize
+from .quantize import _check_order, quantize
 from .series import HSeries
 from .star import StarProduct, extract_poisson_p3, spq_membership
 
@@ -130,13 +130,13 @@ def density_f(phi: Poly2, S: YOpSeries, N: int) -> BerezinData:
     zero = LocalizedFn(0, 0, phi)
     coeffs = [inv] + [zero] * N
     for n in range(1, N + 1):
-        partial = HSeries(N, coeffs)
-        g = S.apply(partial).dy()
-        coeffs[n] = -g[n]
+        # S = O(h), so coefficient n of S f reads f only through h^(n-1)
+        coeffs[n] = -S.apply(HSeries(n, coeffs[:n + 1]))[n].dy()
     f = HSeries(N, coeffs)
-    tau = -S.apply(f)
+    sf = S.apply(f)
+    tau = -sf
     # defining identity, exact through h^N
-    lhs = (f + S.apply(f).dy()) * LocalizedFn(phi, 0, phi)
+    lhs = (f + sf.dy()) * LocalizedFn(phi, 0, phi)
     one = HSeries.constant(LocalizedFn(1, 0, phi), N)
     if lhs != one:
         raise IntegrationObstruction("density identity phi(1 + dy S)f = 1 failed")
@@ -144,7 +144,8 @@ def density_f(phi: Poly2, S: YOpSeries, N: int) -> BerezinData:
 
 
 def berezin_pipeline(phi: Poly2, N: int) -> BerezinData:
-    """quantize -> ad_x -> S -> density, all exact through h^N."""
+    """quantize -> ad_x -> S -> density, all exact through h^N (an int >= 1)."""
+    _check_order(N)
     m = quantize(phi, N + 1)
     W = ad_x(m, phi)
     S = extract_S(W, phi)

@@ -4,8 +4,8 @@ DiffOp / BiDiffOp / TriDiffOp act on 1 / 2 / 3 polynomial arguments as
 sum_terms c * d^alpha f [* d^beta g [* d^gamma h]].  KTable is the restricted
 bidifferential shape used throughout the engine: pure-x derivatives on the
 first slot, pure-y on the second, both of positive order.  Coefficients are
-Poly2, or HSeries of Poly2 when quantize_series runs the recursion over
-Q[x,y][t]/t^N.
+Poly2; quantize_series splits its recursion by t-degree, so the kernel
+sees no other ring.
 
 Every composition of operators is one kernel, substitute_sum (substitute
 for a single term): it feeds an inner operator's output into one argument
@@ -31,7 +31,6 @@ from types import MappingProxyType
 
 from .errors import MissingPriorOrder
 from .poly import Poly2, _make
-from .series import HSeries
 
 Idx = tuple  # (i, j) derivative multi-index
 
@@ -175,9 +174,6 @@ class KTable(_OpBase):
     def to_bidiff(self) -> BiDiffOp:
         return BiDiffOp({((a, 0), (0, b)): p for (a, b), p in self.terms.items()})
 
-    def apply(self, f: Poly2, g: Poly2) -> Poly2:
-        return self.to_bidiff().apply(f, g)
-
 
 # -- the composition kernel ---------------------------------------------------
 
@@ -210,31 +206,21 @@ def _spread(ikey: tuple, rest: Idx) -> tuple:
 def _numerators(op):
     """op's coefficients as integer numerators over op's own denominator.
 
-    The form is (den, order, terms): order is the lowest truncation order of
-    an HSeries coefficient (None if every coefficient is a Poly2) and terms
-    lists (key, [(t, i, j, numerator), ...]), the key being a tuple with one
-    multi-index per argument (a KTable keeps its (a, b)).  A Poly2 sits at
-    t = 0; an HSeries keeps every t-exponent, and each kernel call drops
-    those beyond its own lowest order.
+    The form is (den, terms): terms lists (key, [(i, j, numerator), ...]),
+    the key being a tuple with one multi-index per argument (a KTable keeps
+    its (a, b)).  A coefficient other than a Poly2 raises TypeError.
     """
-    den, order = 1, None
+    den = 1
     for c in op.terms.values():
-        if isinstance(c, HSeries) and all(isinstance(p, Poly2) for p in c.coeffs):
-            order = c.order if order is None else min(order, c.order)
-            den = lcm(den, *(p._den for p in c.coeffs))
-        elif isinstance(c, Poly2):
-            den = lcm(den, c._den)
-        else:
-            raise TypeError(f"operator coefficients must be Poly2 or HSeries of Poly2, "
-                            f"got {type(c).__name__}")
+        if not isinstance(c, Poly2):
+            raise TypeError(f"operator coefficients must be Poly2, got {type(c).__name__}")
+        den = lcm(den, c._den)
     terms = []
     for key, c in op.terms.items():
-        parts = c.coeffs if isinstance(c, HSeries) else (c,)
-        flat = [(t, i, j, n * (den // p._den))
-                for t, p in enumerate(parts) for (i, j), n in p._num.items()]
-        if flat:
-            terms.append(((key,) if op.arity == 1 else key, flat))
-    return den, order, terms
+        f = den // c._den
+        terms.append(((key,) if op.arity == 1 else key,
+                      [(i, j, n * f) for (i, j), n in c._num.items()]))
+    return den, terms
 
 
 def _lift(op):
@@ -244,7 +230,7 @@ def _lift(op):
     return lifted
 
 
-_IDENTITY = [(((0, 0),), [(0, 0, 0, 1)])]  # the lifted terms of a multiple of the identity
+_IDENTITY = [(((0, 0),), [(0, 0, 1)])]  # the lifted terms of a multiple of the identity
 
 
 def substitute_sum(items):
@@ -253,13 +239,13 @@ def substitute_sum(items):
     Every operator is lifted once in its life (_lift), and a result keeps the
     integer form it was accumulated in, so composing it later lifts nothing.
     A call works over D = lcm of d_outer * d_inner over its items, scaling each
-    item's weight by D / (d_outer * d_inner), and drops t-exponents beyond the
-    lowest HSeries order present.  For outer term c d^A in the slot and inner
-    term e d^B1 .. d^Bn, d^A (e F) = sum C(A; p, q1..qn) d^p e d^(B1+q1) ..
-    d^(Bn+qn): each d^p e is formed once per call and c * d^p e once per p,
-    plain ints are accumulated per output slot, and each output coefficient
-    is built once.  An inner identity changes no key, so that item adds the
-    outer's numerators as they are.  Every item must give the same arity.
+    item's weight by D / (d_outer * d_inner).  For outer term c d^A in the
+    slot and inner term e d^B1 .. d^Bn, d^A (e F) = sum C(A; p, q1..qn) d^p e
+    d^(B1+q1) .. d^(Bn+qn): each d^p e is formed once per call and c * d^p e
+    once per p, plain ints are accumulated per output slot, and each output
+    coefficient is built once.  An inner identity changes no key, so that
+    item adds the outer's numerators as they are.  Every item must give the
+    same arity.
     """
     (arity,) = {outer.arity + inner.arity - 1 for _, outer, _, inner in items}
     forms = {}
@@ -267,25 +253,20 @@ def substitute_sum(items):
         for op in (outer, inner):
             if id(op) not in forms:
                 forms[id(op)] = getattr(op, "_lifted", None) or _lift(op)
-    orders = [f[1] for f in forms.values() if f[1] is not None]
-    order = min(orders) if orders else None
-    top = 0 if order is None else order
     den = lcm(*{forms[id(o)][0] * forms[id(i)][0] for _, o, _, i in items})
     derived = {}  # (id of inner, term index, px, py) -> d^p e
     acc = {}
     for sign, outer, slot, inner in items:
-        dout, _, lo = forms[id(outer)]
-        din, _, li = forms[id(inner)]
+        dout, lo = forms[id(outer)]
+        din, li = forms[id(inner)]
         scale = sign * (den // (dout * din))
         if li == _IDENTITY:
             for okey, c in lo:
                 a = acc.get(okey)
                 if a is None:
                     a = acc[okey] = {}
-                for t, i, j, v in c:
-                    if t <= top:
-                        k = (t, i, j)
-                        a[k] = a.get(k, 0) + v * scale
+                for i, j, v in c:
+                    a[i, j] = a.get((i, j), 0) + v * scale
             continue
         nid = id(inner)
         for okey, c in lo:
@@ -296,19 +277,16 @@ def substitute_sum(items):
                     de = derived.get((nid, n, px, py))
                     if de is None:
                         de = derived[nid, n, px, py] = [
-                            (t, i - px, j - py, v * perm(i, px) * perm(j, py))
-                            for t, i, j, v in e if i >= px and j >= py and t <= top]
+                            (i - px, j - py, v * perm(i, px) * perm(j, py))
+                            for i, j, v in e if i >= px and j >= py]
                     if not de:
                         continue
                     prod = {}
                     get = prod.get
-                    for t1, i1, j1, v1 in c:
-                        for t2, i2, j2, v2 in de:
-                            if t1 + t2 <= top:
-                                k = (t1 + t2, i1 + i2, j1 + j2)
-                                prod[k] = get(k, 0) + v1 * v2
-                    if not prod:
-                        continue
+                    for i1, j1, v1 in c:
+                        for i2, j2, v2 in de:
+                            k = (i1 + i2, j1 + j2)
+                            prod[k] = get(k, 0) + v1 * v2
                     w *= scale
                     for mid, m in _spread(ikey, rest):
                         key = head + mid + tail
@@ -320,18 +298,12 @@ def substitute_sum(items):
                             a[k] = a.get(k, 0) + v * f
     d, terms = {}, []
     for key, a in acc.items():
-        flat = [(t, i, j, v) for (t, i, j), v in a.items() if v]
-        if not flat:
-            continue
-        per_t = [{} for _ in range(top + 1)]
-        for t, i, j, v in flat:
-            per_t[t][i, j] = v
-        coeffs = [_make(num, den) for num in per_t]
-        d[key[0] if arity == 1 else key] = coeffs[0] if order is None else HSeries(order, coeffs)
-        terms.append((key, flat))
+        num = {k: v for k, v in a.items() if v}
+        if num:
+            d[key[0] if arity == 1 else key] = _make(num, den)
+            terms.append((key, [(i, j, v) for (i, j), v in num.items()]))
     out = _ARITY[arity]._of(d)
-    # the form _lift would give, over D: an operator with no terms has no order
-    object.__setattr__(out, "_lifted", (den, order if terms else None, terms))
+    object.__setattr__(out, "_lifted", (den, terms))  # the form _lift would give, over D
     return out
 
 
@@ -363,9 +335,8 @@ def _b_terms(K: KTable):
 def hochschild_b(D) -> TriDiffOp:
     """(bD)(f,g,h) = f D(g,h) - D(fg,h) + D(f,gh) - D(f,g) h, as an operator.
 
-    A KTable is built from the closed form of _b_terms, and each
-    coefficient keeps its own type (all Poly2, or all HSeries of one order,
-    as in the recursion).  A BiDiffOp goes through the composition kernel.
+    A KTable is built from the closed form of _b_terms; a BiDiffOp goes
+    through the composition kernel.
     The recursion's certificate does not build this operator:
     hochschild_b_equals compares T with the same closed form slot by slot,
     on integer numerators.
@@ -377,13 +348,10 @@ def hochschild_b(D) -> TriDiffOp:
 
 
 def _is_multiple(t, kappa, f: int) -> bool:
-    """t == kappa * f for a nonzero int f, by integer cross-multiplication:
-    both Poly2, or both HSeries of one order with Poly2 coefficients."""
+    """t == kappa * f for Poly2s t, kappa and a nonzero int f, by integer
+    cross-multiplication."""
     if type(t) is not type(kappa):
         return False
-    if isinstance(t, HSeries):
-        return t.order == kappa.order and all(
-            _is_multiple(p, q, f) for p, q in zip(t.coeffs, kappa.coeffs))
     a, b = t._num, kappa._num
     if a.keys() != b.keys():
         return False
@@ -412,23 +380,32 @@ def hochschild_b_equals(K: KTable, T: TriDiffOp) -> bool:
 # -- the recursion right-hand side -------------------------------------------
 
 
-def build_rhs_T(k: int, kops, mops) -> TriDiffOp:
-    """Order-k associativity defect with one overall phi factor removed.
+def build_rhs_T(k: int, d: int, kops, mops) -> TriDiffOp:
+    """t^d part of the order-k associativity defect, one overall phi removed.
 
-    kops[i-1] is K_i as a BiDiffOp and mops[j-1] is m_j = phi K_j, the
-    product's order-j operator, for every order below k:
-    T_k(f,g,h) = sum_{i+j=k, i,j>=1} [ K_i(m_j(f,g), h) - K_i(f, m_j(g,h)) ],
-    so that phi*T_k equals the order-k associator of fg + sum h^i m_i.  A
-    caller that keeps both lists across orders passes the same operators
-    each time, so the kernel lifts each one once.
+    The recursion runs for phi_t = sum t^c psi_c, so each operator is split
+    by t-degree: kops[i-1][a] is K_i[a], the t^a part of K_i, as a BiDiffOp,
+    and mops[j-1][b] is m_j[b], the t^b part of m_j = phi_t K_j, for every
+    order below k; a row a list does not reach is zero.  Then
+    T_k[d] = sum_{i+j=k, i,j>=1} sum_{a+b=d} [ K_i[a](m_j[b](f,g), h)
+                                              - K_i[a](f, m_j[b](g,h)) ],
+    so that phi_t T_k equals the order-k associator of fg + sum h^i m_i.  A
+    polynomial phi is the case of one row per order and d = 0.  A caller
+    that keeps both lists across orders passes the same operators each time,
+    so the kernel lifts each one once.
     """
     if k < 2:
         raise ValueError("recursion starts at k = 2")
     if min(len(kops), len(mops)) < k - 1:
         raise MissingPriorOrder(f"need operators for orders 1..{k - 1}, "
                                 f"got {min(len(kops), len(mops))}")
-    return substitute_sum([(sign, kops[i - 1], slot, mops[k - i - 1])
-                           for i in range(1, k) for sign, slot in ((1, 0), (-1, 1))])
+    items = []
+    for i in range(1, k):
+        ms = mops[k - i - 1]
+        for a, K in enumerate(kops[i - 1][:d + 1]):
+            if d - a < len(ms):
+                items += [(1, K, 0, ms[d - a]), (-1, K, 1, ms[d - a])]
+    return substitute_sum(items) if items else TriDiffOp()
 
 
 # -- Euler-Lagrange constraints and shape tests ------------------------------
@@ -440,42 +417,33 @@ def euler_lagrange(K: KTable, axis: str) -> dict:
     axis "x": for each b, sum_a (-1)^(a-1) dx^(a-1) kappa_ab.
     K is in the admissible divergence-form class iff both axes vanish.
     The sums run on K's integer numerators over its one denominator,
-    one accumulator per opposite index, and a Poly2 (or an HSeries at the
-    lowest order among K's coefficients) is built only for a functional
-    that does not vanish.
+    one accumulator per opposite index, and a Poly2 is built only for a
+    functional that does not vanish.
     """
     if axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
-    den, order, terms = _numerators(K)
-    top = 0 if order is None else order
+    den, terms = _numerators(K)
     acc = {}
     for (a, b), flat in terms:
         key, n = (b, a - 1) if axis == "x" else (a, b - 1)
         sign = -1 if n & 1 else 1
         sums = acc.setdefault(key, {})
         get = sums.get
-        for t, i, j, v in flat:
-            if t > top:
-                continue
+        for i, j, v in flat:
             if axis == "x":
                 if i < n:
                     continue
-                k, v = (t, i - n, j), v * perm(i, n)
+                k, v = (i - n, j), v * perm(i, n)
             else:
                 if j < n:
                     continue
-                k, v = (t, i, j - n), v * perm(j, n)
+                k, v = (i, j - n), v * perm(j, n)
             sums[k] = get(k, 0) + sign * v
     out = {}
     for key, sums in acc.items():
-        if not any(sums.values()):
-            continue
-        per_t = [{} for _ in range(top + 1)]
-        for (t, i, j), v in sums.items():
-            if v:
-                per_t[t][i, j] = v
-        coeffs = [_make(num, den) for num in per_t]
-        out[key] = coeffs[0] if order is None else HSeries(order, coeffs)
+        num = {k: v for k, v in sums.items() if v}
+        if num:
+            out[key] = _make(num, den)
     return out
 
 

@@ -13,7 +13,7 @@ import json
 from json.encoder import encode_basestring_ascii as _quote
 
 from .berezin import BerezinData
-from .diffop import BiDiffOp, TriDiffOp
+from .diffop import BiDiffOp
 from .errors import UsageError
 from .liewords import FitReport
 from .parser import parse_poly
@@ -61,21 +61,27 @@ def _emit(v, out: list, nl: str) -> None:
         out.append(json.dumps(v))
 
 
-def _bidiff_entries(op: BiDiffOp):
+def _op_entries(op, names) -> list:
+    """op's terms graded-lex ascending slot by slot, each as its named index
+    lists plus coeff; a DiffOp key is one slot."""
+    keyed = [((key,) if op.arity == 1 else key, c) for key, c in op.terms.items()]
     out = []
-    for (df, dg) in sorted(op.terms, key=lambda k: (grlex_key(k[0]), grlex_key(k[1]))):
-        out.append({"df": list(df), "dg": list(dg),
-                    "coeff": format_poly(op.terms[(df, dg)])})
+    for key, c in sorted(keyed, key=lambda kc: tuple(map(grlex_key, kc[0]))):
+        entry = {name: list(idx) for name, idx in zip(names, key)}
+        entry["coeff"] = format_poly(c)
+        out.append(entry)
     return out
 
 
+def _series_doc(kind: str, s, names) -> dict:
+    """A StarProduct or GaugeOp: its nonzero orders ascending."""
+    terms = [{"k": k, "ops": _op_entries(op, names)}
+             for k in range(1, s.n_order + 1) if (op := s.order_op(k))]
+    return {"kind": kind, "h_order": s.n_order, "terms": terms}
+
+
 def star_product_doc(m: StarProduct) -> dict:
-    terms = []
-    for k in range(1, m.n_order + 1):
-        op = m.order_op(k)
-        if op.terms:
-            terms.append({"k": k, "ops": _bidiff_entries(op)})
-    return {"kind": "star_product", "h_order": m.n_order, "terms": terms}
+    return _series_doc("star_product", m, ("df", "dg"))
 
 
 def _multi_index(v) -> tuple:
@@ -118,14 +124,7 @@ def star_product_from_doc(doc: dict) -> StarProduct:
 
 
 def gauge_op_doc(u: GaugeOp) -> dict:
-    terms = []
-    for k in range(1, u.n_order + 1):
-        op = u.order_op(k)
-        if op.terms:
-            ops = [{"d": list(d), "coeff": format_poly(op.terms[d])}
-                   for d in sorted(op.terms, key=grlex_key)]
-            terms.append({"k": k, "ops": ops})
-    return {"kind": "gauge_op", "h_order": u.n_order, "terms": terms}
+    return _series_doc("gauge_op", u, ("d",))
 
 
 def poisson_series_doc(p: PoissonSeries) -> dict:
@@ -141,17 +140,8 @@ def h_series_doc(s: HSeries) -> dict:
 
 
 def defect_report_doc(defects: dict, h_order: int) -> dict:
-    entries = []
-    for k in sorted(defects):
-        op: TriDiffOp = defects[k]
-        if not op.terms:
-            continue
-        terms = []
-        for key in sorted(op.terms, key=lambda t: tuple(grlex_key(e) for e in t)):
-            df, dg, dh = key
-            terms.append({"df": list(df), "dg": list(dg), "dh": list(dh),
-                          "coeff": format_poly(op.terms[key])})
-        entries.append({"k": k, "terms": terms})
+    entries = [{"k": k, "terms": _op_entries(defects[k], ("df", "dg", "dh"))}
+               for k in sorted(defects) if defects[k]]
     return {"kind": "defect_report", "h_order": h_order, "defects": entries}
 
 

@@ -12,11 +12,13 @@ compared slot by slot with the closed form of b(K_k) by integer
 cross-multiplication, and the functionals are summed on K_k's numerators,
 so no polynomial is built for a check that passes.
 
-quantize_series extends the construction to formal series sum h^i psi_i by
-running the same recursion once with coefficients in Q[x,y][t]/t^N (an
-HSeries of polynomials), order k only to t^(N-k), the part that reaches h^N;
-classify_p2 inverts the construction one h-order at a time and certifies the
-result by a round trip that reuses its last Newton product.
+quantize_series extends the construction to formal series sum h^i psi_i:
+order k of the product for phi_t = sum t^c psi_c is a polynomial in t, and
+the recursion is linear over Q[t], so it runs on the t^d parts K_k[d], each
+solved like a polynomial order, and the t^d part of order j lands at
+h^(j+d).  quantize is the case of one part per order.  classify_p2 inverts
+the construction one h-order at a time and certifies the result by a round
+trip that reuses its last Newton product.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from functools import lru_cache
 from .diffop import BiDiffOp, KTable, build_rhs_T, euler_lagrange, hochschild_b_equals
 from .errors import Infeasible, NotInImage, NotNormalized, UsageError
 from .poly import Poly2
-from .series import HSeries
 from .star import PoissonSeries, StarProduct, extract_poisson_p3, spq_membership
 
 
@@ -44,7 +45,7 @@ def solve_order(T, k: int) -> KTable:
     other kappa reaches either slot, so kappa_ab (b >= 2) and kappa_a1 (a >= 2)
     are read off T_k; kappa_11 = sum_{a>=2} (-1)^a dx^(a-1) kappa_a1 makes the
     x-axis Euler-Lagrange functional vanish at b = 1.  Everything here is
-    linear over Q, so the coefficients may be Poly2 or HSeries of them.
+    linear over Q, so a t^d part T_k[d] of a series recursion gives K_k[d].
 
     The result is certified before it is returned: every slot of T must equal
     the closed-form slot of b(K) (hochschild_b_equals, integer
@@ -68,47 +69,40 @@ def solve_order(T, k: int) -> KTable:
     return K
 
 
-def _build(phi, N: int):
-    """(ktables, kops, mops) of the recursion for phi (a Poly2 or an HSeries).
+def _build(psi, N: int):
+    """(ktables, mops) of the recursion for phi_t = sum t^c psi[c] through h^N.
 
-    ktables maps k to K_k for k = 1..N, kops lists K_k as BiDiffOps and mops
-    the products phi K_k, the product's order-k operators; each is formed
-    once and read by every later order.  An HSeries phi runs order k to
-    t^(N-k) only: K_k[t^d] lands at h^(k+d), and T_k's t^d part reads K_i[t^a]
-    and phi[t^a] with a <= d alone.  So phi K_j is formed once, at t^(N-j),
-    the precision the product needs, and the recursion reads it cut to
-    t^(N-j-1): the kernel keeps the lowest order among the operators it
-    reads, and that cut sets it to t^(N-k) at order k.  T_k is cut to t^(N-k)
-    too, since phi K_(k-1) may have no coefficient left to carry its order.
+    K_k has degree k-1 in phi_t and its t^d part lands at h^(k+d), so
+    ktables[k-1] lists K_k[d] for d <= min(N-k, (k-1)(len(psi)-1)), each
+    solved from T_k[d] = build_rhs_T(k, d, ...).  mops[j-1] lists
+    m_j[e] = sum_{c+d=e} psi_c K_j[d] for e <= min(N-j, j(len(psi)-1)): the
+    product's t^e part of order j, read by every later order, so each
+    product psi_c K_j[d] is formed once.  A polynomial phi is psi = [phi]:
+    one part per order.
     """
-    series = isinstance(phi, HSeries)
-    ktables = {1: KTable({(1, 1): 1})}
+    ktables = [[KTable({(1, 1): 1})]]
     kops, mops = [], []
-    rops = mops if not series else []  # what the recursion reads of mops
     for k in range(1, N + 1):
         if k > 1:
-            T = build_rhs_T(k, kops, rops)
-            ktables[k] = solve_order(_cut(T, N - k) if series else T, k)
-        kops.append(ktables[k].to_bidiff())
-        mops.append(kops[-1].scale(phi.truncate(N - k) if series else phi))
-        if series and k < N:
-            rops.append(_cut(mops[-1], N - k - 1))
-    return ktables, kops, mops
-
-
-def _cut(op, n: int):
-    """op with every HSeries coefficient above t^n dropped."""
-    if all(c.order <= n for c in op.terms.values()):
-        return op
-    return type(op)({key: c.truncate(n) for key, c in op.terms.items()})
+            ktables.append([solve_order(build_rhs_T(k, d, kops, mops), k)
+                            for d in range(min(N - k, (k - 1) * (len(psi) - 1)) + 1)])
+        kops.append([K.to_bidiff() for K in ktables[-1]])
+        parts = [[] for _ in range(min(N - k, k * (len(psi) - 1)) + 1)]
+        for d, K in enumerate(kops[-1]):
+            for c, p in enumerate(psi[:len(parts) - d]):
+                if p and K:
+                    parts[c + d].append(K.scale(p))
+        mops.append([sum(ms[1:], ms[0]) if ms else BiDiffOp() for ms in parts])
+    return ktables, mops
 
 
 # Products are read-only, so every caller may share the cached one.  The
 # bound keeps memory flat in long runs.
 @lru_cache(maxsize=256)
 def _quantize_cached(phi: Poly2, N: int) -> StarProduct:
-    ktables, _, mops = _build(phi, N)
-    return StarProduct(N, dict(enumerate(mops, 1)), phi=phi, ktables=ktables)
+    ktables, mops = _build([phi], N)
+    return StarProduct(N, {k: ms[0] for k, ms in enumerate(mops, 1)}, phi=phi,
+                       ktables={k: Ks[0] for k, Ks in enumerate(ktables, 1)})
 
 
 def quantize(phi: Poly2, N: int) -> StarProduct:
@@ -123,13 +117,11 @@ def quantize(phi: Poly2, N: int) -> StarProduct:
 def quantize_series(psi: PoissonSeries | list, N: int) -> StarProduct:
     """Quantize sum h^i psi_i exactly through h^N, N an int >= 1.
 
-    The order-j part of quantize(phi) is homogeneous of degree j in phi, and
-    the recursion only scales by phi and differentiates, so running it once
-    on phi_t = sum t^i psi_i over Q[x,y][t]/t^N gives every multilinear
-    component; the t^d piece of order j lands at h^(j+d).  Hence psi_i with
-    i >= N cannot reach h^N and is dropped, and order j is carried only to
-    t^(N-j).  The product is assembled from the recursion's own phi_t K_j,
-    so each K_j is scaled by phi_t once.
+    The order-j part of quantize(phi) is homogeneous of degree j in phi, so
+    for phi_t = sum t^i psi_i the t^e part m_j[e] of order j lands at
+    h^(j+e); _build forms exactly the parts with j + e <= N.  Hence psi_i
+    with i >= N cannot reach h^N and is dropped, and a series with one
+    nonzero coefficient left goes through the cached quantize.
     """
     _check_order(N)
     coeffs = list(psi.coeffs if isinstance(psi, PoissonSeries) else psi)[:N]
@@ -139,12 +131,10 @@ def quantize_series(psi: PoissonSeries | list, N: int) -> StarProduct:
         return StarProduct(N, {})
     if len(coeffs) == 1:
         return quantize(coeffs[0], N)
-    phi_t = HSeries(N - 1, coeffs + [Poly2.zero()] * (N - len(coeffs)))
     orders = {n: [] for n in range(1, N + 1)}
-    for j, m in enumerate(_build(phi_t, N)[2], 1):
-        for key, s in m.terms.items():
-            for d, c in enumerate(s.coeffs):
-                orders[j + d].append((key, c))
+    for j, ms in enumerate(_build(coeffs, N)[1], 1):
+        for e, m in enumerate(ms):
+            orders[j + e] += m.terms.items()
     return StarProduct(N, {n: BiDiffOp(terms) for n, terms in orders.items()})
 
 

@@ -3,8 +3,7 @@
 HSeries is ring-agnostic: coefficients just need +, - and *, which Poly2
 and LocalizedFn both provide.  All operations truncate consistently at the
 stated order.  dx and dy act
-coefficientwise, so a series of polynomials is itself a coefficient ring for
-polydifferential operators (quantize_series runs the recursion over it).
+coefficientwise.
 """
 
 from __future__ import annotations

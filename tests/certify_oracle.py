@@ -2,7 +2,7 @@
 
 diffop.euler_lagrange sums on integer numerators and star.extract_poisson_p3
 reads at most six slots in closed form; these are the definitions they
-replace, computed with Poly2 / HSeries arithmetic and operator application.
+replace, computed with Poly2 arithmetic and operator application.
 """
 
 from starplane.diffop import _accum

@@ -3,7 +3,7 @@ diffop.substitute.
 
 Each function below composes two operators the direct way: for every pair
 of terms and every split of the outer derivative (_splits2 / _splits3), it
-differentiates the inner Poly2 (or HSeries) coefficient, multiplies, and
+differentiates the inner Poly2 coefficient, multiplies, and
 accumulates with _accum, one coefficient object per term.  They share no
 code with the integer-lifted kernel, so tests compare the two.
 """

@@ -19,9 +19,9 @@ from starplane.poly import Poly2
 
 def prior_ops(phi, tables):
     """(kops, mops) of build_rhs_T for the tables K_1.. of phi: each K_i as a
-    BiDiffOp and each product order phi K_i."""
+    BiDiffOp and each product order phi K_i, one t-degree row per order."""
     kops = [K.to_bidiff() for K in tables]
-    return kops, [K.scale(phi) for K in kops]
+    return [[K] for K in kops], [[K.scale(phi)] for K in kops]
 
 
 def total_degree(p: Poly2) -> int:
@@ -109,7 +109,7 @@ def oracle_solve_order(phi: Poly2, K_prior, k: int, escalation_steps: int = 3):
     The caps start at 2k on a, b and at deg T_k + deg phi + 2 on the
     coefficient degree, and double up to escalation_steps times.
     """
-    T = build_rhs_T(k, *prior_ops(phi, K_prior))
+    T = build_rhs_T(k, 0, *prior_ops(phi, K_prior))
     deg_T = max((total_degree(p) for p in T.terms.values()), default=0)
     op_cap0, deg_cap0 = 2 * k, deg_T + total_degree(phi) + 2
     for esc in range(escalation_steps + 1):

@@ -53,7 +53,7 @@ def test_criterion_2_order2_closed_form():
     K1 = KTable({(1, 1): ONE})
     half = Fraction(1, 2)
     for phi in [X * Y, X ** 2, X ** 2 * Y - 3 * Y, X + Y + 1]:
-        K2 = solve_order(build_rhs_T(2, *prior_ops(phi, [K1])), 2)
+        K2 = solve_order(build_rhs_T(2, 0, *prior_ops(phi, [K1])), 2)
         expected = KTable({
             (1, 1): phi.dx().dy() * half,
             (2, 1): phi.dy() * half,
@@ -62,7 +62,7 @@ def test_criterion_2_order2_closed_form():
         })
         assert K2 == expected
         # independent validation: b(phi*K_2) = phi*T_2 on monomial triples
-        T2 = build_rhs_T(2, *prior_ops(phi, [K1]))
+        T2 = build_rhs_T(2, 0, *prior_ops(phi, [K1]))
         bK = hochschild_b(expected)
         mons = [Poly2.monomial(i, j) for i in range(4) for j in range(4 - i)]
         for f in mons:

@@ -117,6 +117,8 @@ def test_usage_error_exit_code():
     ["quantize", "--phi", "x", "--order", "0"],
     ["fit-lie", "--k", "0", "--samples", "x*y"],
     ["berezin", "--phi", "0", "--order", "2"],
+    ["berezin", "--phi", "x*y", "--order", "0"],
+    ["berezin", "--phi", "x*y", "--order", "-1"],
     ["normalize", "--product", str(GOLDEN / "quantize_xy_N5.json"), "--max-op-order", "-1"],
 ])
 def test_argument_outside_domain_exit_code(argv, capsys):
@@ -124,6 +126,8 @@ def test_argument_outside_domain_exit_code(argv, capsys):
     assert code == 3 and out == ""
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if argv[-1] == "-1":  # the message names the value given
+        assert err.rstrip().endswith("got -1")
 
 @pytest.mark.parametrize("content", [
     "{",

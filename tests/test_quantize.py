@@ -44,7 +44,7 @@ def order2_table(phi):
 @pytest.mark.parametrize("phi", [X * Y, X ** 2, X ** 2 * Y - 3 * Y, X + Y + 1])
 def test_order2_closed_form(phi):
     K1 = KTable({(1, 1): ONE})
-    K2 = solve_order(build_rhs_T(2, *prior_ops(phi, [K1])), 2)
+    K2 = solve_order(build_rhs_T(2, 0, *prior_ops(phi, [K1])), 2)
     assert K2 == order2_table(phi)
     K2_generic, res = oracle_solve_order(phi, [K1], 2)
     assert K2_generic == K2
@@ -54,7 +54,7 @@ def test_order2_closed_form_satisfies_recursion_independently():
     # frozen oracle check: b(K_2) = T_2 for the hand-solved table
     for phi in [X * Y, X ** 2, X + Y + 1]:
         K1 = KTable({(1, 1): ONE})
-        assert hochschild_b(order2_table(phi)) == build_rhs_T(2, *prior_ops(phi, [K1]))
+        assert hochschild_b(order2_table(phi)) == build_rhs_T(2, 0, *prior_ops(phi, [K1]))
         assert euler_lagrange(order2_table(phi), "x") == {}
         assert euler_lagrange(order2_table(phi), "y") == {}
 
@@ -77,7 +77,7 @@ def test_quantize_invariants_per_order():
     assert m.order_op(1).terms == {((1, 0), (0, 1)): phi}
     for k in range(2, 5):
         K = m.ktables[k]
-        T = build_rhs_T(k, *prior_ops(phi, [m.ktables[i] for i in range(1, k)]))
+        T = build_rhs_T(k, 0, *prior_ops(phi, [m.ktables[i] for i in range(1, k)]))
         assert hochschild_b(K) == T
         assert euler_lagrange(K, "x") == {}
         assert euler_lagrange(K, "y") == {}
@@ -106,7 +106,7 @@ def test_every_single_entry_perturbation_breaks_the_recursion(phi):
     m = quantize(phi, 4)
     for k in range(2, 5):
         K = m.ktables[k]
-        T = build_rhs_T(k, *prior_ops(phi, [m.ktables[i] for i in range(1, k)]))
+        T = build_rhs_T(k, 0, *prior_ops(phi, [m.ktables[i] for i in range(1, k)]))
         for a in range(1, k + 2):
             for b in range(1, k + 2):
                 for bump in (ONE, X ** 2 * Y):
@@ -134,7 +134,7 @@ def test_solve_order_checks_every_slot_of_T():
     phi = X ** 2 * Y + X * Y ** 2
     m = quantize(phi, 3)
     for k in (2, 3):
-        T = build_rhs_T(k, *prior_ops(phi, [m.ktables[i] for i in range(1, k)]))
+        T = build_rhs_T(k, 0, *prior_ops(phi, [m.ktables[i] for i in range(1, k)]))
         assert solve_order(T, k) == m.ktables[k]
         extra = TriDiffOp({**T.terms, ((0, 0), (0, 0), (1, 0)): ONE})
         with pytest.raises(Infeasible):
@@ -147,19 +147,23 @@ def test_solve_order_checks_every_slot_of_T():
             with pytest.raises(Infeasible):
                 solve_order(changed, k)
 
-@pytest.mark.parametrize("psi, N", [([X * Y, X], 4), ([X * Y, Y, X], 3), ([X * Y, X ** 2 * Y], 5)])
-def test_quantize_series_scales_each_order_once(monkeypatch, psi, N):
+@pytest.mark.parametrize("psi, N", [
+    ([X * Y, X], 4), ([X * Y, Y, X], 3), ([X * Y, X ** 2 * Y], 5), ([X * Y, Poly2.zero(), X], 5),
+])
+def test_quantize_series_forms_each_product_once(monkeypatch, psi, N):
+    # no psi_c K_j[d] is formed twice, and the oracle shows none is missing
     calls = []
     scale = diffop._OpBase.scale
 
     def counted(op, poly):
-        calls.append(repr(op))
+        calls.append((repr(op), repr(poly)))
         return scale(op, poly)
 
     monkeypatch.setattr(diffop._OpBase, "scale", counted)
     m = quantize_series(psi, N)
     monkeypatch.undo()
-    assert len(calls) == N and len(set(calls)) == N
+    assert len(calls) == len(set(calls))
+    assert all(poly in {repr(p) for p in psi if p} for _, poly in calls)
     assert m == oracle_quantize_series(psi, N)
 
 def test_quantize_caching_returns_identical_object():
@@ -217,10 +221,13 @@ def test_quantize_series_respects_homogeneity():
     ([X * Y, X, Y], 4),
     ([X * Y, X, Y], 5),
     ([X * Y, X, Y, X ** 2 * Y], 4),
+    # K_k has t-degree (k-1)(len(psi)-1) < N-k at low orders
+    ([X * Y, X], 6),
+    ([X * Y, Poly2.zero(), Poly2.zero(), X ** 2 * Y], 5),
 ])
 def test_quantize_series_matches_interpolation_oracle(psi, N):
-    # one pass over Q[x,y][t]/t^N against D+1 quantizations and a Vandermonde
-    # inverse in t; the rendered documents must agree byte for byte
+    # one recursion split by t-degree against D+1 quantizations and a
+    # Vandermonde inverse in t; the rendered documents must agree byte for byte
     m, o = quantize_series(psi, N), oracle_quantize_series(psi, N)
     assert m == o
     assert docs.render(docs.star_product_doc(m)) == docs.render(docs.star_product_doc(o))

@@ -14,7 +14,6 @@ from starplane import diffop, docs
 from starplane.diffop import (
     BiDiffOp,
     DiffOp,
-    TriDiffOp,
     hochschild_b,
     substitute,
     substitute_sum,
@@ -34,18 +33,10 @@ small_polys = st.dictionaries(
 idx = st.tuples(st.integers(0, 2), st.integers(0, 2))
 
 
-def coefficients(order):
-    """Poly2 for order None, else an HSeries of that truncation order."""
-    if order is None:
-        return small_polys
-    return st.lists(small_polys, min_size=order + 1, max_size=order + 1).map(
-        lambda cs: HSeries(order, cs))
-
-
-def operators(arity, order):
+def operators(arity):
     key = idx if arity == 1 else st.tuples(*[idx] * arity)
     cls = {1: DiffOp, 2: BiDiffOp}[arity]
-    return st.dictionaries(key, coefficients(order), max_size=3).map(cls)
+    return st.dictionaries(key, small_polys, max_size=3).map(cls)
 
 
 def oracle_substitute(outer, slot, inner):
@@ -59,18 +50,14 @@ def oracle_substitute(outer, slot, inner):
 
 # (outer arity, slot, inner arity): every pairing the engine composes
 PAIRINGS = [(1, 0, 1), (1, 0, 2), (2, 0, 1), (2, 1, 1), (2, 0, 2), (2, 1, 2)]
-# Poly2 on both sides, HSeries of differing truncation orders, and the mixed
-# Poly2 x HSeries case of K_1 meeting phi_t * K_j in quantize_series
-ORDERS = [(None, None), (0, 0), (2, 1), (1, 3), (None, 2), (2, None)]
 
 
 @st.composite
 def cases(draw):
     arity_out, slot, arity_in = draw(st.sampled_from(PAIRINGS))
-    order_out, order_in = draw(st.sampled_from(ORDERS))
-    outer = draw(operators(arity_out, order_out))
-    inner = draw(operators(arity_in, order_in))
-    other = inner if draw(st.booleans()) else draw(operators(arity_in, order_in))
+    outer = draw(operators(arity_out))
+    inner = draw(operators(arity_in))
+    other = inner if draw(st.booleans()) else draw(operators(arity_in))
     return outer, slot, inner, other
 
 
@@ -88,26 +75,18 @@ def test_substitute_matches_the_leibniz_loops(case, sign):
         assert got.is_zero()
 
 
-@given(st.sampled_from([None, 0, 2]).flatmap(lambda n: operators(2, n)))
+@given(operators(2))
 @settings(max_examples=50, deadline=None)
 def test_hochschild_b_matches_the_split_loops(D):
     assert hochschild_b(D) == oracle.hochschild_b(D)
-
-
-def test_truncation_drops_every_slot_beyond_the_order():
-    # t * x times t * y lands at t^2, beyond order 1 on both sides: nothing is left
-    outer = BiDiffOp({((1, 0), (0, 0)): HSeries(1, [Poly2(), X])})
-    inner = BiDiffOp({((0, 0), (0, 1)): HSeries(1, [Poly2(), Y])})
-    assert oracle.compose_in_first(outer, inner).is_zero()
-    assert substitute(outer, 0, inner).is_zero()
-    assert isinstance(substitute(outer, 0, inner), TriDiffOp)
 
 
 def test_other_coefficient_rings_are_refused():
     phi = X * Y + 1
     local = BiDiffOp({((0, 0), (0, 0)): LocalizedFn(X, 1, phi)})
     series = BiDiffOp({((0, 0), (0, 0)): HSeries(1, [LocalizedFn(X, 0, phi)] * 2)})
-    for op in (local, series):
+    poly_series = BiDiffOp({((1, 0), (0, 0)): HSeries(1, [X, Y])})
+    for op in (local, series, poly_series):
         with pytest.raises(TypeError):
             substitute(BiDiffOp.multiplication(), 0, op)
         with pytest.raises(TypeError):
@@ -122,34 +101,27 @@ PROBE = DiffOp({(1, 0): X, (0, 2): Poly2.const(Fraction(1, 3))})
 
 def lifted_lists(op):
     """Every list in op's cached integer form."""
-    _, _, terms = op._lifted
+    _, terms = op._lifted
     return [terms] + [flat for _, flat in terms]
 
 
 def public_values(op):
     """What a caller can reach from op without a leading underscore."""
-    out = [op.terms]
-    for c in op.terms.values():
-        out.append(c)
-        if isinstance(c, HSeries):
-            out += [c.coeffs, *c.coeffs]
-    return out
+    return [op.terms, *op.terms.values()]
 
 
 @st.composite
 def reuse_cases(draw):
     """One shared operator and partners for it in both roles, over different
-    denominators and truncation orders."""
+    denominators."""
     arity = draw(st.sampled_from([1, 2]))
-    shared = draw(operators(arity, draw(st.sampled_from([None, 0, 1, 3])))).scale(
-        Fraction(1, draw(denominators)))
+    shared = draw(operators(arity)).scale(Fraction(1, draw(denominators)))
     calls = []
     for _ in range(draw(st.integers(2, 4))):
         as_outer = draw(st.booleans())
         arity_out, slot, arity_in = draw(st.sampled_from(
             [p for p in PAIRINGS if (p[0] if as_outer else p[2]) == arity]))
-        other = draw(operators(arity_in if as_outer else arity_out,
-                               draw(st.sampled_from([None, 0, 1, 2])))).scale(
+        other = draw(operators(arity_in if as_outer else arity_out)).scale(
             Fraction(1, draw(denominators)))
         calls.append((shared, slot, other) if as_outer else (other, slot, shared))
     return shared, calls
@@ -220,15 +192,3 @@ def test_normalize_lifts_each_operator_once(monkeypatch):
     W, out = normalize(gauge_transform(m, U))
     assert out == m
     assert seen and max(seen.values()) == 1
-
-
-def test_an_empty_result_carries_no_order():
-    # a series result that cancels to zero must not turn a later Poly2 call into series
-    A = BiDiffOp({((1, 0), (0, 0)): HSeries(1, [X, Y])})
-    C = DiffOp({(0, 1): X})
-    empty = substitute_sum([(1, A, 0, C), (-1, A, 0, C)])
-    assert empty.is_zero() and isinstance(empty, BiDiffOp)
-    B = BiDiffOp({((0, 0), (0, 1)): X * Y})
-    P = DiffOp({(1, 0): X})
-    got = substitute_sum([(1, P, 0, B), (1, empty, 0, DiffOp.identity())])
-    assert got == substitute(P, 0, B) == oracle._postcompose(P, B)
