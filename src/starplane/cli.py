@@ -68,6 +68,8 @@ def _load_product(path: str):
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise UsageError(f"{path} is not a JSON document: {exc}") from None
+    except RecursionError:
+        raise UsageError(f"{path} is nested too deeply to read") from None
     return docs.star_product_from_doc(doc)
 
 

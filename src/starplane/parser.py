@@ -164,4 +164,9 @@ class _Parser:
 
 
 def parse_poly(text: str) -> Poly2:
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:  # each '(' costs four frames of the descent
+        t = parser.peek()
+        raise ParseError("expression nested too deeply", t.line, t.col, expected=()) from None

@@ -16,9 +16,9 @@ quantize_series extends the construction to formal series sum h^i psi_i:
 order k of the product for phi_t = sum t^c psi_c is a polynomial in t, and
 the recursion is linear over Q[t], so it runs on the t^d parts K_k[d], each
 solved like a polynomial order, and the t^d part of order j lands at
-h^(j+d).  quantize is the case of one part per order.  classify_p2 inverts
-the construction one h-order at a time and certifies the result by a round
-trip that reuses its last Newton product.
+h^(j+d).  _build runs it once, by total h-order; quantize is the case of
+one part per order.  psi_(n-1) reaches h^n only as psi_(n-1) dx (x) dy, so
+classify_p2 reads it off order n in the same pass: the round trip itself.
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ from functools import lru_cache
 from .diffop import BiDiffOp, KTable, build_rhs_T, euler_lagrange, hochschild_b_equals
 from .errors import Infeasible, NotInImage, NotNormalized, UsageError
 from .poly import Poly2
-from .star import PoissonSeries, StarProduct, extract_poisson_p3, spq_membership
+from .star import PoissonSeries, StarProduct, spq_membership
+
+_DXDY = ((1, 0), (0, 1))  # K_1 = dx (x) dy, the slot each psi_i first reaches
 
 
 def _check_order(N) -> None:
@@ -70,39 +72,51 @@ def solve_order(T, k: int) -> KTable:
 
 
 def _build(psi, N: int):
-    """(ktables, mops) of the recursion for phi_t = sum t^c psi[c] through h^N.
+    """Yield (rest_n, ktables), n = 1..N: the recursion for phi_t = sum t^c psi[c] by h-order.
 
-    K_k has degree k-1 in phi_t and its t^d part lands at h^(k+d), so
-    ktables[k-1] lists K_k[d] for d <= min(N-k, (k-1)(len(psi)-1)), each
-    solved from T_k[d] = build_rhs_T(k, d, ...).  mops[j-1] lists
-    m_j[e] = sum_{c+d=e} psi_c K_j[d] for e <= min(N-j, j(len(psi)-1)): the
-    product's t^e part of order j, read by every later order, so each
-    product psi_c K_j[d] is formed once.  A polynomial phi is psi = [phi]:
-    one part per order.
+    K_k has degree k-1 in phi_t and its t^d part K_k[d] lands at h^(k+d), as
+    does m_j[d] = sum_{c+e=d} psi_c K_j[e], the t^d part of order j.  Step n
+    solves each K_k[n-k], 2 <= k <= n and n-k <= (k-1)(len(psi)-1), from
+    T_k[n-k] = build_rhs_T(k, n-k, ...), which reads only parts below h^n,
+    then forms m_k[n-k], so each psi_c K_j[e] is formed once.  rest_n, the
+    sum of the m_k[n-k], is order n less m_1[n-1] = psi_(n-1) dx (x) dy, so
+    psi[n-1] is read after the n-th yield and a caller may fill it in then.
+    ktables[k-1][d] is K_k[d].  A polynomial phi is psi = [phi].
     """
-    ktables = [[KTable({(1, 1): 1})]]
-    kops, mops = [], []
-    for k in range(1, N + 1):
-        if k > 1:
-            ktables.append([solve_order(build_rhs_T(k, d, kops, mops), k)
-                            for d in range(min(N - k, (k - 1) * (len(psi) - 1)) + 1)])
-        kops.append([K.to_bidiff() for K in ktables[-1]])
-        parts = [[] for _ in range(min(N - k, k * (len(psi) - 1)) + 1)]
-        for d, K in enumerate(kops[-1]):
-            for c, p in enumerate(psi[:len(parts) - d]):
-                if p and K:
-                    parts[c + d].append(K.scale(p))
-        mops.append([sum(ms[1:], ms[0]) if ms else BiDiffOp() for ms in parts])
-    return ktables, mops
+    width = len(psi) - 1
+    ktables = [[KTable({(1, 1): 1})]] + [[] for _ in range(N - 1)]
+    kops = [[ktables[0][0].to_bidiff()]] + [[] for _ in range(N - 1)]
+    mops = [[] for _ in range(N)]
+    for n in range(1, N + 1):
+        rest = []
+        for k in range(2, n + 1):
+            if n - k <= (k - 1) * width:
+                ktables[k - 1].append(solve_order(build_rhs_T(k, n - k, kops, mops), k))
+                kops[k - 1].append(ktables[k - 1][-1].to_bidiff())
+            if n - k <= k * width:
+                ms = [K.scale(psi[n - k - d]) for d, K in enumerate(kops[k - 1])
+                      if n - k - d <= width and K and psi[n - k - d]]
+                mops[k - 1].append(sum(ms[1:], ms[0]) if ms else BiDiffOp())
+                rest.append(mops[k - 1][-1])
+        yield sum(rest[1:], rest[0]) if rest else BiDiffOp(), ktables
+        if n <= len(psi):
+            mops[0].append(BiDiffOp({_DXDY: psi[n - 1]}))
+
+
+def _orders(psi, N: int):
+    """({n: order n}, ktables) of the product for sum h^i psi_i through h^N."""
+    orders = {}
+    for n, (rest, ktables) in enumerate(_build(psi, N), 1):
+        orders[n] = rest + BiDiffOp({_DXDY: psi[n - 1]}) if n <= len(psi) else rest
+    return orders, ktables
 
 
 # Products are read-only, so every caller may share the cached one.  The
 # bound keeps memory flat in long runs.
 @lru_cache(maxsize=256)
 def _quantize_cached(phi: Poly2, N: int) -> StarProduct:
-    ktables, mops = _build([phi], N)
-    return StarProduct(N, {k: ms[0] for k, ms in enumerate(mops, 1)}, phi=phi,
-                       ktables={k: Ks[0] for k, Ks in enumerate(ktables, 1)})
+    orders, ktables = _orders([phi], N)
+    return StarProduct(N, orders, phi=phi, ktables={k: Ks[0] for k, Ks in enumerate(ktables, 1)})
 
 
 def quantize(phi: Poly2, N: int) -> StarProduct:
@@ -117,50 +131,36 @@ def quantize(phi: Poly2, N: int) -> StarProduct:
 def quantize_series(psi: PoissonSeries | list, N: int) -> StarProduct:
     """Quantize sum h^i psi_i exactly through h^N, N an int >= 1.
 
-    The order-j part of quantize(phi) is homogeneous of degree j in phi, so
-    for phi_t = sum t^i psi_i the t^e part m_j[e] of order j lands at
-    h^(j+e); _build forms exactly the parts with j + e <= N.  Hence psi_i
-    with i >= N cannot reach h^N and is dropped, and a series with one
-    nonzero coefficient left goes through the cached quantize.
+    psi_i first reaches the product at h^(i+1), so psi_i with i >= N is dropped;
+    a series with one nonzero coefficient left goes through the cached quantize,
+    and one with none has no parts.
     """
     _check_order(N)
     coeffs = list(psi.coeffs if isinstance(psi, PoissonSeries) else psi)[:N]
     while coeffs and coeffs[-1].is_zero():
         coeffs.pop()
-    if not coeffs:
-        return StarProduct(N, {})
     if len(coeffs) == 1:
         return quantize(coeffs[0], N)
-    orders = {n: [] for n in range(1, N + 1)}
-    for j, ms in enumerate(_build(coeffs, N)[1], 1):
-        for e, m in enumerate(ms):
-            orders[j + e] += m.terms.items()
-    return StarProduct(N, {n: BiDiffOp(terms) for n, terms in orders.items()})
+    return StarProduct(N, _orders(coeffs, N)[0])
 
 
 def classify_p2(m: StarProduct) -> PoissonSeries:
     """Invert quantization on a pure-shape associative product.
 
-    Newton-style: psi_j is read off from the h^j mismatch of the skew
-    evaluations, which m_(j+1) alone carries, and orders <= j+1 of a series
-    product do not depend on its truncation, so step j quantizes only
-    through h^(j+1).  The round trip quantize_series(psi, N) == m is then
-    asserted on every order and slot.  The last step's product already
-    quantizes psi_0..psi_(N-2) through h^N, and psi_(N-1) reaches h^N only
-    through K_1, as h^N psi_(N-1) dx (x) dy, so that one term completes it.
+    One pass of _build with psi = [0] * N, filled in as it goes: order n of
+    the product for psi is rest_n + psi_(n-1) dx (x) dy, so m_n - rest_n may
+    hold only the dx (x) dy slot, whose coefficient is psi_(n-1); any other
+    slot raises NotInImage.  This is the round trip on every order and slot.
     """
     if not spq_membership(m):
         raise NotNormalized("classify_p2 requires a pure-shape product")
     N = m.n_order
-    target = extract_poisson_p3(m).coeffs  # length N, indices 0..N-1
-    psi = []
-    for j in range(N):
-        q = quantize_series(psi, j + 1)
-        got = extract_poisson_p3(q).coeffs
-        psi.append(target[j] - got[j])
-    result = PoissonSeries(N - 1, psi)
-    top = q.order_op(N) + BiDiffOp({((1, 0), (0, 1)): psi[-1]})
-    final = StarProduct(N, {**q.orders, N: top})
-    if final != m:
+    if any(not 1 <= n <= N for n in m.orders):
         raise NotInImage("product is not in the image of quantization")
-    return result
+    psi = [Poly2.zero()] * N
+    for n, (rest, _) in enumerate(_build(psi, N), 1):
+        left = (m.order_op(n) - rest).terms
+        if set(left) - {_DXDY}:
+            raise NotInImage("product is not in the image of quantization")
+        psi[n - 1] = left.get(_DXDY, Poly2.zero())
+    return PoissonSeries(N - 1, psi)

@@ -186,6 +186,22 @@ def test_unreadable_product_path_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 
+@pytest.mark.parametrize("case", ["phi", "product", "coeff"])
+def test_deeply_nested_input_exit_code(tmp_path, case):
+    # past the interpreter's recursion limit: one error line, no traceback
+    f = tmp_path / "p.json"
+    if case == "phi":
+        argv = ["quantize", "--phi", "(" * 300 + "x*y" + ")" * 300, "--order", "1"]
+    else:
+        f.write_text("[" * 200000 + "]" * 200000 if case == "product" else
+                     '{"kind": "star_product", "h_order": 1, "terms": [{"k": 1, "ops": ['
+                     '{"df": [1, 0], "dg": [0, 1], "coeff": "%s"}]}]}' % ("(" * 300 + "x" + ")" * 300))
+        argv = ["classify", "--product", str(f)]
+    proc = subprocess.run([sys.executable, "-m", "starplane.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
 def test_infeasible_exit_code(tmp_path):
     # classify on a product that is not pure-shape is a NotNormalized failure
     f = tmp_path / "moyal.json"

@@ -85,6 +85,12 @@ def test_zero_denominator():
         parse_poly("1/0")
 
 
+def test_nesting_past_the_recursion_limit_is_a_parse_error():
+    assert parse_poly("(" * 100 + "x" + ")" * 100) == X
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_poly("(" * 5000 + "x" + ")" * 5000)
+
+
 def test_exponent_must_be_uint():
     with pytest.raises(ParseError):
         parse_poly("x^-2")

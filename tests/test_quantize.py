@@ -1,6 +1,7 @@
 """The order-by-order engine: closed forms, uniqueness, series inputs,
 and the classifier round trip."""
 
+import importlib
 from fractions import Fraction
 from math import factorial
 
@@ -246,17 +247,19 @@ def test_cocycle_tweak_is_still_in_the_image():
 
 def test_classify_rejects_products_outside_the_image():
     # dx (x) dy^2 is not a cocycle and is invisible to the skew evaluation,
-    # so only the final round-trip assertion can catch it
+    # so only the round trip, which compares every slot, can catch it
     m = quantize(X, 3)
     tweaked = dict(m.orders)
     tweaked[2] = tweaked[2] + type(tweaked[2])({((1, 0), (0, 2)): ONE})
     broken = StarProduct(3, tweaked)
     with pytest.raises(NotInImage):
         classify_p2(broken)
+    with pytest.raises(NotInImage):  # an order beyond the truncation
+        classify_p2(StarProduct(3, {**m.orders, 4: m.order_op(1)}))
 
 def test_classify_rejects_a_top_order_tweak():
-    # at order N = 3, dx (x) dy^2 is invisible to extract_poisson_p3, so the
-    # round trip built from the last Newton product must catch it
+    # at the top order N = 3, m_3 - rest_3 then holds dx (x) dy^2 beside
+    # dx (x) dy, which the round trip must reject
     m = quantize(X, 3)
     tweaked = dict(m.orders)
     tweaked[3] = tweaked[3] + type(tweaked[3])({((1, 0), (0, 2)): ONE})
@@ -266,27 +269,61 @@ def test_classify_rejects_a_top_order_tweak():
 @pytest.mark.parametrize("psi, N", [
     ([X * Y], 1),                          # N = 1: the round trip is h psi_0 dx (x) dy alone
     ([X * Y, X, Poly2.zero()], 3),         # psi_(N-1) = 0
-    ([X * Y, X], 2),                       # the last Newton product comes from quantize
-    ([Poly2.zero(), X], 2),                # ... and from an empty series
+    ([X * Y, X], 2),                       # rest_2 comes from psi_0 alone
+    ([Poly2.zero(), X], 2),                # ... and rest_2 is zero
     ([Poly2.zero()], 2),
 ])
 def test_classify_round_trip_edge_cases(psi, N):
     assert classify_p2(quantize_series(psi, N)) == PoissonSeries(len(psi) - 1, psi)
 
+def test_classify_runs_the_recursion_once(monkeypatch):
+    # one pass by h-order: each K_k[d] is solved once, and no series product
+    # is rebuilt from order 1
+    N = 7
+    m = quantize_series([X * Y, Y, X], N)
+    module = importlib.import_module("starplane.quantize")
+    rhs, solves, series = [], [], []
+    build, solve, qs = module.build_rhs_T, module.solve_order, module.quantize_series
+    monkeypatch.setattr(module, "build_rhs_T", lambda k, d, *a: rhs.append((k, d)) or build(k, d, *a))
+    monkeypatch.setattr(module, "solve_order", lambda T, k: solves.append(k) or solve(T, k))
+    monkeypatch.setattr(module, "quantize_series", lambda *a: series.append(a) or qs(*a))
+    assert classify_p2(m).trimmed() == [X * Y, Y, X]
+    assert len(solves) == len(rhs) == len(set(rhs)) <= N * (N - 1) // 2
+    assert series == []
+
 series_polys = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)),
     st.fractions(min_value=-4, max_value=4, max_denominator=3), max_size=2,
 ).map(Poly2)
+series_inputs = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(series_polys, min_size=n, max_size=n), st.integers(n, 4)))
 
-@given(st.integers(1, 3).flatmap(lambda n: st.lists(series_polys, min_size=n, max_size=n)))
+@given(series_inputs)
 @settings(max_examples=25, deadline=None)
-def test_top_coefficient_reaches_h_to_the_n_only_through_k1(psi):
-    # the identity classify_p2's round trip rests on:
-    # quantize_series(psi, N) = quantize_series(psi[:N-1], N) + h^N psi_(N-1) dx (x) dy
-    N = len(psi)
-    q = quantize_series(psi[:-1], N)
-    top = q.order_op(N) + BiDiffOp({((1, 0), (0, 1)): psi[-1]})
-    assert quantize_series(psi, N) == StarProduct(N, {**q.orders, N: top})
+def test_top_coefficient_reaches_h_to_the_n_only_through_k1(case):
+    # the identity the one pass rests on, at every order n <= N: orders below
+    # n do not see psi_(n-1), and order n of quantize_series(psi, N) is order
+    # n of quantize_series(psi[:n-1], N) + psi_(n-1) dx (x) dy
+    psi, N = case
+    for n in range(1, len(psi) + 1):
+        q, m = quantize_series(psi[:n - 1], N), quantize_series(psi[:n], N)
+        assert all(m.order_op(i) == q.order_op(i) for i in range(1, n))
+        assert m.order_op(n) == q.order_op(n) + BiDiffOp({((1, 0), (0, 1)): psi[n - 1]})
+
+@given(series_inputs, st.data())
+@settings(max_examples=25, deadline=None)
+def test_classify_inverts_quantize_series_on_every_order(case, data):
+    # classify_p2 returns psi, and any pure-shape slot other than dx (x) dy
+    # added at any order leaves the image
+    psi, N = case
+    m = quantize_series(psi, N)
+    assert classify_p2(m) == PoissonSeries(len(psi) - 1, psi)
+    n = data.draw(st.integers(1, N))
+    a, b = data.draw(st.tuples(st.integers(1, 3), st.integers(1, 3)).filter(lambda s: s != (1, 1)))
+    bump = data.draw(series_polys.filter(bool))
+    tweaked = {**m.orders, n: m.order_op(n) + BiDiffOp({((a, 0), (0, b)): bump})}
+    with pytest.raises(NotInImage):
+        classify_p2(StarProduct(N, tweaked))
 
 def test_skew_evaluation_leads_with_phi():
     phi = 2 * X + 5
