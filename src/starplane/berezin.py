@@ -9,13 +9,13 @@ polynomials localized at phi, so everything stays exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .diffop import Record
 from .errors import IntegrationObstruction, NotNormalized
 from .localized import LocalizedFn
 from .poly import Poly2
-from .quantize import _check_order, quantize
+from .quantize import quantize
 from .series import HSeries
-from .star import StarProduct, extract_poisson_p3, spq_membership
+from .star import StarProduct, _check_order, extract_poisson_p3, spq_membership
 
 
 class YOpSeries:
@@ -58,13 +58,18 @@ class YOpSeries:
         return f"YOpSeries[{body or '0'}]"
 
 
-@dataclass
-class BerezinData:
-    S: YOpSeries
-    f: HSeries
-    tau: HSeries
-    phi: Poly2
-    n_order: int
+class BerezinData(Record):
+    """The y-operator S, the density f and the witness tau of f - 1/phi = dy(tau),
+    exact through h^n_order."""
+
+    __slots__ = ("S", "f", "tau", "phi", "n_order")
+
+    def __init__(self, S: YOpSeries, f: HSeries, tau: HSeries, phi: Poly2, n_order: int):
+        self.S = S
+        self.f = f
+        self.tau = tau
+        self.phi = phi
+        self.n_order = n_order
 
 
 def ad_x(m: StarProduct, phi: Poly2) -> YOpSeries:

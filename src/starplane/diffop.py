@@ -14,12 +14,16 @@ operator is lifted to that integer form once and keeps it in a private slot
 that equality, repr and the documents ignore; a kernel result keeps the form
 it was accumulated in.  The Hochschild differential b, the recursion
 right-hand side T_k, the associator and the gauge recursion in star.py are
-sums of such substitutions.  This module also provides the Euler-Lagrange constraint
-maps and the pure-shape membership test.  The certificates of the
-recursion, b(K) = T on every slot and both Euler-Lagrange functionals, run
-on integer numerators and closed forms: hochschild_b_equals compares T
-with the closed form of b(K) slot by slot, and euler_lagrange sums on
-K's integer numerators.
+sums of such substitutions; a result only the kernel reads again can stay
+in that integer form (_substitute_form) and build no Poly2.  This module
+also provides the Euler-Lagrange constraint maps, the pure-shape
+membership test, and the two bases of the engine's objects: ReadOnly for
+values and Record for plain result records (field-wise == and repr with
+no generated code, so importing the package loads no inspect, ast or dis).
+The certificates of the recursion, b(K) = T on every slot and
+both Euler-Lagrange functionals, run on integer numerators and closed
+forms: hochschild_b_equals compares T with the closed form of b(K) slot
+by slot, and euler_lagrange sums on K's integer numerators.
 """
 
 from __future__ import annotations
@@ -60,6 +64,28 @@ class ReadOnly:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is read-only; cannot delete {name!r}")
+
+
+class Record:
+    """A plain result record whose fields are its __slots__, in order.
+
+    == compares the fields of two records of the same class, and repr shows
+    them by name; a subclass lists its fields and writes its own __init__.
+    """
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        bits = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({bits})"
 
 
 class _OpBase(ReadOnly):
@@ -233,8 +259,23 @@ def _lift(op):
 _IDENTITY = [(((0, 0),), [(0, 0, 1)])]  # the lifted terms of a multiple of the identity
 
 
-def substitute_sum(items):
-    """sum of sign * substitute(outer, slot, inner) over (sign, outer, slot, inner).
+class _Form:
+    """A kernel result kept only in the kernel's integer form: an operand for
+    substitute_sum with no Poly2 coefficients, for results nothing else reads."""
+
+    __slots__ = ("arity", "_lifted")
+
+    def __init__(self, arity, lifted):
+        self.arity = arity
+        self._lifted = lifted
+
+    def __bool__(self):
+        return bool(self._lifted[1])
+
+
+def _accumulate(items):
+    """(arity, D, [(key, {(i, j): numerator})]): substitute_sum's result over D,
+    zero numerators and empty keys dropped.
 
     Every operator is lifted once in its life (_lift), and a result keeps the
     integer form it was accumulated in, so composing it later lifts nothing.
@@ -242,10 +283,9 @@ def substitute_sum(items):
     item's weight by D / (d_outer * d_inner).  For outer term c d^A in the
     slot and inner term e d^B1 .. d^Bn, d^A (e F) = sum C(A; p, q1..qn) d^p e
     d^(B1+q1) .. d^(Bn+qn): each d^p e is formed once per call and c * d^p e
-    once per p, plain ints are accumulated per output slot, and each output
-    coefficient is built once.  An inner identity changes no key, so that
-    item adds the outer's numerators as they are.  Every item must give the
-    same arity.
+    once per p, and plain ints are accumulated per output slot.  An inner
+    identity changes no key, so that item adds the outer's numerators as
+    they are.  Every item must give the same arity.
     """
     (arity,) = {outer.arity + inner.arity - 1 for _, outer, _, inner in items}
     forms = {}
@@ -296,14 +336,34 @@ def substitute_sum(items):
                         f = w * m
                         for k, v in prod.items():
                             a[k] = a.get(k, 0) + v * f
-    d, terms = {}, []
+    nums = []
     for key, a in acc.items():
         num = {k: v for k, v in a.items() if v}
         if num:
-            d[key[0] if arity == 1 else key] = _make(num, den)
-            terms.append((key, [(i, j, v) for (i, j), v in num.items()]))
-    out = _ARITY[arity]._of(d)
-    object.__setattr__(out, "_lifted", (den, terms))  # the form _lift would give, over D
+            nums.append((key, num))
+    return arity, den, nums
+
+
+def _flat(den, nums):
+    """The lifted form (den, terms) of _accumulate's numerators."""
+    return den, [(key, [(i, j, v) for (i, j), v in num.items()]) for key, num in nums]
+
+
+def _substitute_form(items):
+    """substitute_sum(items) as a _Form: the same kernel, no Poly2 built."""
+    arity, den, nums = _accumulate(items)
+    return _Form(arity, _flat(den, nums))
+
+
+def substitute_sum(items):
+    """sum of sign * substitute(outer, slot, inner) over (sign, outer, slot, inner).
+
+    The kernel is _accumulate; each output coefficient is built once from its
+    numerators, and the result keeps the form _lift would give it, over D.
+    """
+    arity, den, nums = _accumulate(items)
+    out = _ARITY[arity]._of({key[0] if arity == 1 else key: _make(num, den) for key, num in nums})
+    object.__setattr__(out, "_lifted", _flat(den, nums))
     return out
 
 
@@ -390,9 +450,10 @@ def build_rhs_T(k: int, d: int, kops, mops) -> TriDiffOp:
     T_k[d] = sum_{i+j=k, i,j>=1} sum_{a+b=d} [ K_i[a](m_j[b](f,g), h)
                                               - K_i[a](f, m_j[b](g,h)) ],
     so that phi_t T_k equals the order-k associator of fg + sum h^i m_i.  A
-    polynomial phi is the case of one row per order and d = 0.  A caller
-    that keeps both lists across orders passes the same operators each time,
-    so the kernel lifts each one once.
+    polynomial phi is the case of one row per order and d = 0.  A pair with
+    a zero part adds nothing, so it is left out.  A caller that keeps both
+    lists across orders passes the same operators each time, so the kernel
+    lifts each one once.
     """
     if k < 2:
         raise ValueError("recursion starts at k = 2")
@@ -403,7 +464,7 @@ def build_rhs_T(k: int, d: int, kops, mops) -> TriDiffOp:
     for i in range(1, k):
         ms = mops[k - i - 1]
         for a, K in enumerate(kops[i - 1][:d + 1]):
-            if d - a < len(ms):
+            if K and d - a < len(ms) and ms[d - a]:
                 items += [(1, K, 0, ms[d - a]), (-1, K, 1, ms[d - a])]
     return substitute_sum(items) if items else TriDiffOp()
 

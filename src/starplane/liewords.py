@@ -15,25 +15,31 @@ by composing the corresponding first-order operators in the given order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import permutations, product
 
 from . import linsolve
-from .diffop import BiDiffOp, DiffOp, substitute
+from .diffop import BiDiffOp, DiffOp, Record, substitute
 from .errors import UsageError
 from .poly import Poly2
 from .quantize import quantize
 
 
-@dataclass
-class FitReport:
-    k: int
-    status: str  # "ok" | "underdetermined" | "not_representable"
-    lambdas: dict = field(default_factory=dict)  # (sigma, tau) -> Fraction
-    num_unknowns: int = 0
-    rank: int = 0
-    kernel_dim: int = 0
-    samples: list = field(default_factory=list)
+class FitReport(Record):
+    """Outcome of fit_lie_words: status is "ok", "underdetermined" or
+    "not_representable", and lambdas maps (sigma, tau) to a Fraction.  An
+    omitted lambdas or samples is a fresh empty dict or list."""
+
+    __slots__ = ("k", "status", "lambdas", "num_unknowns", "rank", "kernel_dim", "samples")
+
+    def __init__(self, k: int, status: str, lambdas: dict | None = None, num_unknowns: int = 0,
+                 rank: int = 0, kernel_dim: int = 0, samples: list | None = None):
+        self.k = k
+        self.status = status
+        self.lambdas = {} if lambdas is None else lambdas
+        self.num_unknowns = num_unknowns
+        self.rank = rank
+        self.kernel_dim = kernel_dim
+        self.samples = [] if samples is None else samples
 
 
 def _separable_terms(phi: Poly2):

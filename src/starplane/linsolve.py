@@ -7,16 +7,21 @@ the reduced row), so repeated runs produce bit-identical solutions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .diffop import Record
 
-@dataclass
-class SolveResult:
-    consistent: bool
-    solution: list | None
-    rank: int
-    kernel_dim: int
+
+class SolveResult(Record):
+    """solution is None when the system is inconsistent."""
+
+    __slots__ = ("consistent", "solution", "rank", "kernel_dim")
+
+    def __init__(self, consistent: bool, solution: list | None, rank: int, kernel_dim: int):
+        self.consistent = consistent
+        self.solution = solution
+        self.rank = rank
+        self.kernel_dim = kernel_dim
 
 
 def solve(rows, ncols: int) -> SolveResult:

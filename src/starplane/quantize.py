@@ -27,16 +27,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .diffop import BiDiffOp, KTable, build_rhs_T, euler_lagrange, hochschild_b_equals
-from .errors import Infeasible, NotInImage, NotNormalized, UsageError
+from .errors import Infeasible, NotInImage, NotNormalized
 from .poly import Poly2
-from .star import PoissonSeries, StarProduct, spq_membership
+from .star import PoissonSeries, StarProduct, _check_order, spq_membership
 
 _DXDY = ((1, 0), (0, 1))  # K_1 = dx (x) dy, the slot each psi_i first reaches
-
-
-def _check_order(N) -> None:
-    if type(N) is not int or N < 1:
-        raise UsageError(f"order must be an integer >= 1, got {N!r}")
 
 
 def solve_order(T, k: int) -> KTable:
@@ -155,8 +150,6 @@ def classify_p2(m: StarProduct) -> PoissonSeries:
     if not spq_membership(m):
         raise NotNormalized("classify_p2 requires a pure-shape product")
     N = m.n_order
-    if any(not 1 <= n <= N for n in m.orders):
-        raise NotInImage("product is not in the image of quantization")
     psi = [Poly2.zero()] * N
     for n, (rest, _) in enumerate(_build(psi, N), 1):
         left = (m.order_op(n) - rest).terms

@@ -12,7 +12,6 @@ U o m' = m o (U (x) U), _gauge, which never forms U^{-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from types import MappingProxyType
@@ -21,9 +20,10 @@ from .diffop import (
     BiDiffOp,
     DiffOp,
     ReadOnly,
+    Record,
     is_k2_shape,
     _admissible,
-    substitute,
+    _substitute_form,
     substitute_sum,
 )
 from .errors import CapExceeded, Inconsistent, UsageError
@@ -31,17 +31,28 @@ from .poly import Poly2
 from .series import HSeries
 
 
+def _check_order(N) -> None:
+    if type(N) is not int or N < 1:
+        raise UsageError(f"order must be an integer >= 1, got {N!r}")
+
+
 class _OrderSeries(ReadOnly):
     """_unit + sum h^k orders[k] for k = 1..n_order; each subclass sets _unit and
     _zero, the operators order_op gives at k = 0 and at an absent order.
 
-    Read-only, like the operators in orders, because quantize() hands one
-    cached product to every caller.  Equality is type-strict.
+    n_order must be an int >= 1 and every key of orders an int in
+    1..n_order (UsageError, a ValueError, otherwise).  Read-only, like the
+    operators in orders, because quantize() hands one cached product to
+    every caller.  Equality is type-strict.
     """
 
     __slots__ = ("n_order", "orders")
 
     def __init__(self, n_order, orders=None):
+        _check_order(n_order)
+        for k in orders or ():
+            if type(k) is not int or not 1 <= k <= n_order:
+                raise UsageError(f"order keys must be integers in 1..{n_order}, got {k!r}")
         object.__setattr__(self, "n_order", n_order)
         object.__setattr__(self, "orders",
                            MappingProxyType({k: op for k, op in (orders or {}).items() if op}))
@@ -72,16 +83,17 @@ class StarProduct(_OrderSeries):
                            None if ktables is None else MappingProxyType(dict(ktables)))
 
 
-@dataclass
-class PoissonSeries:
-    """Formal Poisson structure sum h^i psi_i dx ^ dy (any bivector works)."""
+class PoissonSeries(Record):
+    """Formal Poisson structure sum h^i psi_i dx ^ dy (any bivector works);
+    coeffs holds a Poly2 for i = 0..n_order."""
 
-    n_order: int
-    coeffs: list  # Poly2 for i = 0..n_order
+    __slots__ = ("n_order", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.n_order + 1:
+    def __init__(self, n_order: int, coeffs: list):
+        if len(coeffs) != n_order + 1:
             raise ValueError("coefficient count must match the truncation order")
+        self.n_order = n_order
+        self.coeffs = coeffs
 
     def trimmed(self):
         c = list(self.coeffs)
@@ -184,7 +196,9 @@ def _gauge(m: StarProduct, U: GaugeOp | None, max_op_order=None):
     ms = [mult] + [m.order_op(q) for q in range(1, N + 1)]
     us = [GaugeOp._unit]
     new = [mult]
-    first = [ms]  # first[i][q] = m_q(U_i ., .), shared by every later order; None if U_i = 0
+    # first[i][q] = m_q(U_i ., .), shared by every later order; None if U_i = 0.
+    # Only the kernel reads the rows i >= 1, so they stay in its integer form.
+    first = [ms]
     for k in range(1, N + 1):
         # with U_0 = 1 in the second argument (q + i = k) the kernel adds first[i][q] as it is
         items = [(1, first[i][q], 1, us[k - q - i])
@@ -202,7 +216,8 @@ def _gauge(m: StarProduct, U: GaugeOp | None, max_op_order=None):
         us.append(uk)
         new.append(mk)
         if k < N:
-            first.append([substitute(mq, 0, uk) for mq in ms[:N - k + 1]] if uk else None)
+            first.append([_substitute_form([(1, mq, 0, uk)]) for mq in ms[:N - k + 1]]
+                         if uk else None)
     out = StarProduct(N, dict(enumerate(new[1:], 1)))
     if U is not None:
         return out

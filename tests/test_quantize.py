@@ -254,8 +254,8 @@ def test_classify_rejects_products_outside_the_image():
     broken = StarProduct(3, tweaked)
     with pytest.raises(NotInImage):
         classify_p2(broken)
-    with pytest.raises(NotInImage):  # an order beyond the truncation
-        classify_p2(StarProduct(3, {**m.orders, 4: m.order_op(1)}))
+    with pytest.raises(ValueError):  # an order beyond the truncation is no product
+        StarProduct(3, {**m.orders, 4: m.order_op(1)})
 
 def test_classify_rejects_a_top_order_tweak():
     # at the top order N = 3, m_3 - rest_3 then holds dx (x) dy^2 beside
@@ -290,6 +290,16 @@ def test_classify_runs_the_recursion_once(monkeypatch):
     assert classify_p2(m).trimmed() == [X * Y, Y, X]
     assert len(solves) == len(rhs) == len(set(rhs)) <= N * (N - 1) // 2
     assert series == []
+
+def test_classify_passes_no_zero_part_to_the_kernel(monkeypatch):
+    # classify_p2 runs the recursion with psi = [0] * N, so parts K_k[d] past
+    # the series' true length solve to zero; build_rhs_T leaves them out
+    m = quantize_series([X * Y, X], 6)
+    calls = []
+    kernel = diffop.substitute_sum
+    monkeypatch.setattr(diffop, "substitute_sum", lambda items: calls.append(items) or kernel(items))
+    assert classify_p2(m).trimmed() == [X * Y, X]
+    assert calls and all(outer and inner for items in calls for _, outer, _, inner in items)
 
 series_polys = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)),

@@ -273,6 +273,30 @@ def test_star_product_and_gauge_op_never_compare_equal():
     assert StarProduct(2, {}) == StarProduct(2, {}) and GaugeOp(2, {}) == GaugeOp(2)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: StarProduct(2, {3: BiDiffOp.multiplication()}),   # an order above n_order
+    lambda: StarProduct(2, {0: BiDiffOp.multiplication()}),   # order 0 is the implicit unit
+    lambda: StarProduct(0, {}),
+    lambda: StarProduct(-1, {}),
+    lambda: StarProduct(2.0, {}),
+    lambda: StarProduct(True, {}),
+    lambda: StarProduct(2, {"a": BiDiffOp.multiplication()}),
+    lambda: StarProduct(2, {1.0: BiDiffOp.multiplication()}),
+    lambda: GaugeOp(1, {5: DiffOp({(1, 1): ONE})}),
+    lambda: GaugeOp(0),
+], ids=["key-above-n", "key-0", "n-0", "n-negative", "n-float", "n-bool", "key-str", "key-float",
+        "gauge-key-above-n", "gauge-n-0"])
+def test_order_series_reject_bad_orders(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_order_series_accept_every_order_in_range():
+    ops = {k: BiDiffOp({((k, 0), (0, k)): ONE}) for k in (1, 2, 3)}
+    assert StarProduct(3, ops).orders == ops
+    assert StarProduct(1, {}).n_order == 1 and GaugeOp(1).orders == {}
+
+
 def test_order_op_units_and_zeros():
     m, U = quantize(X * Y, 2), GaugeOp(2, {1: DiffOp({(1, 1): ONE})})
     assert m.order_op(0) == BiDiffOp.multiplication()

@@ -1,6 +1,7 @@
 """diffop.substitute, the one composition kernel, against the per-slot
 Leibniz loops it replaced (tests/compose_oracle.py)."""
 
+import importlib
 import json
 from collections import Counter
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import compose_oracle as oracle
+from gauge_oracle import oracle_gauge_transform
 from starplane import diffop, docs
 from starplane.diffop import (
     BiDiffOp,
@@ -192,3 +194,27 @@ def test_normalize_lifts_each_operator_once(monkeypatch):
     W, out = normalize(gauge_transform(m, U))
     assert out == m
     assert seen and max(seen.values()) == 1
+
+
+def test_gauge_first_rows_build_no_poly2(monkeypatch):
+    # first[i][q] = m_q(U_i ., .) is read only by the kernel, so it stays in
+    # the kernel's integer form: building a row makes no Poly2 coefficient
+    star = importlib.import_module("starplane.star")
+    m = quantize(parse_poly("x^2*y+x*y^2"), 4)
+    U = GaugeOp(4, {1: DiffOp({(1, 1): 2, (2, 0): Fraction(1, 3)}), 2: DiffOp({(0, 2): -1})})
+    want = oracle_gauge_transform(m, U)
+    made, rows = [], []
+    make, form = diffop._make, star._substitute_form
+    monkeypatch.setattr(diffop, "_make", lambda num, den: made.append(den) or make(num, den))
+
+    def row(items):
+        before = len(made)
+        out = form(items)
+        rows.append(len(made) - before)
+        assert not hasattr(out, "terms")
+        return out
+
+    monkeypatch.setattr(star, "_substitute_form", row)
+    assert gauge_transform(m, U) == want
+    # U_1 and U_2 are nonzero and k < N = 4 for both: rows of 4 and 3 entries
+    assert rows == [0] * 7 and made
