@@ -14,9 +14,7 @@ import json
 import sys
 
 from . import docs
-from .berezin import berezin_pipeline
 from .errors import EngineError, NotInImage, ParseError, UsageError
-from .liewords import fit_lie_words
 from .parser import parse_poly
 from .quantize import classify_p2, quantize
 from .star import assoc_defect, normalize, star_mul
@@ -105,10 +103,14 @@ def _run(args, out) -> int:
         out.write(docs.render(docs.poisson_series_doc(p)))
         return 0
     if args.command == "berezin":
+        from .berezin import berezin_pipeline
+
         data = berezin_pipeline(parse_poly(args.phi), args.order)
         out.write(docs.render(docs.berezin_doc(data)))
         return 0
     if args.command == "fit-lie":
+        from .liewords import fit_lie_words
+
         samples = [parse_poly(s) for s in args.samples.split(",")]
         report = fit_lie_words(samples, args.k)
         out.write(docs.render(docs.fit_report_doc(report)))

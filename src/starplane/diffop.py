@@ -12,18 +12,18 @@ for a single term): it feeds an inner operator's output into one argument
 of an outer operator by the Leibniz rule, on integer numerators.  Each
 operator is lifted to that integer form once and keeps it in a private slot
 that equality, repr and the documents ignore; a kernel result keeps the form
-it was accumulated in.  The Hochschild differential b, the recursion
-right-hand side T_k, the associator and the gauge recursion in star.py are
-sums of such substitutions; a result only the kernel reads again can stay
-in that integer form (_substitute_form) and build no Poly2.  This module
-also provides the Euler-Lagrange constraint maps, the pure-shape
-membership test, and the two bases of the engine's objects: ReadOnly for
-values and Record for plain result records (field-wise == and repr with
-no generated code, so importing the package loads no inspect, ast or dis).
-The certificates of the recursion, b(K) = T on every slot and
-both Euler-Lagrange functionals, run on integer numerators and closed
-forms: hochschild_b_equals compares T with the closed form of b(K) slot
-by slot, and euler_lagrange sums on K's integer numerators.
+it was accumulated in.  The recursion right-hand side T_k, the associator
+and the gauge recursion in star.py are sums of such substitutions; a result
+only the kernel reads again can stay in that integer form (_substitute_form)
+and build no Poly2.  This module also provides the Euler-Lagrange
+constraint maps, the pure-shape membership test, and the two bases of the
+engine's objects: ReadOnly for values and Record for plain result records
+(field-wise == and repr with no generated code, so importing the package
+loads no inspect, ast or dis).  The certificates of the recursion, b(K) = T
+on every slot and both Euler-Lagrange functionals, run on integer numerators
+and closed forms: hochschild_b_equals compares T with the closed form of
+b(K) slot by slot, and euler_lagrange sums on K's integer numerators.  The
+operator b(D) itself is built only by the tests' oracle.
 """
 
 from __future__ import annotations
@@ -392,21 +392,6 @@ def _b_terms(K: KTable):
             yield ((r, 0), (a - r, 0), (0, b)), kappa, -comb(a, r)
 
 
-def hochschild_b(D) -> TriDiffOp:
-    """(bD)(f,g,h) = f D(g,h) - D(fg,h) + D(f,gh) - D(f,g) h, as an operator.
-
-    A KTable is built from the closed form of _b_terms; a BiDiffOp goes
-    through the composition kernel.
-    The recursion's certificate does not build this operator:
-    hochschild_b_equals compares T with the same closed form slot by slot,
-    on integer numerators.
-    """
-    if isinstance(D, KTable):
-        return TriDiffOp._of({slot: kappa * f for slot, kappa, f in _b_terms(D)})
-    mult = BiDiffOp.multiplication()
-    return substitute_sum([(1, mult, 1, D), (-1, D, 0, mult), (1, D, 1, mult), (-1, mult, 0, D)])
-
-
 def _is_multiple(t, kappa, f: int) -> bool:
     """t == kappa * f for Poly2s t, kappa and a nonzero int f, by integer
     cross-multiplication."""
@@ -421,7 +406,7 @@ def _is_multiple(t, kappa, f: int) -> bool:
 
 
 def hochschild_b_equals(K: KTable, T: TriDiffOp) -> bool:
-    """hochschild_b(K) == T, decided slot by slot without building b(K).
+    """b(K) == T, decided slot by slot without building b(K).
 
     Each slot of b(K) must be a slot of T whose coefficient equals kappa *
     factor, and T may have no other slot; the slots of b(K) are distinct, so

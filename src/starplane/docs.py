@@ -12,14 +12,15 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii as _quote
 
-from .berezin import BerezinData
 from .diffop import BiDiffOp
 from .errors import UsageError
-from .liewords import FitReport
 from .parser import parse_poly
 from .poly import format_poly, format_rational, grlex_key
 from .series import HSeries
 from .star import GaugeOp, PoissonSeries, StarProduct
+
+# berezin.BerezinData and liewords.FitReport appear in annotations only: importing
+# them here would load the Berezin and Lie-word modules with every document.
 
 
 def render(doc: dict) -> str:

@@ -86,7 +86,9 @@ def _build(psi, N: int):
         rest = []
         for k in range(2, n + 1):
             if n - k <= (k - 1) * width:
-                ktables[k - 1].append(solve_order(build_rhs_T(k, n - k, kops, mops), k))
+                T = build_rhs_T(k, n - k, kops, mops)
+                # K = 0 is the one solution of an empty T: nothing to solve or certify
+                ktables[k - 1].append(solve_order(T, k) if T else KTable())
                 kops[k - 1].append(ktables[k - 1][-1].to_bidiff())
             if n - k <= k * width:
                 ms = [K.scale(psi[n - k - d]) for d, K in enumerate(kops[k - 1])

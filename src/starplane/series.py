@@ -62,12 +62,6 @@ class HSeries:
 
     __rmul__ = __mul__
 
-    def truncate(self, order: int) -> "HSeries":
-        if order <= self.order:
-            return HSeries(order, self.coeffs[: order + 1])
-        zero = self.coeffs[0] * 0
-        return HSeries(order, self.coeffs + [zero] * (order - self.order))
-
     def dx(self, n: int = 1) -> "HSeries":
         return HSeries(self.order, [c.dx(n) for c in self.coeffs])
 

@@ -125,16 +125,6 @@ def star_mul(m: StarProduct, f: Poly2, g: Poly2) -> HSeries:
     return HSeries(m.n_order, coeffs)
 
 
-def star_mul_series(m: StarProduct, F: HSeries, G: HSeries) -> HSeries:
-    n = min(m.n_order, F.order, G.order)
-    out = [Poly2.zero() for _ in range(n + 1)]
-    for p in range(n + 1):
-        for q in range(n + 1 - p):
-            for k in range(n + 1 - p - q):
-                out[p + q + k] = out[p + q + k] + m.order_op(k).apply(F[p], G[q])
-    return HSeries(n, out)
-
-
 # -- associativity -----------------------------------------------------------
 
 

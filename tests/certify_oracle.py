@@ -1,13 +1,27 @@
-"""Object-level forms of two certificates, kept as test oracles.
+"""Object-level forms of three certificates, kept as test oracles.
 
-diffop.euler_lagrange sums on integer numerators and star.extract_poisson_p3
-reads at most six slots in closed form; these are the definitions they
-replace, computed with Poly2 arithmetic and operator application.
+diffop.euler_lagrange sums on integer numerators, star.extract_poisson_p3
+reads at most six slots in closed form, and diffop.hochschild_b_equals
+compares T with the closed form of b(K) without building it; these are the
+definitions they replace, computed with Poly2 arithmetic, operator
+application and the composition kernel.
 """
 
-from starplane.diffop import _accum
+from starplane.diffop import BiDiffOp, KTable, TriDiffOp, _accum, _b_terms, substitute_sum
 from starplane.poly import X, Y
 from starplane.star import PoissonSeries
+
+
+def hochschild_b(D) -> TriDiffOp:
+    """(bD)(f,g,h) = f D(g,h) - D(fg,h) + D(f,gh) - D(f,g) h, as an operator.
+
+    A KTable is built from the closed form of diffop._b_terms; a BiDiffOp
+    goes through the composition kernel.
+    """
+    if isinstance(D, KTable):
+        return TriDiffOp._of({slot: kappa * f for slot, kappa, f in _b_terms(D)})
+    mult = BiDiffOp.multiplication()
+    return substitute_sum([(1, mult, 1, D), (-1, D, 0, mult), (1, D, 1, mult), (-1, mult, 0, D)])
 
 
 def euler_lagrange(K, axis):

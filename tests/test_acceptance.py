@@ -12,9 +12,10 @@ from math import factorial
 import random
 
 from affine_oracle import subs_affine
+from certify_oracle import hochschild_b
 from solve_oracle import oracle_solve_order, prior_ops
 from starplane.berezin import berezin_pipeline
-from starplane.diffop import KTable, euler_lagrange, hochschild_b, build_rhs_T
+from starplane.diffop import KTable, euler_lagrange, build_rhs_T
 from starplane.liewords import fit_lie_words
 from starplane.localized import LocalizedFn
 from starplane.parser import parse_poly

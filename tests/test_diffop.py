@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import certify_oracle
+from certify_oracle import hochschild_b
 from starplane.diffop import (
     BiDiffOp,
     DiffOp,
@@ -15,7 +16,6 @@ from starplane.diffop import (
     TriDiffOp,
     build_rhs_T,
     euler_lagrange,
-    hochschild_b,
     hochschild_b_equals,
     is_k2_shape,
     substitute,

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certify_oracle import hochschild_b
 from series_oracle import oracle_quantize_series
 from solve_oracle import oracle_solve_order, prior_ops
 from starplane import diffop, docs
-from starplane.diffop import BiDiffOp, KTable, TriDiffOp, euler_lagrange, hochschild_b, build_rhs_T
+from starplane.diffop import BiDiffOp, KTable, TriDiffOp, euler_lagrange, build_rhs_T
 from starplane.errors import Infeasible, NotInImage, NotNormalized, UsageError
 
 from starplane.poly import ONE, X, Y, Poly2
@@ -277,19 +278,38 @@ def test_classify_round_trip_edge_cases(psi, N):
     assert classify_p2(quantize_series(psi, N)) == PoissonSeries(len(psi) - 1, psi)
 
 def test_classify_runs_the_recursion_once(monkeypatch):
-    # one pass by h-order: each K_k[d] is solved once, and no series product
-    # is rebuilt from order 1
+    # one pass by h-order: each T_k[d] is built once, each nonempty one is
+    # solved once, and no series product is rebuilt from order 1
     N = 7
     m = quantize_series([X * Y, Y, X], N)
     module = importlib.import_module("starplane.quantize")
     rhs, solves, series = [], [], []
     build, solve, qs = module.build_rhs_T, module.solve_order, module.quantize_series
-    monkeypatch.setattr(module, "build_rhs_T", lambda k, d, *a: rhs.append((k, d)) or build(k, d, *a))
+
+    def counted_rhs(k, d, *a):
+        T = build(k, d, *a)
+        rhs.append(((k, d), bool(T)))
+        return T
+
+    monkeypatch.setattr(module, "build_rhs_T", counted_rhs)
     monkeypatch.setattr(module, "solve_order", lambda T, k: solves.append(k) or solve(T, k))
     monkeypatch.setattr(module, "quantize_series", lambda *a: series.append(a) or qs(*a))
     assert classify_p2(m).trimmed() == [X * Y, Y, X]
-    assert len(solves) == len(rhs) == len(set(rhs)) <= N * (N - 1) // 2
+    parts = [key for key, _ in rhs]
+    assert len(parts) == len(set(parts)) <= N * (N - 1) // 2
+    assert len(solves) == sum(nonempty for _, nonempty in rhs)
     assert series == []
+
+def test_classify_solves_no_empty_part(monkeypatch):
+    # past the series' true length the parts T_k[d] are empty; K = 0 is their
+    # one solution, so solve_order is not called for them
+    m = quantize_series([X * Y, X], 6)
+    module = importlib.import_module("starplane.quantize")  # the attribute is the function
+    solves = []
+    solve = module.solve_order
+    monkeypatch.setattr(module, "solve_order", lambda T, k: solves.append(k) or solve(T, k))
+    assert classify_p2(m).trimmed() == [X * Y, X]
+    assert len(solves) == 11  # 15 with the 4 empty parts solved
 
 def test_classify_passes_no_zero_part_to_the_kernel(monkeypatch):
     # classify_p2 runs the recursion with psi = [0] * N, so parts K_k[d] past

@@ -1,6 +1,8 @@
 """The plain result records (PoissonSeries, BerezinData, FitReport,
-SolveResult) and the import path they keep light."""
+SolveResult) and the import path they keep light: no heavy stdlib module,
+and the Berezin and Lie-word modules only on first use."""
 
+import importlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -91,15 +93,70 @@ def test_records_keep_to_their_fields():
         r.extra = 1
 
 
-def test_package_import_loads_no_heavy_stdlib_modules():
-    # a fresh interpreter without the site module, so no start-up hook loads
-    # anything first; only the modules this import adds are checked
+LAZY_MODULES = {"starplane.berezin", "starplane.liewords", "starplane.linsolve",
+                "starplane.localized"}
+
+
+def modules_added_by(code):
+    """The modules a fresh interpreter holds after running code, less those it started with.
+
+    The interpreter runs without the site module, so no start-up hook loads
+    anything first.
+    """
     src = str(Path(starplane.__file__).resolve().parent.parent)
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
-            "import starplane, starplane.docs, starplane.cli; "
+    code = (f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); {code}; "
             "print(' '.join(sorted(set(sys.modules) - before)))")
-    done = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True,
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           timeout=60, check=True)
-    loaded = set(done.stdout.split())
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_package_import_loads_no_heavy_stdlib_modules():
+    loaded = modules_added_by("import starplane, starplane.docs, starplane.cli")
     assert "starplane.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+    # the Berezin pipeline and the Lie-word fit load on first use
+    assert not loaded & LAZY_MODULES
+
+
+def test_lazy_names_load_their_module_on_first_access():
+    loaded = modules_added_by("import starplane; starplane.fit_lie_words")
+    assert {"starplane.liewords", "starplane.linsolve"} <= loaded
+    assert not loaded & {"starplane.berezin", "starplane.localized"}
+
+
+def test_cli_quantize_loads_no_berezin_or_lie_word_module():
+    loaded = modules_added_by("from starplane import cli; "
+                              "assert cli.main(['quantize', '--phi', 'x*y', '--order', '3']) == 0")
+    assert "starplane.cli" in loaded
+    assert not loaded & LAZY_MODULES
+
+
+def test_every_exported_name_is_its_defining_module_object():
+    for name in starplane.__all__:
+        value = getattr(starplane, name)
+        home = sys.modules[value.__module__]
+        assert getattr(home, name) is value, name
+
+
+def test_star_import_binds_every_exported_name():
+    scope = {}
+    exec("from starplane import *", scope)
+    assert set(starplane.__all__) <= set(scope)
+    assert scope["berezin_pipeline"] is sys.modules["starplane.berezin"].berezin_pipeline
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(starplane, "no_such_name")
+    assert not hasattr(starplane, "hochschild_b")
+
+
+def test_lazily_loaded_modules_hold_no_functools_cache():
+    # perfbench's cache_clearer collects caches only from the modules loaded
+    # at start-up, so a cache in a module loaded later would never be cleared
+    for name in sorted(LAZY_MODULES):
+        module = importlib.import_module(name)
+        cached = [key for key, value in vars(module).items()
+                  if callable(getattr(value, "cache_clear", None))]
+        assert not cached, (name, cached)

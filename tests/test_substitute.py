@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 import compose_oracle as oracle
 from gauge_oracle import oracle_gauge_transform
 from starplane import diffop, docs
+from certify_oracle import hochschild_b
 from starplane.diffop import (
     BiDiffOp,
     DiffOp,
-    hochschild_b,
     substitute,
     substitute_sum,
 )
