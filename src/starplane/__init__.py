@@ -7,7 +7,7 @@ to one of their names, so a process that only quantizes, gauges, normalizes
 or classifies never compiles them.
 """
 
-from .diffop import BiDiffOp, DiffOp, KTable, TriDiffOp, build_rhs_T, euler_lagrange
+from .diffop import BiDiffOp, DiffOp, TriDiffOp, build_rhs_T, euler_lagrange
 from .parser import parse_poly
 from .poly import Poly2, format_poly
 from .quantize import classify_p2, quantize, quantize_series, solve_order
@@ -48,7 +48,7 @@ def __getattr__(name):
 
 __all__ = [
     "BerezinData", "YOpSeries", "ad_x", "berezin_pipeline", "density_f", "extract_S",
-    "BiDiffOp", "DiffOp", "KTable", "TriDiffOp", "build_rhs_T", "euler_lagrange",
+    "BiDiffOp", "DiffOp", "TriDiffOp", "build_rhs_T", "euler_lagrange",
     "FitReport", "fit_lie_words", "LocalizedFn", "parse_poly",
     "Poly2", "format_poly", "classify_p2", "quantize", "quantize_series",
     "solve_order", "HSeries", "GaugeOp", "PoissonSeries",

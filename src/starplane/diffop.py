@@ -1,9 +1,9 @@
 """Polydifferential operators with Poly2 coefficients.
 
 DiffOp / BiDiffOp / TriDiffOp act on 1 / 2 / 3 polynomial arguments as
-sum_terms c * d^alpha f [* d^beta g [* d^gamma h]].  KTable is the restricted
-bidifferential shape used throughout the engine: pure-x derivatives on the
-first slot, pure-y on the second, both of positive order.  Coefficients are
+sum_terms c * d^alpha f [* d^beta g [* d^gamma h]].  Each K_k of the
+engine is a BiDiffOp of pure shape: every key is ((a, 0), (0, b)), the slot
+dx^a (x) dy^b with a, b >= 1, whose coefficient is kappa_ab.  Coefficients are
 Poly2; quantize_series splits its recursion by t-degree, so the kernel
 sees no other ring.
 
@@ -187,20 +187,6 @@ class TriDiffOp(_OpBase):
     arity = 3
 
 
-class KTable(_OpBase):
-    """Coefficients kappa_(a,b) for dx^a (x) dy^b, a, b >= 1."""
-
-    def __init__(self, terms=None):
-        items = list(terms.items() if isinstance(terms, dict) else terms or ())
-        for (a, b), _ in items:
-            if a < 1 or b < 1:
-                raise ValueError(f"KTable indices must be >= 1, got {(a, b)}")
-        super().__init__(items)
-
-    def to_bidiff(self) -> BiDiffOp:
-        return BiDiffOp({((a, 0), (0, b)): p for (a, b), p in self.terms.items()})
-
-
 # -- the composition kernel ---------------------------------------------------
 
 _ARITY = {1: DiffOp, 2: BiDiffOp, 3: TriDiffOp}
@@ -233,8 +219,8 @@ def _numerators(op):
     """op's coefficients as integer numerators over op's own denominator.
 
     The form is (den, terms): terms lists (key, [(i, j, numerator), ...]),
-    the key being a tuple with one multi-index per argument (a KTable keeps
-    its (a, b)).  A coefficient other than a Poly2 raises TypeError.
+    the key being a tuple with one multi-index per argument.  A coefficient
+    other than a Poly2 raises TypeError.
     """
     den = 1
     for c in op.terms.values():
@@ -376,8 +362,8 @@ def substitute(outer, slot: int, inner):
 # -- Hochschild differential ------------------------------------------------
 
 
-def _b_terms(K: KTable):
-    """(slot, kappa, factor) for every slot of b(K), K a KTable; b(K) puts
+def _b_terms(K: BiDiffOp):
+    """(slot, kappa, factor) for every slot of b(K), K of pure shape; b(K) puts
     kappa * factor on the slot.
 
     The closed form is
@@ -385,7 +371,7 @@ def _b_terms(K: KTable):
                - sum_{0<r<a} C(a,r) dx^r f dx^(a-r) g dy^b h ]:
     the boundary terms cancel, no two slots coincide and no factor is zero.
     """
-    for (a, b), kappa in K.terms.items():
+    for ((a, _), (_, b)), kappa in K.terms.items():
         for s in range(1, b):
             yield ((a, 0), (0, s), (0, b - s)), kappa, comb(b, s)
         for r in range(1, a):
@@ -405,7 +391,7 @@ def _is_multiple(t, kappa, f: int) -> bool:
     return all(v * left == b[k] * right for k, v in a.items())
 
 
-def hochschild_b_equals(K: KTable, T: TriDiffOp) -> bool:
+def hochschild_b_equals(K: BiDiffOp, T: TriDiffOp) -> bool:
     """b(K) == T, decided slot by slot without building b(K).
 
     Each slot of b(K) must be a slot of T whose coefficient equals kappa *
@@ -457,10 +443,11 @@ def build_rhs_T(k: int, d: int, kops, mops) -> TriDiffOp:
 # -- Euler-Lagrange constraints and shape tests ------------------------------
 
 
-def euler_lagrange(K: KTable, axis: str) -> dict:
+def euler_lagrange(K: BiDiffOp, axis: str) -> dict:
     """EL functional per opposite index; {} means identically zero.
 
-    axis "x": for each b, sum_a (-1)^(a-1) dx^(a-1) kappa_ab.
+    K is of pure shape, kappa_ab on dx^a (x) dy^b; another slot raises
+    ValueError.  axis "x": for each b, sum_a (-1)^(a-1) dx^(a-1) kappa_ab.
     K is in the admissible divergence-form class iff both axes vanish.
     The sums run on K's integer numerators over its one denominator,
     one accumulator per opposite index, and a Poly2 is built only for a
@@ -468,9 +455,12 @@ def euler_lagrange(K: KTable, axis: str) -> dict:
     """
     if axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
+    if not is_k2_shape(K):
+        slot = next(s for s in K.terms if not _admissible(*s))
+        raise ValueError(f"euler_lagrange needs slots dx^a (x) dy^b with a, b >= 1, got {slot}")
     den, terms = _numerators(K)
     acc = {}
-    for (a, b), flat in terms:
+    for ((a, _), (_, b)), flat in terms:
         key, n = (b, a - 1) if axis == "x" else (a, b - 1)
         sign = -1 if n & 1 else 1
         sums = acc.setdefault(key, {})
@@ -500,6 +490,4 @@ def _admissible(A: Idx, B: Idx) -> bool:
 
 def is_k2_shape(D) -> bool:
     """First slot pure-x of positive order, second slot pure-y of positive order."""
-    if isinstance(D, KTable):
-        return True
     return all(_admissible(A, B) for A, B in D.terms)

@@ -1,7 +1,7 @@
 """Order-by-order construction of the unique admissible star product.
 
 For a polynomial phi the product is fg + sum_k h^k phi K_k where K_1 is
-dx (x) dy and each later K_k is the unique pure-shape table solving
+dx (x) dy and each later K_k is the unique pure-shape operator solving
 b(K_k) = T_k under vanishing Euler-Lagrange constraints on both axes.
 That system is triangular: every kappa_ab except kappa_11 is read off one
 slot of T_k, and kappa_11 follows from the x-axis Euler-Lagrange functional.
@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .diffop import BiDiffOp, KTable, build_rhs_T, euler_lagrange, hochschild_b_equals
+from .diffop import BiDiffOp, build_rhs_T, euler_lagrange, hochschild_b_equals
 from .errors import Infeasible, NotInImage, NotNormalized
 from .poly import Poly2
 from .star import PoissonSeries, StarProduct, _check_order, spq_membership
@@ -34,10 +34,11 @@ from .star import PoissonSeries, StarProduct, _check_order, spq_membership
 _DXDY = ((1, 0), (0, 1))  # K_1 = dx (x) dy, the slot each psi_i first reaches
 
 
-def solve_order(T, k: int) -> KTable:
-    """The unique admissible KTable with b(K_k) = T_k at order k >= 2.
+def solve_order(T, k: int) -> BiDiffOp:
+    """The unique admissible pure-shape K_k with b(K_k) = T_k at order k >= 2.
 
-    T is build_rhs_T's T_k.  b(K) puts b * kappa_ab on the slot
+    T is build_rhs_T's T_k, and K_k holds kappa_ab on the slot dx^a (x) dy^b,
+    key ((a, 0), (0, b)).  b(K) puts b * kappa_ab on the slot
     dx^a f dy g dy^(b-1) h and -a * kappa_ab on dx f dx^(a-1) g dy^b h, and no
     other kappa reaches either slot, so kappa_ab (b >= 2) and kappa_a1 (a >= 2)
     are read off T_k; kappa_11 = sum_{a>=2} (-1)^a dx^(a-1) kappa_a1 makes the
@@ -50,14 +51,15 @@ def solve_order(T, k: int) -> KTable:
     both Euler-Lagrange functionals must vanish (summed on K's integer
     numerators); any mismatch raises Infeasible.
     """
-    table = {}
+    terms = {}
     for (A, B, C), t in T.terms.items():
         if B == (0, 1) and A[0] >= 1 and A[1] == 0 and C[0] == 0 and C[1] >= 1:
-            table[(A[0], C[1] + 1)] = t * Fraction(1, C[1] + 1)
+            terms[A, (0, C[1] + 1)] = t * Fraction(1, C[1] + 1)
         elif A == (1, 0) and B[0] >= 1 and B[1] == 0 and C == (0, 1):
-            table[(B[0] + 1, 1)] = t * Fraction(-1, B[0] + 1)
-    k11 = [((1, 1), kappa.dx(a - 1) * (-1) ** a) for (a, b), kappa in table.items() if b == 1]
-    K = KTable(list(table.items()) + k11)
+            terms[(B[0] + 1, 0), (0, 1)] = t * Fraction(-1, B[0] + 1)
+    k11 = [(_DXDY, kappa.dx(a - 1) * (-1) ** a)
+           for ((a, _), (_, b)), kappa in terms.items() if b == 1]
+    K = BiDiffOp(list(terms.items()) + k11)
     # dual-route verification: b(K) on every slot of T and both EL functionals
     if not hochschild_b_equals(K, T):
         raise Infeasible(f"order {k}: solution fails b(K) = T re-check")
@@ -67,7 +69,7 @@ def solve_order(T, k: int) -> KTable:
 
 
 def _build(psi, N: int):
-    """Yield (rest_n, ktables), n = 1..N: the recursion for phi_t = sum t^c psi[c] by h-order.
+    """Yield (rest_n, kops), n = 1..N: the recursion for phi_t = sum t^c psi[c] by h-order.
 
     K_k has degree k-1 in phi_t and its t^d part K_k[d] lands at h^(k+d), as
     does m_j[d] = sum_{c+e=d} psi_c K_j[e], the t^d part of order j.  Step n
@@ -76,11 +78,10 @@ def _build(psi, N: int):
     then forms m_k[n-k], so each psi_c K_j[e] is formed once.  rest_n, the
     sum of the m_k[n-k], is order n less m_1[n-1] = psi_(n-1) dx (x) dy, so
     psi[n-1] is read after the n-th yield and a caller may fill it in then.
-    ktables[k-1][d] is K_k[d].  A polynomial phi is psi = [phi].
+    kops[k-1][d] is K_k[d], a pure-shape BiDiffOp.  A polynomial phi is psi = [phi].
     """
     width = len(psi) - 1
-    ktables = [[KTable({(1, 1): 1})]] + [[] for _ in range(N - 1)]
-    kops = [[ktables[0][0].to_bidiff()]] + [[] for _ in range(N - 1)]
+    kops = [[BiDiffOp({_DXDY: 1})]] + [[] for _ in range(N - 1)]
     mops = [[] for _ in range(N)]
     for n in range(1, N + 1):
         rest = []
@@ -88,32 +89,31 @@ def _build(psi, N: int):
             if n - k <= (k - 1) * width:
                 T = build_rhs_T(k, n - k, kops, mops)
                 # K = 0 is the one solution of an empty T: nothing to solve or certify
-                ktables[k - 1].append(solve_order(T, k) if T else KTable())
-                kops[k - 1].append(ktables[k - 1][-1].to_bidiff())
+                kops[k - 1].append(solve_order(T, k) if T else BiDiffOp())
             if n - k <= k * width:
                 ms = [K.scale(psi[n - k - d]) for d, K in enumerate(kops[k - 1])
                       if n - k - d <= width and K and psi[n - k - d]]
                 mops[k - 1].append(sum(ms[1:], ms[0]) if ms else BiDiffOp())
                 rest.append(mops[k - 1][-1])
-        yield sum(rest[1:], rest[0]) if rest else BiDiffOp(), ktables
+        yield sum(rest[1:], rest[0]) if rest else BiDiffOp(), kops
         if n <= len(psi):
             mops[0].append(BiDiffOp({_DXDY: psi[n - 1]}))
 
 
 def _orders(psi, N: int):
-    """({n: order n}, ktables) of the product for sum h^i psi_i through h^N."""
+    """({n: order n}, kops) of the product for sum h^i psi_i through h^N."""
     orders = {}
-    for n, (rest, ktables) in enumerate(_build(psi, N), 1):
+    for n, (rest, kops) in enumerate(_build(psi, N), 1):
         orders[n] = rest + BiDiffOp({_DXDY: psi[n - 1]}) if n <= len(psi) else rest
-    return orders, ktables
+    return orders, kops
 
 
 # Products are read-only, so every caller may share the cached one.  The
 # bound keeps memory flat in long runs.
 @lru_cache(maxsize=256)
 def _quantize_cached(phi: Poly2, N: int) -> StarProduct:
-    orders, ktables = _orders([phi], N)
-    return StarProduct(N, orders, phi=phi, ktables={k: Ks[0] for k, Ks in enumerate(ktables, 1)})
+    orders, kops = _orders([phi], N)
+    return StarProduct(N, orders, phi=phi, ktables={k: Ks[0] for k, Ks in enumerate(kops, 1)})
 
 
 def quantize(phi: Poly2, N: int) -> StarProduct:

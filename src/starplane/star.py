@@ -71,7 +71,8 @@ class _OrderSeries(ReadOnly):
 
 class StarProduct(_OrderSeries):
     """m_0 + sum h^k m_k with m_0 the pointwise product.  quantize() attaches phi
-    and the per-order KTables (a read-only mapping) as metadata outside equality."""
+    and ktables, the read-only mapping k -> K_k of its pure-shape BiDiffOps with
+    m_k = phi K_k, as metadata outside equality."""
 
     __slots__ = ("phi", "ktables")
     _unit, _zero = BiDiffOp.multiplication(), BiDiffOp()

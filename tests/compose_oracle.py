@@ -10,7 +10,7 @@ code with the integer-lifted kernel, so tests compare the two.
 
 from math import comb, factorial
 
-from starplane.diffop import BiDiffOp, DiffOp, KTable, TriDiffOp, _accum
+from starplane.diffop import BiDiffOp, DiffOp, TriDiffOp, _accum
 
 
 def _splits2(n):
@@ -57,8 +57,6 @@ def compose(self: DiffOp, other: DiffOp) -> DiffOp:
 
 def hochschild_b(D) -> TriDiffOp:
     """(bD)(f,g,h) = f D(g,h) - D(fg,h) + D(f,gh) - D(f,g) h, as an operator."""
-    if isinstance(D, KTable):
-        D = D.to_bidiff()
     d = {}
     for (A, B), c in D.terms.items():
         _accum(d, ((0, 0), A, B), c)

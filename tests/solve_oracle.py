@@ -12,16 +12,16 @@ admissible table is unique within the caps.
 from fractions import Fraction
 from math import comb, perm
 
+from certify_oracle import pure_shape
 from starplane import linsolve
-from starplane.diffop import KTable, TriDiffOp, build_rhs_T
+from starplane.diffop import TriDiffOp, build_rhs_T
 from starplane.poly import Poly2
 
 
 def prior_ops(phi, tables):
-    """(kops, mops) of build_rhs_T for the tables K_1.. of phi: each K_i as a
-    BiDiffOp and each product order phi K_i, one t-degree row per order."""
-    kops = [K.to_bidiff() for K in tables]
-    return [[K] for K in kops], [[K.scale(phi)] for K in kops]
+    """(kops, mops) of build_rhs_T for the operators K_1.. of phi: each K_i and
+    each product order phi K_i, one t-degree row per order."""
+    return [[K] for K in tables], [[K.scale(phi)] for K in tables]
 
 
 def total_degree(p: Poly2) -> int:
@@ -125,5 +125,5 @@ def oracle_solve_order(phi: Poly2, K_prior, k: int, escalation_steps: int = 3):
             v = res.solution[idx]
             if v:
                 table.setdefault((a, b), {})[mon] = v
-        return KTable({ab: Poly2(t) for ab, t in table.items()}), res
+        return pure_shape({ab: Poly2(t) for ab, t in table.items()}), res
     raise AssertionError(f"order {k}: no solution after {escalation_steps} escalations")

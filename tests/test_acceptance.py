@@ -12,10 +12,10 @@ from math import factorial
 import random
 
 from affine_oracle import subs_affine
-from certify_oracle import hochschild_b
+from certify_oracle import hochschild_b, pure_shape
 from solve_oracle import oracle_solve_order, prior_ops
 from starplane.berezin import berezin_pipeline
-from starplane.diffop import KTable, euler_lagrange, build_rhs_T
+from starplane.diffop import euler_lagrange, build_rhs_T
 from starplane.liewords import fit_lie_words
 from starplane.localized import LocalizedFn
 from starplane.parser import parse_poly
@@ -46,16 +46,16 @@ def _report(n, desc):
 def test_criterion_1_moyal_type():
     m = quantize(ONE, 6)
     for k in range(1, 7):
-        assert m.ktables[k].terms == {(k, k): Poly2.const(Fraction(1, factorial(k)))}
+        assert m.ktables[k].terms == {((k, 0), (0, k)): Poly2.const(Fraction(1, factorial(k)))}
     assert is_associative(m)
 
 @_report(2, "order-2 closed form kappa = (phi_xy, phi_y, phi_x, phi)/2 for four phis")
 def test_criterion_2_order2_closed_form():
-    K1 = KTable({(1, 1): ONE})
+    K1 = pure_shape({(1, 1): ONE})
     half = Fraction(1, 2)
     for phi in [X * Y, X ** 2, X ** 2 * Y - 3 * Y, X + Y + 1]:
         K2 = solve_order(build_rhs_T(2, 0, *prior_ops(phi, [K1])), 2)
-        expected = KTable({
+        expected = pure_shape({
             (1, 1): phi.dx().dy() * half,
             (2, 1): phi.dy() * half,
             (1, 2): phi.dx() * half,
@@ -84,7 +84,7 @@ def test_criterion_4_uniqueness():
         for k in range(2, 5):
             _, res = oracle_solve_order(phi, [m.ktables[i] for i in range(1, k)], k)
             assert res.kernel_dim == 0
-            bumped = m.ktables[k] + KTable({(1, 1): ONE})
+            bumped = m.ktables[k] + pure_shape({(1, 1): ONE})
             assert hochschild_b(bumped) == hochschild_b(m.ktables[k])
             assert euler_lagrange(bumped, "x") != {}
 

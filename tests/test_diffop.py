@@ -1,6 +1,7 @@
 """Multidifferential operators, the Hochschild differential, and the
 recursion right-hand side."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import certify_oracle
-from certify_oracle import hochschild_b
+from certify_oracle import hochschild_b, hochschild_b_closed, pure_shape
 from starplane.diffop import (
     BiDiffOp,
     DiffOp,
-    KTable,
     TriDiffOp,
     build_rhs_T,
     euler_lagrange,
@@ -75,16 +75,15 @@ def test_hochschild_b_matches_pointwise_formula():
                 assert bD.apply(f, g, h) == b_value(D, f, g, h)
 
 
-ktable_keys = st.tuples(st.integers(1, 4), st.integers(1, 4))
-poly_ktables = st.dictionaries(ktable_keys, small_polys, max_size=4).map(KTable)
+kappa_keys = st.tuples(st.integers(1, 4), st.integers(1, 4))
+pure_shape_ops = st.dictionaries(kappa_keys, small_polys, max_size=4).map(pure_shape)
 
 
-@given(poly_ktables)
+@given(pure_shape_ops)
 @settings(max_examples=60, deadline=None)
-def test_hochschild_b_ktable_closed_form_matches_kernel(K):
-    # the KTable branch of hochschild_b is a closed form; the composition
-    # kernel on the same operator as a BiDiffOp is its oracle
-    assert hochschild_b(K) == hochschild_b(K.to_bidiff())
+def test_hochschild_b_closed_form_matches_kernel(K):
+    # b(K) of a pure-shape K in closed form, against the composition kernel
+    assert hochschild_b_closed(K) == hochschild_b(K)
 
 
 def test_compositions_match_pointwise():
@@ -103,9 +102,9 @@ def test_build_rhs_T_is_the_order2_associator():
     # with only K_1 = dx (x) dy, phi*T_2 must equal the h^2 associator of
     # m = fg + h*phi*K_1
     phi = X ** 2 * Y - 3 * Y
-    K1 = KTable({(1, 1): ONE})
-    m1 = K1.to_bidiff().scale(phi)
-    T2 = build_rhs_T(2, 0, [[K1.to_bidiff()]], [[m1]])
+    K1 = pure_shape({(1, 1): ONE})
+    m1 = K1.scale(phi)
+    T2 = build_rhs_T(2, 0, [[K1]], [[m1]])
     for f in monomials(3):
         for g in monomials(3):
             for h in monomials(3):
@@ -117,7 +116,7 @@ def test_build_rhs_T_splits_by_t_degree():
     # for phi_t = psi_0 + t psi_1, m_1 = phi_t K_1 has two t-rows, and
     # psi_0 T_2[d] + psi_1 T_2[d-1] must be the t^d part of the h^2 associator
     psi = [X * Y, X + Y ** 2]
-    K1 = KTable({(1, 1): ONE}).to_bidiff()
+    K1 = pure_shape({(1, 1): ONE})
     m1 = [K1.scale(p) for p in psi]
     T = [build_rhs_T(2, d, [[K1]], [m1]) for d in range(3)]
     assert T[2].is_zero()  # K_1 has one row and m_1 two, so T_2 stops at t^1
@@ -135,7 +134,7 @@ def test_build_rhs_T_splits_by_t_degree():
 
 
 def test_build_rhs_T_needs_priors():
-    K1 = KTable({(1, 1): ONE}).to_bidiff()
+    K1 = pure_shape({(1, 1): ONE})
     with pytest.raises(MissingPriorOrder):
         build_rhs_T(3, 0, [[K1]], [[K1.scale(X)]])
     with pytest.raises(ValueError):
@@ -144,15 +143,17 @@ def test_build_rhs_T_needs_priors():
 
 def test_euler_lagrange_examples():
     # dx-divergence form: kappa_1b = dx(kappa_2b) makes EL_x vanish
-    K = KTable({(2, 2): X ** 2 * Y, (1, 2): 2 * X * Y})
+    K = pure_shape({(2, 2): X ** 2 * Y, (1, 2): 2 * X * Y})
     assert euler_lagrange(K, "x") == {}
     assert euler_lagrange(K, "y") != {}
     # the cocycle dx (x) dy fails EL on both axes
-    C = KTable({(1, 1): ONE})
+    C = pure_shape({(1, 1): ONE})
     assert euler_lagrange(C, "x") == {1: ONE}
     assert euler_lagrange(C, "y") == {1: ONE}
     with pytest.raises(ValueError):
         euler_lagrange(C, "z")
+    # a BiDiffOp written out with its pure-shape keys
+    assert euler_lagrange(BiDiffOp({((1, 0), (0, 1)): X}), "x") == {1: X}
 
 
 def test_shapes():
@@ -161,22 +162,15 @@ def test_shapes():
     assert is_k2_shape(good) and not is_k2_shape(bad)
 
 
-def test_ktable_scale_and_bidiff():
-    K = KTable({(1, 2): Y})
-    m = K.to_bidiff().scale(X)
-    assert m.terms == {((1, 0), (0, 2)): X * Y}
-    assert K.to_bidiff().apply(X ** 2, Y ** 2) == 2 * X * Y * 2
-
-
 def balanced(K, axis):
     """K with kappa_1b (axis x) or kappa_a1 (axis y) shifted so that the
     oracle's functional on that axis vanishes."""
     fix = {(1, key) if axis == "x" else (key, 1): -val
            for key, val in certify_oracle.euler_lagrange(K, axis).items()}
-    return K + KTable(fix)
+    return K + pure_shape(fix)
 
 
-@given(poly_ktables, st.sampled_from([None, "x", "y"]))
+@given(pure_shape_ops, st.sampled_from([None, "x", "y"]))
 @settings(max_examples=150, deadline=None)
 def test_euler_lagrange_matches_object_level_oracle(K, balance):
     if balance:
@@ -189,11 +183,24 @@ def test_euler_lagrange_matches_object_level_oracle(K, balance):
 
 def test_euler_lagrange_edge_cases():
     with pytest.raises(ValueError):
-        euler_lagrange(KTable({}), "t")
-    assert euler_lagrange(KTable({}), "x") == {}
+        euler_lagrange(BiDiffOp(), "t")
+    assert euler_lagrange(BiDiffOp(), "x") == {}
     # the kernel's one ring is Poly2
     with pytest.raises(TypeError):
-        euler_lagrange(KTable({(1, 1): HSeries(1, [X, Y])}), "x")
+        euler_lagrange(pure_shape({(1, 1): HSeries(1, [X, Y])}), "x")
+
+
+@pytest.mark.parametrize("slot", [
+    ((0, 0), (0, 1)),  # no x-derivative on f
+    ((1, 0), (0, 0)),  # no y-derivative on g
+    ((1, 1), (0, 1)),  # a y-derivative on f
+    ((1, 0), (1, 1)),  # an x-derivative on g
+])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_euler_lagrange_names_the_first_slot_off_shape(slot, axis):
+    K = BiDiffOp({((2, 0), (0, 2)): X, slot: Y, ((1, 0), (1, 0)): ONE})
+    with pytest.raises(ValueError, match=re.escape(str(slot))):
+        euler_lagrange(K, axis)
 
 
 def off_by_one(c):
@@ -212,7 +219,7 @@ def perturbed(T):
     yield "HSeries for a Poly2", TriDiffOp({**terms, slot: HSeries.constant(c, 1)})
 
 
-@given(poly_ktables)
+@given(pure_shape_ops)
 @settings(max_examples=100, deadline=None)
 def test_slotwise_b_check_matches_building_b(K):
     T = hochschild_b(K)

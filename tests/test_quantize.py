@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certify_oracle import hochschild_b
+from certify_oracle import hochschild_b, pure_shape
 from series_oracle import oracle_quantize_series
 from solve_oracle import oracle_solve_order, prior_ops
 from starplane import diffop, docs
-from starplane.diffop import BiDiffOp, KTable, TriDiffOp, euler_lagrange, build_rhs_T
+from starplane.diffop import BiDiffOp, TriDiffOp, euler_lagrange, build_rhs_T
 from starplane.errors import Infeasible, NotInImage, NotNormalized, UsageError
 
 from starplane.poly import ONE, X, Y, Poly2
@@ -36,7 +36,7 @@ PHI_SET = [X, X * Y, X ** 2 * Y - 3 * Y, 2 * X + 5]
 
 def order2_table(phi):
     half = Fraction(1, 2)
-    return KTable({
+    return pure_shape({
         (1, 1): phi.dx().dy() * half,
         (2, 1): phi.dy() * half,
         (1, 2): phi.dx() * half,
@@ -45,7 +45,7 @@ def order2_table(phi):
 
 @pytest.mark.parametrize("phi", [X * Y, X ** 2, X ** 2 * Y - 3 * Y, X + Y + 1])
 def test_order2_closed_form(phi):
-    K1 = KTable({(1, 1): ONE})
+    K1 = pure_shape({(1, 1): ONE})
     K2 = solve_order(build_rhs_T(2, 0, *prior_ops(phi, [K1])), 2)
     assert K2 == order2_table(phi)
     K2_generic, res = oracle_solve_order(phi, [K1], 2)
@@ -55,7 +55,7 @@ def test_order2_closed_form(phi):
 def test_order2_closed_form_satisfies_recursion_independently():
     # frozen oracle check: b(K_2) = T_2 for the hand-solved table
     for phi in [X * Y, X ** 2, X + Y + 1]:
-        K1 = KTable({(1, 1): ONE})
+        K1 = pure_shape({(1, 1): ONE})
         assert hochschild_b(order2_table(phi)) == build_rhs_T(2, 0, *prior_ops(phi, [K1]))
         assert euler_lagrange(order2_table(phi), "x") == {}
         assert euler_lagrange(order2_table(phi), "y") == {}
@@ -94,7 +94,7 @@ def test_closed_form_matches_generic_solve(phi):
     # the generic sparse solve, fed its own lower orders, must land on the
     # same tables as the read-off, with a trivial kernel at every order
     m = quantize(phi, 4)
-    tables = [KTable({(1, 1): ONE})]
+    tables = [pure_shape({(1, 1): ONE})]
     for k in range(2, 5):
         K, res = oracle_solve_order(phi, tables, k)
         assert K == m.ktables[k]
@@ -112,7 +112,7 @@ def test_every_single_entry_perturbation_breaks_the_recursion(phi):
         for a in range(1, k + 2):
             for b in range(1, k + 2):
                 for bump in (ONE, X ** 2 * Y):
-                    bumped = K + KTable({(a, b): bump})
+                    bumped = K + pure_shape({(a, b): bump})
                     assert (hochschild_b(bumped) != T or euler_lagrange(bumped, "x")
                             or euler_lagrange(bumped, "y")), (k, a, b, bump)
 
@@ -126,7 +126,7 @@ def test_cocycle_breaks_euler_lagrange():
     m = quantize(X * Y, 3)
     for k in range(2, 4):
         K = m.ktables[k]
-        bumped = K + KTable({(1, 1): ONE})
+        bumped = K + pure_shape({(1, 1): ONE})
         assert hochschild_b(bumped) == hochschild_b(K)
         assert euler_lagrange(bumped, "x") != {}
 
@@ -184,7 +184,7 @@ def test_cached_product_cannot_be_mutated():
     with pytest.raises(TypeError):
         m.orders[2] = BiDiffOp()
     with pytest.raises(TypeError):
-        m.ktables[2] = KTable()
+        m.ktables[2] = BiDiffOp()
     assert quantize(X * Y, 3).order_op(2)
     assert is_associative(quantize_series([X * Y, X], 3))
 

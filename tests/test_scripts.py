@@ -28,6 +28,14 @@ def test_script_exits_zero(name):
     assert proc.stdout
 
 
+def test_walkthrough_stdout_matches_golden():
+    # the default run, byte for byte; it prints the kappa-term count of each
+    # K_k in quantize(x*y, 3).ktables
+    proc = _run([str(ROOT / "scripts" / "quantize_walkthrough.py")])
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (ROOT / "tests" / "data" / "quantize_walkthrough_default.txt").read_bytes()
+
+
 def test_readme_library_example_runs():
     # the one python block of README.md, run as written; it may import only
     # names the package exports
