@@ -14,16 +14,18 @@ operator is lifted to that integer form once and keeps it in a private slot
 that equality, repr and the documents ignore; a kernel result keeps the form
 it was accumulated in.  The recursion right-hand side T_k, the associator
 and the gauge recursion in star.py are sums of such substitutions; a result
-only the kernel reads again can stay in that integer form (_substitute_form)
-and build no Poly2.  This module also provides the Euler-Lagrange
-constraint maps, the pure-shape membership test, and the two bases of the
-engine's objects: ReadOnly for values and Record for plain result records
+only the kernel reads again stays in that integer form (_substitute_form)
+and builds no Poly2, as T_k does in the recursion (_rhs_form, the twin of
+build_rhs_T).  This module also provides the Euler-Lagrange constraint
+maps, the pure-shape membership test, and the two bases of the engine's
+objects: ReadOnly for values and Record for plain result records
 (field-wise == and repr with no generated code, so importing the package
 loads no inspect, ast or dis).  The certificates of the recursion, b(K) = T
 on every slot and both Euler-Lagrange functionals, run on integer numerators
-and closed forms: hochschild_b_equals compares T with the closed form of
-b(K) slot by slot, and euler_lagrange sums on K's integer numerators.  The
-operator b(D) itself is built only by the tests' oracle.
+and closed forms, T being an operator or a kernel form: hochschild_b_equals
+compares T with the closed form of b(K) slot by slot, and euler_lagrange
+sums on K's stored numerators; both refuse a K that is not of pure shape.
+The operator b(D) itself is built only by the tests' oracle.
 """
 
 from __future__ import annotations
@@ -215,8 +217,8 @@ def _spread(ikey: tuple, rest: Idx) -> tuple:
                   for qs, m in _shares(rest, len(ikey))])
 
 
-def _numerators(op):
-    """op's coefficients as integer numerators over op's own denominator.
+def _lift(op):
+    """Store and return op's coefficients as integer numerators over op's own denominator.
 
     The form is (den, terms): terms lists (key, [(i, j, numerator), ...]),
     the key being a tuple with one multi-index per argument.  A coefficient
@@ -232,14 +234,8 @@ def _numerators(op):
         f = den // c._den
         terms.append(((key,) if op.arity == 1 else key,
                       [(i, j, n * f) for (i, j), n in c._num.items()]))
+    object.__setattr__(op, "_lifted", (den, terms))
     return den, terms
-
-
-def _lift(op):
-    """Store and return op's kernel form, _numerators(op)."""
-    lifted = _numerators(op)
-    object.__setattr__(op, "_lifted", lifted)
-    return lifted
 
 
 _IDENTITY = [(((0, 0),), [(0, 0, 1)])]  # the lifted terms of a multiple of the identity
@@ -257,6 +253,9 @@ class _Form:
 
     def __bool__(self):
         return bool(self._lifted[1])
+
+
+_ONE = _Form(1, (1, _IDENTITY))  # the identity: summing with it adds its outer operators
 
 
 def _accumulate(items):
@@ -362,53 +361,71 @@ def substitute(outer, slot: int, inner):
 # -- Hochschild differential ------------------------------------------------
 
 
-def _b_terms(K: BiDiffOp):
-    """(slot, kappa, factor) for every slot of b(K), K of pure shape; b(K) puts
-    kappa * factor on the slot.
+def _b_terms(kappas):
+    """(slot, kappa, factor) for every slot of b(K), K of pure shape given as
+    its (key, kappa) pairs; b(K) puts kappa * factor on the slot.
 
     The closed form is
     kappa_ab [ sum_{0<s<b} C(b,s) dx^a f dy^s g dy^(b-s) h
                - sum_{0<r<a} C(a,r) dx^r f dx^(a-r) g dy^b h ]:
     the boundary terms cancel, no two slots coincide and no factor is zero.
     """
-    for ((a, _), (_, b)), kappa in K.terms.items():
+    for ((a, _), (_, b)), kappa in kappas:
         for s in range(1, b):
             yield ((a, 0), (0, s), (0, b - s)), kappa, comb(b, s)
         for r in range(1, a):
             yield ((r, 0), (a - r, 0), (0, b)), kappa, -comb(a, r)
 
 
-def _is_multiple(t, kappa, f: int) -> bool:
-    """t == kappa * f for Poly2s t, kappa and a nonzero int f, by integer
-    cross-multiplication."""
-    if type(t) is not type(kappa):
-        return False
-    a, b = t._num, kappa._num
-    if a.keys() != b.keys():
-        return False
-    # both are in lowest terms, so t == kappa * f iff a / dt == b * f / dk
-    left, right = kappa._den, f * t._den
-    return all(v * left == b[k] * right for k, v in a.items())
+def _check_pure_shape(K, who):
+    """Raise ValueError naming K's first slot that is not dx^a (x) dy^b, a, b >= 1."""
+    for slot in K.terms:
+        if not _admissible(*slot):
+            raise ValueError(f"{who} needs slots dx^a (x) dy^b with a, b >= 1, got {slot}")
 
 
-def hochschild_b_equals(K: BiDiffOp, T: TriDiffOp) -> bool:
-    """b(K) == T, decided slot by slot without building b(K).
+def hochschild_b_equals(K: BiDiffOp, T) -> bool:
+    """b(K) == T, decided slot by slot on integer numerators without building b(K).
 
-    Each slot of b(K) must be a slot of T whose coefficient equals kappa *
-    factor, and T may have no other slot; the slots of b(K) are distinct, so
-    counting them settles the second condition.
+    K must be of pure shape (ValueError otherwise); T, a TriDiffOp or a kernel
+    form, must hold each slot of b(K) with numerators kappa * factor's after
+    cross-multiplying the denominators, and no other slot; the slots of b(K)
+    are distinct, so counting them settles the second condition.
     """
-    terms = T.terms
+    _check_pure_shape(K, "hochschild_b_equals")
+    try:
+        dt, tterms = getattr(T, "_lifted", None) or _lift(T)
+        dk, kterms = getattr(K, "_lifted", None) or _lift(K)
+    except TypeError:
+        return False
+    terms = dict(tterms)
     n = 0
-    for slot, kappa, f in _b_terms(K):
+    for slot, kappa, f in _b_terms(kterms):
         t = terms.get(slot)
-        if t is None or not _is_multiple(t, kappa, f):
+        if t is None or ({(i, j): v * dk for i, j, v in t}
+                         != {(i, j): v * f * dt for i, j, v in kappa}):
             return False
         n += 1
     return n == len(terms)
 
 
 # -- the recursion right-hand side -------------------------------------------
+
+
+def _rhs_items(k, d, kops, mops):
+    """The kernel items of build_rhs_T(k, d, kops, mops)."""
+    if k < 2:
+        raise ValueError("recursion starts at k = 2")
+    if min(len(kops), len(mops)) < k - 1:
+        raise MissingPriorOrder(f"need operators for orders 1..{k - 1}, "
+                                f"got {min(len(kops), len(mops))}")
+    items = []
+    for i in range(1, k):
+        ms = mops[k - i - 1]
+        for a, K in enumerate(kops[i - 1][:d + 1]):
+            if K and d - a < len(ms) and ms[d - a]:
+                items += [(1, K, 0, ms[d - a]), (-1, K, 1, ms[d - a])]
+    return items
 
 
 def build_rhs_T(k: int, d: int, kops, mops) -> TriDiffOp:
@@ -426,18 +443,14 @@ def build_rhs_T(k: int, d: int, kops, mops) -> TriDiffOp:
     lists across orders passes the same operators each time, so the kernel
     lifts each one once.
     """
-    if k < 2:
-        raise ValueError("recursion starts at k = 2")
-    if min(len(kops), len(mops)) < k - 1:
-        raise MissingPriorOrder(f"need operators for orders 1..{k - 1}, "
-                                f"got {min(len(kops), len(mops))}")
-    items = []
-    for i in range(1, k):
-        ms = mops[k - i - 1]
-        for a, K in enumerate(kops[i - 1][:d + 1]):
-            if K and d - a < len(ms) and ms[d - a]:
-                items += [(1, K, 0, ms[d - a]), (-1, K, 1, ms[d - a])]
+    items = _rhs_items(k, d, kops, mops)
     return substitute_sum(items) if items else TriDiffOp()
+
+
+def _rhs_form(k, d, kops, mops):
+    """build_rhs_T(k, d, kops, mops) as a _Form: no Poly2 built."""
+    items = _rhs_items(k, d, kops, mops)
+    return _substitute_form(items) if items else _Form(3, (1, []))
 
 
 # -- Euler-Lagrange constraints and shape tests ------------------------------
@@ -449,16 +462,14 @@ def euler_lagrange(K: BiDiffOp, axis: str) -> dict:
     K is of pure shape, kappa_ab on dx^a (x) dy^b; another slot raises
     ValueError.  axis "x": for each b, sum_a (-1)^(a-1) dx^(a-1) kappa_ab.
     K is in the admissible divergence-form class iff both axes vanish.
-    The sums run on K's integer numerators over its one denominator,
-    one accumulator per opposite index, and a Poly2 is built only for a
-    functional that does not vanish.
+    The sums run on K's stored integer form (_lift), one accumulator per
+    opposite index, and a Poly2 is built only for a functional that does
+    not vanish.
     """
     if axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
-    if not is_k2_shape(K):
-        slot = next(s for s in K.terms if not _admissible(*s))
-        raise ValueError(f"euler_lagrange needs slots dx^a (x) dy^b with a, b >= 1, got {slot}")
-    den, terms = _numerators(K)
+    _check_pure_shape(K, "euler_lagrange")
+    den, terms = getattr(K, "_lifted", None) or _lift(K)
     acc = {}
     for ((a, _), (_, b)), flat in terms:
         key, n = (b, a - 1) if axis == "x" else (a, b - 1)

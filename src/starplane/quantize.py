@@ -7,10 +7,10 @@ That system is triangular: every kappa_ab except kappa_11 is read off one
 slot of T_k, and kappa_11 follows from the x-axis Euler-Lagrange functional.
 The read-off is then re-checked against b(K_k) = T_k on every slot of T_k
 and both Euler-Lagrange functionals, which certifies every slot it did not
-use.  Both certificates run on integer numerators and closed forms: T_k is
-compared slot by slot with the closed form of b(K_k) by integer
-cross-multiplication, and the functionals are summed on K_k's numerators,
-so no polynomial is built for a check that passes.
+use.  All of it runs on integer numerators: T_k stays in the kernel's
+integer form, never a polynomial operator; it is compared slot by slot with
+the closed form of b(K_k) by cross-multiplication, and the functionals are
+summed on K_k's numerators, so a check that passes builds no polynomial.
 
 quantize_series extends the construction to formal series sum h^i psi_i:
 order k of the product for phi_t = sum t^c psi_c is a polynomial in t, and
@@ -23,12 +23,13 @@ classify_p2 reads it off order n in the same pass: the round trip itself.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from math import lcm, perm
 
-from .diffop import BiDiffOp, build_rhs_T, euler_lagrange, hochschild_b_equals
+from .diffop import (_ONE, BiDiffOp, DiffOp, _accumulate, _lift, _rhs_form, _substitute_form,
+                     euler_lagrange, hochschild_b_equals, substitute_sum)
 from .errors import Infeasible, NotInImage, NotNormalized
-from .poly import Poly2
+from .poly import Poly2, _make
 from .star import PoissonSeries, StarProduct, _check_order, spq_membership
 
 _DXDY = ((1, 0), (0, 1))  # K_1 = dx (x) dy, the slot each psi_i first reaches
@@ -37,13 +38,14 @@ _DXDY = ((1, 0), (0, 1))  # K_1 = dx (x) dy, the slot each psi_i first reaches
 def solve_order(T, k: int) -> BiDiffOp:
     """The unique admissible pure-shape K_k with b(K_k) = T_k at order k >= 2.
 
-    T is build_rhs_T's T_k, and K_k holds kappa_ab on the slot dx^a (x) dy^b,
-    key ((a, 0), (0, b)).  b(K) puts b * kappa_ab on the slot
-    dx^a f dy g dy^(b-1) h and -a * kappa_ab on dx f dx^(a-1) g dy^b h, and no
-    other kappa reaches either slot, so kappa_ab (b >= 2) and kappa_a1 (a >= 2)
-    are read off T_k; kappa_11 = sum_{a>=2} (-1)^a dx^(a-1) kappa_a1 makes the
-    x-axis Euler-Lagrange functional vanish at b = 1.  Everything here is
-    linear over Q, so a t^d part T_k[d] of a series recursion gives K_k[d].
+    T, a TriDiffOp or a kernel form (_rhs_form), is read on its integer
+    numerators; K_k holds kappa_ab on dx^a (x) dy^b, key ((a, 0), (0, b)).
+    b(K) puts b * kappa_ab on the slot dx^a f dy g dy^(b-1) h and
+    -a * kappa_ab on dx f dx^(a-1) g dy^b h, and no other kappa reaches
+    either slot, so kappa_ab (b >= 2) and kappa_a1 (a >= 2) are read off T_k;
+    kappa_11 = sum_{a>=2} (-1)^a dx^(a-1) kappa_a1 makes the x-axis
+    Euler-Lagrange functional vanish at b = 1.  Everything here is linear
+    over Q, so a t^d part T_k[d] of a series recursion gives K_k[d].
 
     The result is certified before it is returned: every slot of T must equal
     the closed-form slot of b(K) (hochschild_b_equals, integer
@@ -51,15 +53,25 @@ def solve_order(T, k: int) -> BiDiffOp:
     both Euler-Lagrange functionals must vanish (summed on K's integer
     numerators); any mismatch raises Infeasible.
     """
-    terms = {}
-    for (A, B, C), t in T.terms.items():
+    den, terms = getattr(T, "_lifted", None) or _lift(T)
+    reads = []  # (key, T's numerators on the slot, f): kappa = t / f
+    for (A, B, C), flat in terms:
         if B == (0, 1) and A[0] >= 1 and A[1] == 0 and C[0] == 0 and C[1] >= 1:
-            terms[A, (0, C[1] + 1)] = t * Fraction(1, C[1] + 1)
+            reads.append(((A, (0, C[1] + 1)), flat, C[1] + 1))
         elif A == (1, 0) and B[0] >= 1 and B[1] == 0 and C == (0, 1):
-            terms[(B[0] + 1, 0), (0, 1)] = t * Fraction(-1, B[0] + 1)
-    k11 = [(_DXDY, kappa.dx(a - 1) * (-1) ** a)
-           for ((a, _), (_, b)), kappa in terms.items() if b == 1]
-    K = BiDiffOp(list(terms.items()) + k11)
+            reads.append((((B[0] + 1, 0), (0, 1)), flat, -B[0] - 1))
+    scale = lcm(*(abs(f) for _, _, f in reads))  # every kappa is over den * scale
+    nums, k11 = [], {}
+    for key, flat, f in reads:
+        num = {(i, j): v * (scale // f) for i, j, v in flat}
+        nums.append((key, num))
+        a = key[0][0]
+        if key[1] == (0, 1):  # kappa_11 gets (-1)^a dx^(a-1) kappa_a1
+            for (i, j), v in num.items():
+                if i >= a - 1:
+                    k11[i - a + 1, j] = k11.get((i - a + 1, j), 0) + (-1) ** a * v * perm(i, a - 1)
+    nums.append((_DXDY, {e: v for e, v in k11.items() if v}))
+    K = BiDiffOp._of({key: _make(num, den * scale) for key, num in nums if num})
     # dual-route verification: b(K) on every slot of T and both EL functionals
     if not hochschild_b_equals(K, T):
         raise Infeasible(f"order {k}: solution fails b(K) = T re-check")
@@ -69,43 +81,47 @@ def solve_order(T, k: int) -> BiDiffOp:
 
 
 def _build(psi, N: int):
-    """Yield (rest_n, kops), n = 1..N: the recursion for phi_t = sum t^c psi[c] by h-order.
+    """Yield (parts, kops), n = 1..N: the recursion for phi_t = sum t^c psi[c] by h-order.
 
     K_k has degree k-1 in phi_t and its t^d part K_k[d] lands at h^(k+d), as
     does m_j[d] = sum_{c+e=d} psi_c K_j[e], the t^d part of order j.  Step n
     solves each K_k[n-k], 2 <= k <= n and n-k <= (k-1)(len(psi)-1), from
-    T_k[n-k] = build_rhs_T(k, n-k, ...), which reads only parts below h^n,
-    then forms m_k[n-k], so each psi_c K_j[e] is formed once.  rest_n, the
-    sum of the m_k[n-k], is order n less m_1[n-1] = psi_(n-1) dx (x) dy, so
-    psi[n-1] is read after the n-th yield and a caller may fill it in then.
-    kops[k-1][d] is K_k[d], a pure-shape BiDiffOp.  A polynomial phi is psi = [phi].
+    T_k[n-k], which reads only parts below h^n, then forms m_k[n-k], so each
+    psi_c K_j[e] is formed once.  At the n-th yield parts holds the m_k[n-k],
+    k >= 2, whose sum rest_n is order n less m_1[n-1] = psi_(n-1) dx (x) dy;
+    then a caller may fill in psi[n-1], and m_1[n-1] joins parts.  Only
+    K_k[d] = kops[k-1][d], a pure-shape BiDiffOp, gets Poly2 coefficients:
+    T_k[d] and m_k[d] stay in the kernel's integer form.  psi = [phi] for a polynomial phi.
     """
     width = len(psi) - 1
     kops = [[BiDiffOp({_DXDY: 1})]] + [[] for _ in range(N - 1)]
     mops = [[] for _ in range(N)]
+    mult = []  # mult[c] = DiffOp({(0, 0): psi[c]})
     for n in range(1, N + 1):
-        rest = []
+        parts = []
         for k in range(2, n + 1):
             if n - k <= (k - 1) * width:
-                T = build_rhs_T(k, n - k, kops, mops)
+                T = _rhs_form(k, n - k, kops, mops)
                 # K = 0 is the one solution of an empty T: nothing to solve or certify
                 kops[k - 1].append(solve_order(T, k) if T else BiDiffOp())
             if n - k <= k * width:
-                ms = [K.scale(psi[n - k - d]) for d, K in enumerate(kops[k - 1])
-                      if n - k - d <= width and K and psi[n - k - d]]
-                mops[k - 1].append(sum(ms[1:], ms[0]) if ms else BiDiffOp())
-                rest.append(mops[k - 1][-1])
-        yield sum(rest[1:], rest[0]) if rest else BiDiffOp(), kops
+                items = [(1, mult[n - k - d], 0, K) for d, K in enumerate(kops[k - 1])
+                         if n - k - d <= width and K and mult[n - k - d]]
+                mops[k - 1].append(_substitute_form(items) if items else BiDiffOp())
+                parts.append(mops[k - 1][-1])
+        yield parts, kops
         if n <= len(psi):
+            mult.append(DiffOp({(0, 0): psi[n - 1]}))
             mops[0].append(BiDiffOp({_DXDY: psi[n - 1]}))
+            parts.append(mops[0][-1])
 
 
 def _orders(psi, N: int):
-    """({n: order n}, kops) of the product for sum h^i psi_i through h^N."""
-    orders = {}
-    for n, (rest, kops) in enumerate(_build(psi, N), 1):
-        orders[n] = rest + BiDiffOp({_DXDY: psi[n - 1]}) if n <= len(psi) else rest
-    return orders, kops
+    """({n: order n}, kops) of the product for sum h^i psi_i through h^N;
+    each order is one kernel sum of its parts and keeps that integer form."""
+    steps = list(_build(psi, N))
+    return {n: substitute_sum([(1, op, 0, _ONE) for op in parts if op])
+            for n, (parts, _) in enumerate(steps, 1) if any(parts)}, steps[-1][1]
 
 
 # Products are read-only, so every caller may share the cached one.  The
@@ -147,15 +163,18 @@ def classify_p2(m: StarProduct) -> PoissonSeries:
     One pass of _build with psi = [0] * N, filled in as it goes: order n of
     the product for psi is rest_n + psi_(n-1) dx (x) dy, so m_n - rest_n may
     hold only the dx (x) dy slot, whose coefficient is psi_(n-1); any other
-    slot raises NotInImage.  This is the round trip on every order and slot.
+    slot raises NotInImage.  This is the round trip on every order and slot,
+    compared on integer numerators: only each psi_(n-1) is built.
     """
     if not spq_membership(m):
         raise NotNormalized("classify_p2 requires a pure-shape product")
     N = m.n_order
     psi = [Poly2.zero()] * N
-    for n, (rest, _) in enumerate(_build(psi, N), 1):
-        left = (m.order_op(n) - rest).terms
-        if set(left) - {_DXDY}:
+    for n, (parts, _) in enumerate(_build(psi, N), 1):
+        _, den, left = _accumulate([(1, m.order_op(n), 0, _ONE)]
+                                   + [(-1, op, 0, _ONE) for op in parts if op])
+        if any(key != _DXDY for key, _ in left):
             raise NotInImage("product is not in the image of quantization")
-        psi[n - 1] = left.get(_DXDY, Poly2.zero())
+        if left:
+            psi[n - 1] = _make(left[0][1], den)
     return PoissonSeries(N - 1, psi)

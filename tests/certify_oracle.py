@@ -28,7 +28,7 @@ def hochschild_b(D) -> TriDiffOp:
 
 def hochschild_b_closed(K) -> TriDiffOp:
     """b(K) for a pure-shape K, built from the closed form of diffop._b_terms."""
-    return TriDiffOp._of({slot: kappa * f for slot, kappa, f in _b_terms(K)})
+    return TriDiffOp._of({slot: kappa * f for slot, kappa, f in _b_terms(K.terms.items())})
 
 
 def euler_lagrange(K, axis):

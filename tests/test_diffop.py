@@ -203,6 +203,19 @@ def test_euler_lagrange_names_the_first_slot_off_shape(slot, axis):
         euler_lagrange(K, axis)
 
 
+def test_b_check_refuses_a_k_off_pure_shape():
+    # (a, b) read off ((1, 1), (0, 2)) would pass for the pure-shape
+    # ((1, 0), (0, 2)), whose b(K) is this T; the check names the slot instead
+    T = TriDiffOp({((1, 0), (0, 1), (0, 1)): 2 * X})
+    assert hochschild_b_equals(BiDiffOp({((1, 0), (0, 2)): X}), T)
+    K = BiDiffOp({((1, 0), (0, 2)): X, ((1, 1), (0, 2)): X, ((1, 0), (1, 1)): Y})
+    for bad in (BiDiffOp({((1, 1), (0, 2)): X}), K):
+        with pytest.raises(ValueError, match=re.escape(str(((1, 1), (0, 2))))):
+            hochschild_b_equals(bad, T)
+        with pytest.raises(ValueError, match=re.escape(str(((1, 1), (0, 2))))):
+            euler_lagrange(bad, "x")
+
+
 def off_by_one(c):
     """c with one numerator (over its own denominator) raised by one."""
     (i, j) = next(iter(c._num))

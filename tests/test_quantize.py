@@ -18,6 +18,7 @@ from starplane.errors import Infeasible, NotInImage, NotNormalized, UsageError
 
 from starplane.poly import ONE, X, Y, Poly2
 from starplane.quantize import (
+    _quantize_cached,
     classify_p2,
     quantize,
     quantize_series,
@@ -132,40 +133,79 @@ def test_cocycle_breaks_euler_lagrange():
 
 def test_solve_order_checks_every_slot_of_T():
     # a slot that no read-off uses still has to match b(K): one more slot,
-    # or one slot changed, makes the certificate fail
+    # or one slot changed, makes the certificate fail, whether T is an
+    # operator or the recursion's kernel form
     phi = X ** 2 * Y + X * Y ** 2
     m = quantize(phi, 3)
     for k in (2, 3):
-        T = build_rhs_T(k, 0, *prior_ops(phi, [m.ktables[i] for i in range(1, k)]))
-        assert solve_order(T, k) == m.ktables[k]
-        extra = TriDiffOp({**T.terms, ((0, 0), (0, 0), (1, 0)): ONE})
-        with pytest.raises(Infeasible):
-            solve_order(extra, k)
+        ops = prior_ops(phi, [m.ktables[i] for i in range(1, k)])
+        T, form = build_rhs_T(k, 0, *ops), diffop._rhs_form(k, 0, *ops)
+        assert solve_order(T, k) == solve_order(form, k) == m.ktables[k]
         # slots of the shape dx f dx^(a-1) g dy^b h with b >= 2 are read by no kappa
         unread = [(A, B, C) for A, B, C in T.terms if A == (1, 0) and B[1] == 0 and C[1] >= 2]
         assert unread
-        for slot in unread:
-            changed = TriDiffOp({**T.terms, slot: T.terms[slot] + X})
-            with pytest.raises(Infeasible):
-                solve_order(changed, k)
+        extra = TriDiffOp({((0, 0), (0, 0), (1, 0)): ONE})
+        for delta in [extra] + [TriDiffOp({slot: X}) for slot in unread]:
+            errors = []
+            for bad in (T + delta, diffop._substitute_form(
+                    [(1, form, 0, diffop._ONE), (1, delta, 0, diffop._ONE)])):
+                with pytest.raises(Infeasible) as caught:
+                    solve_order(bad, k)
+                errors.append(str(caught.value))
+            assert errors[0] == errors[1]
+
+
+def count_poly2(monkeypatch, run):
+    """The Poly2s built while run() runs, and the K_k[d] it solves."""
+    poly = importlib.import_module("starplane.poly")
+    module = importlib.import_module("starplane.quantize")
+    made, ks = [], []
+    new, solve = poly._new, module.solve_order
+    monkeypatch.setattr(poly, "_new", lambda cls: made.append(cls) or new(cls))
+    monkeypatch.setattr(module, "solve_order", lambda T, k: ks.append(solve(T, k)) or ks[-1])
+    out = run()
+    monkeypatch.undo()
+    return len(made), sum(len(K.terms) for K in ks), out
+
+
+def test_the_recursion_builds_no_poly2_for_T_or_m(monkeypatch):
+    # T_k[d] and m_j[d] stay in the kernel's integer form: the Poly2s built
+    # are the kappa of each K_k[d], the slots of each product order, psi, and
+    # the constant of K_1 in each pass (before: about 1,260 per classify pass)
+    psi = [X * Y, Y, X]
+    made, kappas, m = count_poly2(monkeypatch, lambda: quantize_series(psi, 5))
+    slots = sum(len(op.terms) for op in m.orders.values())
+    assert made <= kappas + slots + 1
+    made, kappas, back = count_poly2(monkeypatch, lambda: classify_p2(m))
+    assert back.trimmed() == psi
+    assert made <= kappas + len(back.coeffs) + 1
+    _quantize_cached.cache_clear()
+    phi = X ** 2 * Y + X * Y ** 2
+    made, kappas, m = count_poly2(monkeypatch, lambda: quantize(phi, 5))
+    assert kappas == sum(len(K.terms) for k, K in m.ktables.items() if k >= 2)
+    assert made <= kappas + sum(len(op.terms) for op in m.orders.values()) + 1
+
 
 @pytest.mark.parametrize("psi, N", [
     ([X * Y, X], 4), ([X * Y, Y, X], 3), ([X * Y, X ** 2 * Y], 5), ([X * Y, Poly2.zero(), X], 5),
 ])
 def test_quantize_series_forms_each_product_once(monkeypatch, psi, N):
-    # no psi_c K_j[d] is formed twice, and the oracle shows none is missing
+    # no psi_c K_j[d] is formed twice, and the oracle shows none is missing:
+    # each one is a kernel item whose outer operator multiplies by psi_c
+    module = importlib.import_module("starplane.quantize")
     calls = []
-    scale = diffop._OpBase.scale
+    form = module._substitute_form
 
-    def counted(op, poly):
-        calls.append((repr(op), repr(poly)))
-        return scale(op, poly)
+    def counted(items):
+        calls.extend((repr(outer.terms[0, 0]), repr(inner))
+                     for _, outer, _, inner in items if outer.arity == 1)
+        return form(items)
 
-    monkeypatch.setattr(diffop._OpBase, "scale", counted)
+    monkeypatch.setattr(module, "_substitute_form", counted)
     m = quantize_series(psi, N)
     monkeypatch.undo()
-    assert len(calls) == len(set(calls))
-    assert all(poly in {repr(p) for p in psi if p} for _, poly in calls)
+    assert calls and len(calls) == len(set(calls))
+    assert all(poly in {repr(p) for p in psi if p} for poly, _ in calls)
     assert m == oracle_quantize_series(psi, N)
 
 def test_quantize_caching_returns_identical_object():
@@ -284,14 +324,14 @@ def test_classify_runs_the_recursion_once(monkeypatch):
     m = quantize_series([X * Y, Y, X], N)
     module = importlib.import_module("starplane.quantize")
     rhs, solves, series = [], [], []
-    build, solve, qs = module.build_rhs_T, module.solve_order, module.quantize_series
+    build, solve, qs = module._rhs_form, module.solve_order, module.quantize_series
 
     def counted_rhs(k, d, *a):
         T = build(k, d, *a)
         rhs.append(((k, d), bool(T)))
         return T
 
-    monkeypatch.setattr(module, "build_rhs_T", counted_rhs)
+    monkeypatch.setattr(module, "_rhs_form", counted_rhs)
     monkeypatch.setattr(module, "solve_order", lambda T, k: solves.append(k) or solve(T, k))
     monkeypatch.setattr(module, "quantize_series", lambda *a: series.append(a) or qs(*a))
     assert classify_p2(m).trimmed() == [X * Y, Y, X]
@@ -313,13 +353,18 @@ def test_classify_solves_no_empty_part(monkeypatch):
 
 def test_classify_passes_no_zero_part_to_the_kernel(monkeypatch):
     # classify_p2 runs the recursion with psi = [0] * N, so parts K_k[d] past
-    # the series' true length solve to zero; build_rhs_T leaves them out
+    # the series' true length solve to zero; the T_k[d] and m_j[d] sums leave them out
     m = quantize_series([X * Y, X], 6)
+    module = importlib.import_module("starplane.quantize")
     calls = []
-    kernel = diffop.substitute_sum
-    monkeypatch.setattr(diffop, "substitute_sum", lambda items: calls.append(items) or kernel(items))
+    kernel = diffop._substitute_form
+    for owner in (diffop, module):
+        monkeypatch.setattr(owner, "_substitute_form",
+                            lambda items: calls.append(items) or kernel(items))
     assert classify_p2(m).trimmed() == [X * Y, X]
     assert calls and all(outer and inner for items in calls for _, outer, _, inner in items)
+    # both routes ran: T_k[d] (three arguments) and m_j[d] (psi_c times K_j[e])
+    assert {outer.arity for items in calls for _, outer, _, _ in items} == {1, 2}
 
 series_polys = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)),

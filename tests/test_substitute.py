@@ -23,7 +23,7 @@ from starplane.diffop import (
 from starplane.localized import LocalizedFn
 from starplane.parser import parse_poly
 from starplane.poly import X, Y, Poly2
-from starplane.quantize import _quantize_cached, quantize
+from starplane.quantize import _quantize_cached, quantize, quantize_series
 from starplane.series import HSeries
 from starplane.star import GaugeOp, assoc_defect, gauge_transform, normalize
 
@@ -182,8 +182,9 @@ def test_quantize_lifts_each_operator_once(monkeypatch):
     _quantize_cached.cache_clear()
     seen = count_lifts(monkeypatch)
     quantize(parse_poly("x^2*y+x*y^2"), 6)
-    # K_1..K_5 as outer operators and phi K_1..phi K_5 as inner ones
-    assert len(seen) == 10 and max(seen.values()) == 1
+    # K_1..K_6 (K_2..K_6 by their own certificates), phi K_1 and the
+    # multiplication by phi; every other m part is born in kernel form
+    assert len(seen) == 8 and max(seen.values()) == 1
 
 
 def test_normalize_lifts_each_operator_once(monkeypatch):
@@ -194,6 +195,30 @@ def test_normalize_lifts_each_operator_once(monkeypatch):
     W, out = normalize(gauge_transform(m, U))
     assert out == m
     assert seen and max(seen.values()) == 1
+
+
+def test_returned_orders_keep_their_form_apart_from_their_values(monkeypatch):
+    # the orders quantize and quantize_series return carry the integer form
+    # they were summed in: no list of it is reachable from the order's public
+    # values, so emptying every list leaves each order's value as it was
+    _quantize_cached.cache_clear()
+    seen = count_lifts(monkeypatch)
+    phi = parse_poly("x^2*y+x*y^2")
+    U = GaugeOp(4, {1: DiffOp({(1, 1): 2, (2, 0): Fraction(1, 3)}), 2: DiffOp({(0, 2): -1})})
+    W, out = normalize(gauge_transform(quantize(phi, 4), U))
+    assert seen and max(seen.values()) == 1  # from quantize on, each operator once
+    monkeypatch.undo()
+    assert out == quantize(phi, 4)
+    for m in (quantize(phi, 4), quantize_series([X * Y, Y, X], 4)):
+        for op in m.orders.values():
+            assert substitute(op, 0, DiffOp.identity()) == op
+            cached = {id(x) for x in lifted_lists(op)}
+            assert not cached & {id(v) for v in public_values(op)}
+            before = repr(op), dict(op.terms)
+            for x in lifted_lists(op):
+                x.clear()
+            assert (repr(op), dict(op.terms)) == before
+    _quantize_cached.cache_clear()  # the emptied forms leave with the cached product
 
 
 def test_gauge_first_rows_build_no_poly2(monkeypatch):
