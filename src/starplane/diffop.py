@@ -11,21 +11,21 @@ Every composition of operators is one kernel, substitute_sum (substitute
 for a single term): it feeds an inner operator's output into one argument
 of an outer operator by the Leibniz rule, on integer numerators.  Each
 operator is lifted to that integer form once and keeps it in a private slot
-that equality, repr and the documents ignore; a kernel result keeps the form
-it was accumulated in.  The recursion right-hand side T_k, the associator
-and the gauge recursion in star.py are sums of such substitutions; a result
-only the kernel reads again stays in that integer form (_substitute_form)
-and builds no Poly2, as T_k does in the recursion (_rhs_form, the twin of
-build_rhs_T).  This module also provides the Euler-Lagrange constraint
-maps, the pure-shape membership test, and the two bases of the engine's
-objects: ReadOnly for values and Record for plain result records
+that equality, repr and the documents ignore (_lifted_form reads it).  A
+kernel result holds only the form it was accumulated in and builds its
+Poly2 terms from it on first read, so a result only the kernel reads again
+builds no Poly2: the recursion right-hand side T_k (build_rhs_T), the parts
+m_j of the recursion, the associator and the rows of the gauge recursion in
+star.py are such sums.  This module also provides the Euler-Lagrange
+constraint maps, the pure-shape membership test, and the two bases of the
+engine's objects: ReadOnly for values and Record for plain result records
 (field-wise == and repr with no generated code, so importing the package
 loads no inspect, ast or dis).  The certificates of the recursion, b(K) = T
 on every slot and both Euler-Lagrange functionals, run on integer numerators
-and closed forms, T being an operator or a kernel form: hochschild_b_equals
-compares T with the closed form of b(K) slot by slot, and euler_lagrange
-sums on K's stored numerators; both refuse a K that is not of pure shape.
-The operator b(D) itself is built only by the tests' oracle.
+and closed forms: hochschild_b_equals compares T with the closed form of
+b(K) slot by slot, and euler_lagrange sums on K's stored numerators; both
+refuse a K that is not of pure shape.  The operator b(D) itself is built
+only by the tests' oracle.
 """
 
 from __future__ import annotations
@@ -93,7 +93,9 @@ class Record:
 class _OpBase(ReadOnly):
     """Operators are values: terms is a read-only mapping that cannot be rebound."""
 
-    __slots__ = ("terms", "_lifted")  # _lifted: the kernel's integer form, set once
+    # _terms is None only in a kernel result until terms is read;
+    # _lifted, the kernel's integer form, is set once
+    __slots__ = ("_terms", "_lifted")
     arity = None
 
     def __init__(self, terms=None):
@@ -104,20 +106,33 @@ class _OpBase(ReadOnly):
                 if isinstance(p, (int, Fraction)):
                     p = Poly2.const(p)
                 _accum(d, k, p)
-        object.__setattr__(self, "terms", MappingProxyType(d))
+        object.__setattr__(self, "_terms", MappingProxyType(d))
 
     @classmethod
     def _of(cls, d):
         """The operator whose terms are the dict d, taken over without a copy."""
         out = cls.__new__(cls)
-        object.__setattr__(out, "terms", MappingProxyType(d))
+        object.__setattr__(out, "_terms", MappingProxyType(d))
         return out
 
+    @property
+    def terms(self):
+        """slot -> Poly2; a kernel result builds it from its integer form on first read."""
+        terms = self._terms
+        if terms is None:
+            den, lifted = self._lifted
+            terms = MappingProxyType({key[0] if self.arity == 1 else key:
+                                      _make({(i, j): v for i, j, v in flat}, den)
+                                      for key, flat in lifted})
+            object.__setattr__(self, "_terms", terms)
+        return terms
+
     def __bool__(self):
-        return bool(self.terms)
+        terms = self._terms  # both views list only nonzero slots
+        return bool(self._lifted[1] if terms is None else terms)
 
     def is_zero(self):
-        return not self.terms
+        return not self
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
@@ -238,46 +253,36 @@ def _lift(op):
     return den, terms
 
 
-_IDENTITY = [(((0, 0),), [(0, 0, 1)])]  # the lifted terms of a multiple of the identity
+def _lifted_form(op):
+    """op's integer form (den, terms): the one it holds, else _lift's."""
+    return getattr(op, "_lifted", None) or _lift(op)
 
 
-class _Form:
-    """A kernel result kept only in the kernel's integer form: an operand for
-    substitute_sum with no Poly2 coefficients, for results nothing else reads."""
-
-    __slots__ = ("arity", "_lifted")
-
-    def __init__(self, arity, lifted):
-        self.arity = arity
-        self._lifted = lifted
-
-    def __bool__(self):
-        return bool(self._lifted[1])
+_ONE = DiffOp.identity()  # summing with the identity adds the outer operators
+_IDENTITY = _lift(_ONE)[1]  # the lifted terms of a multiple of the identity
 
 
-_ONE = _Form(1, (1, _IDENTITY))  # the identity: summing with it adds its outer operators
+def substitute_sum(items):
+    """sum of sign * substitute(outer, slot, inner) over (sign, outer, slot, inner).
 
-
-def _accumulate(items):
-    """(arity, D, [(key, {(i, j): numerator})]): substitute_sum's result over D,
-    zero numerators and empty keys dropped.
-
-    Every operator is lifted once in its life (_lift), and a result keeps the
-    integer form it was accumulated in, so composing it later lifts nothing.
-    A call works over D = lcm of d_outer * d_inner over its items, scaling each
-    item's weight by D / (d_outer * d_inner).  For outer term c d^A in the
-    slot and inner term e d^B1 .. d^Bn, d^A (e F) = sum C(A; p, q1..qn) d^p e
-    d^(B1+q1) .. d^(Bn+qn): each d^p e is formed once per call and c * d^p e
-    once per p, and plain ints are accumulated per output slot.  An inner
-    identity changes no key, so that item adds the outer's numerators as
-    they are.  Every item must give the same arity.
+    Every operator is lifted once in its life (_lift), and the result holds
+    only the integer form it was accumulated in (zero numerators and empty
+    keys dropped), from which it builds its terms on first read; composing
+    it later lifts nothing.  A call works over D = lcm of d_outer * d_inner
+    over its items, scaling each item's weight by D / (d_outer * d_inner).
+    For outer term c d^A in the slot and inner term e d^B1 .. d^Bn,
+    d^A (e F) = sum C(A; p, q1..qn) d^p e d^(B1+q1) .. d^(Bn+qn): each d^p e
+    is formed once per call (d^0 e is e) and c * d^p e once per p, and plain
+    ints are accumulated per output slot.  An inner identity changes no key,
+    so that item adds the outer's numerators as they are.  Every item must
+    give the same arity.
     """
     (arity,) = {outer.arity + inner.arity - 1 for _, outer, _, inner in items}
     forms = {}
     for _, outer, _, inner in items:
         for op in (outer, inner):
             if id(op) not in forms:
-                forms[id(op)] = getattr(op, "_lifted", None) or _lift(op)
+                forms[id(op)] = _lifted_form(op)
     den = lcm(*{forms[id(o)][0] * forms[id(i)][0] for _, o, _, i in items})
     derived = {}  # (id of inner, term index, px, py) -> d^p e
     acc = {}
@@ -299,7 +304,7 @@ def _accumulate(items):
             head, tail = okey[:slot], okey[slot + 1:]
             for n, (ikey, e) in enumerate(li):
                 for ((px, py), rest), w in _shares((ax, ay), 2):
-                    de = derived.get((nid, n, px, py))
+                    de = derived.get((nid, n, px, py)) if px or py else e
                     if de is None:
                         de = derived[nid, n, px, py] = [
                             (i - px, j - py, v * perm(i, px) * perm(j, py))
@@ -321,34 +326,14 @@ def _accumulate(items):
                         f = w * m
                         for k, v in prod.items():
                             a[k] = a.get(k, 0) + v * f
-    nums = []
+    terms = []
     for key, a in acc.items():
-        num = {k: v for k, v in a.items() if v}
-        if num:
-            nums.append((key, num))
-    return arity, den, nums
-
-
-def _flat(den, nums):
-    """The lifted form (den, terms) of _accumulate's numerators."""
-    return den, [(key, [(i, j, v) for (i, j), v in num.items()]) for key, num in nums]
-
-
-def _substitute_form(items):
-    """substitute_sum(items) as a _Form: the same kernel, no Poly2 built."""
-    arity, den, nums = _accumulate(items)
-    return _Form(arity, _flat(den, nums))
-
-
-def substitute_sum(items):
-    """sum of sign * substitute(outer, slot, inner) over (sign, outer, slot, inner).
-
-    The kernel is _accumulate; each output coefficient is built once from its
-    numerators, and the result keeps the form _lift would give it, over D.
-    """
-    arity, den, nums = _accumulate(items)
-    out = _ARITY[arity]._of({key[0] if arity == 1 else key: _make(num, den) for key, num in nums})
-    object.__setattr__(out, "_lifted", _flat(den, nums))
+        flat = [(i, j, v) for (i, j), v in a.items() if v]
+        if flat:
+            terms.append((key, flat))
+    out = _ARITY[arity].__new__(_ARITY[arity])
+    object.__setattr__(out, "_terms", None)
+    object.__setattr__(out, "_lifted", (den, terms))
     return out
 
 
@@ -387,15 +372,16 @@ def _check_pure_shape(K, who):
 def hochschild_b_equals(K: BiDiffOp, T) -> bool:
     """b(K) == T, decided slot by slot on integer numerators without building b(K).
 
-    K must be of pure shape (ValueError otherwise); T, a TriDiffOp or a kernel
-    form, must hold each slot of b(K) with numerators kappa * factor's after
-    cross-multiplying the denominators, and no other slot; the slots of b(K)
-    are distinct, so counting them settles the second condition.
+    K must be of pure shape (ValueError otherwise); T, a TriDiffOp read on the
+    integer form it holds or is lifted to, must hold each slot of b(K) with
+    numerators kappa * factor's after cross-multiplying the denominators, and
+    no other slot; the slots of b(K) are distinct, so counting them settles
+    the second condition.
     """
     _check_pure_shape(K, "hochschild_b_equals")
     try:
-        dt, tterms = getattr(T, "_lifted", None) or _lift(T)
-        dk, kterms = getattr(K, "_lifted", None) or _lift(K)
+        dt, tterms = _lifted_form(T)
+        dk, kterms = _lifted_form(K)
     except TypeError:
         return False
     terms = dict(tterms)
@@ -412,22 +398,6 @@ def hochschild_b_equals(K: BiDiffOp, T) -> bool:
 # -- the recursion right-hand side -------------------------------------------
 
 
-def _rhs_items(k, d, kops, mops):
-    """The kernel items of build_rhs_T(k, d, kops, mops)."""
-    if k < 2:
-        raise ValueError("recursion starts at k = 2")
-    if min(len(kops), len(mops)) < k - 1:
-        raise MissingPriorOrder(f"need operators for orders 1..{k - 1}, "
-                                f"got {min(len(kops), len(mops))}")
-    items = []
-    for i in range(1, k):
-        ms = mops[k - i - 1]
-        for a, K in enumerate(kops[i - 1][:d + 1]):
-            if K and d - a < len(ms) and ms[d - a]:
-                items += [(1, K, 0, ms[d - a]), (-1, K, 1, ms[d - a])]
-    return items
-
-
 def build_rhs_T(k: int, d: int, kops, mops) -> TriDiffOp:
     """t^d part of the order-k associativity defect, one overall phi removed.
 
@@ -441,16 +411,21 @@ def build_rhs_T(k: int, d: int, kops, mops) -> TriDiffOp:
     polynomial phi is the case of one row per order and d = 0.  A pair with
     a zero part adds nothing, so it is left out.  A caller that keeps both
     lists across orders passes the same operators each time, so the kernel
-    lifts each one once.
+    lifts each one once.  The result is a kernel result: it builds its Poly2
+    terms only when they are read.
     """
-    items = _rhs_items(k, d, kops, mops)
+    if k < 2:
+        raise ValueError("recursion starts at k = 2")
+    if min(len(kops), len(mops)) < k - 1:
+        raise MissingPriorOrder(f"need operators for orders 1..{k - 1}, "
+                                f"got {min(len(kops), len(mops))}")
+    items = []
+    for i in range(1, k):
+        ms = mops[k - i - 1]
+        for a, K in enumerate(kops[i - 1][:d + 1]):
+            if K and d - a < len(ms) and ms[d - a]:
+                items += [(1, K, 0, ms[d - a]), (-1, K, 1, ms[d - a])]
     return substitute_sum(items) if items else TriDiffOp()
-
-
-def _rhs_form(k, d, kops, mops):
-    """build_rhs_T(k, d, kops, mops) as a _Form: no Poly2 built."""
-    items = _rhs_items(k, d, kops, mops)
-    return _substitute_form(items) if items else _Form(3, (1, []))
 
 
 # -- Euler-Lagrange constraints and shape tests ------------------------------
@@ -469,7 +444,7 @@ def euler_lagrange(K: BiDiffOp, axis: str) -> dict:
     if axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
     _check_pure_shape(K, "euler_lagrange")
-    den, terms = getattr(K, "_lifted", None) or _lift(K)
+    den, terms = _lifted_form(K)
     acc = {}
     for ((a, _), (_, b)), flat in terms:
         key, n = (b, a - 1) if axis == "x" else (a, b - 1)

@@ -7,10 +7,11 @@ That system is triangular: every kappa_ab except kappa_11 is read off one
 slot of T_k, and kappa_11 follows from the x-axis Euler-Lagrange functional.
 The read-off is then re-checked against b(K_k) = T_k on every slot of T_k
 and both Euler-Lagrange functionals, which certifies every slot it did not
-use.  All of it runs on integer numerators: T_k stays in the kernel's
-integer form, never a polynomial operator; it is compared slot by slot with
-the closed form of b(K_k) by cross-multiplication, and the functionals are
-summed on K_k's numerators, so a check that passes builds no polynomial.
+use.  All of it runs on integer numerators: T_k is a kernel result, read
+only through its integer form, so it builds no Poly2 coefficient; it is
+compared slot by slot with the closed form of b(K_k) by cross-multiplication,
+and the functionals are summed on K_k's numerators, so a check that passes
+builds no polynomial.
 
 quantize_series extends the construction to formal series sum h^i psi_i:
 order k of the product for phi_t = sum t^c psi_c is a polynomial in t, and
@@ -26,8 +27,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import lcm, perm
 
-from .diffop import (_ONE, BiDiffOp, DiffOp, _accumulate, _lift, _rhs_form, _substitute_form,
-                     euler_lagrange, hochschild_b_equals, substitute_sum)
+from .diffop import (_ONE, BiDiffOp, DiffOp, _lifted_form, build_rhs_T, euler_lagrange,
+                     hochschild_b_equals, substitute_sum)
 from .errors import Infeasible, NotInImage, NotNormalized
 from .poly import Poly2, _make
 from .star import PoissonSeries, StarProduct, _check_order, spq_membership
@@ -38,7 +39,7 @@ _DXDY = ((1, 0), (0, 1))  # K_1 = dx (x) dy, the slot each psi_i first reaches
 def solve_order(T, k: int) -> BiDiffOp:
     """The unique admissible pure-shape K_k with b(K_k) = T_k at order k >= 2.
 
-    T, a TriDiffOp or a kernel form (_rhs_form), is read on its integer
+    T, a TriDiffOp such as build_rhs_T's, is read on its integer
     numerators; K_k holds kappa_ab on dx^a (x) dy^b, key ((a, 0), (0, b)).
     b(K) puts b * kappa_ab on the slot dx^a f dy g dy^(b-1) h and
     -a * kappa_ab on dx f dx^(a-1) g dy^b h, and no other kappa reaches
@@ -53,7 +54,7 @@ def solve_order(T, k: int) -> BiDiffOp:
     both Euler-Lagrange functionals must vanish (summed on K's integer
     numerators); any mismatch raises Infeasible.
     """
-    den, terms = getattr(T, "_lifted", None) or _lift(T)
+    den, terms = _lifted_form(T)
     reads = []  # (key, T's numerators on the slot, f): kappa = t / f
     for (A, B, C), flat in terms:
         if B == (0, 1) and A[0] >= 1 and A[1] == 0 and C[0] == 0 and C[1] >= 1:
@@ -91,7 +92,8 @@ def _build(psi, N: int):
     k >= 2, whose sum rest_n is order n less m_1[n-1] = psi_(n-1) dx (x) dy;
     then a caller may fill in psi[n-1], and m_1[n-1] joins parts.  Only
     K_k[d] = kops[k-1][d], a pure-shape BiDiffOp, gets Poly2 coefficients:
-    T_k[d] and m_k[d] stay in the kernel's integer form.  psi = [phi] for a polynomial phi.
+    T_k[d] (build_rhs_T) and m_k[d] are kernel results that only the kernel
+    reads, so they build none.  psi = [phi] for a polynomial phi.
     """
     width = len(psi) - 1
     kops = [[BiDiffOp({_DXDY: 1})]] + [[] for _ in range(N - 1)]
@@ -101,13 +103,13 @@ def _build(psi, N: int):
         parts = []
         for k in range(2, n + 1):
             if n - k <= (k - 1) * width:
-                T = _rhs_form(k, n - k, kops, mops)
+                T = build_rhs_T(k, n - k, kops, mops)
                 # K = 0 is the one solution of an empty T: nothing to solve or certify
                 kops[k - 1].append(solve_order(T, k) if T else BiDiffOp())
             if n - k <= k * width:
                 items = [(1, mult[n - k - d], 0, K) for d, K in enumerate(kops[k - 1])
                          if n - k - d <= width and K and mult[n - k - d]]
-                mops[k - 1].append(_substitute_form(items) if items else BiDiffOp())
+                mops[k - 1].append(substitute_sum(items) if items else BiDiffOp())
                 parts.append(mops[k - 1][-1])
         yield parts, kops
         if n <= len(psi):
@@ -118,7 +120,7 @@ def _build(psi, N: int):
 
 def _orders(psi, N: int):
     """({n: order n}, kops) of the product for sum h^i psi_i through h^N;
-    each order is one kernel sum of its parts and keeps that integer form."""
+    each order is one kernel sum of its parts, its terms built on first read."""
     steps = list(_build(psi, N))
     return {n: substitute_sum([(1, op, 0, _ONE) for op in parts if op])
             for n, (parts, _) in enumerate(steps, 1) if any(parts)}, steps[-1][1]
@@ -164,17 +166,17 @@ def classify_p2(m: StarProduct) -> PoissonSeries:
     the product for psi is rest_n + psi_(n-1) dx (x) dy, so m_n - rest_n may
     hold only the dx (x) dy slot, whose coefficient is psi_(n-1); any other
     slot raises NotInImage.  This is the round trip on every order and slot,
-    compared on integer numerators: only each psi_(n-1) is built.
+    compared on integer numerators: only the terms of m_n - rest_n are built.
     """
     if not spq_membership(m):
         raise NotNormalized("classify_p2 requires a pure-shape product")
     N = m.n_order
     psi = [Poly2.zero()] * N
     for n, (parts, _) in enumerate(_build(psi, N), 1):
-        _, den, left = _accumulate([(1, m.order_op(n), 0, _ONE)]
-                                   + [(-1, op, 0, _ONE) for op in parts if op])
-        if any(key != _DXDY for key, _ in left):
+        left = substitute_sum([(1, m.order_op(n), 0, _ONE)]
+                              + [(-1, op, 0, _ONE) for op in parts if op]).terms
+        if any(key != _DXDY for key in left):
             raise NotInImage("product is not in the image of quantization")
         if left:
-            psi[n - 1] = _make(left[0][1], den)
+            psi[n - 1] = left[_DXDY]
     return PoissonSeries(N - 1, psi)

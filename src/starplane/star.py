@@ -23,7 +23,6 @@ from .diffop import (
     Record,
     is_k2_shape,
     _admissible,
-    _substitute_form,
     substitute_sum,
 )
 from .errors import CapExceeded, Inconsistent, UsageError
@@ -188,7 +187,7 @@ def _gauge(m: StarProduct, U: GaugeOp | None, max_op_order=None):
     us = [GaugeOp._unit]
     new = [mult]
     # first[i][q] = m_q(U_i ., .), shared by every later order; None if U_i = 0.
-    # Only the kernel reads the rows i >= 1, so they stay in its integer form.
+    # Only the kernel reads the rows i >= 1, so they build no Poly2.
     first = [ms]
     for k in range(1, N + 1):
         # with U_0 = 1 in the second argument (q + i = k) the kernel adds first[i][q] as it is
@@ -207,7 +206,7 @@ def _gauge(m: StarProduct, U: GaugeOp | None, max_op_order=None):
         us.append(uk)
         new.append(mk)
         if k < N:
-            first.append([_substitute_form([(1, mq, 0, uk)]) for mq in ms[:N - k + 1]]
+            first.append([substitute_sum([(1, mq, 0, uk)]) for mq in ms[:N - k + 1]]
                          if uk else None)
     out = StarProduct(N, dict(enumerate(new[1:], 1)))
     if U is not None:

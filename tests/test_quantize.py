@@ -13,7 +13,8 @@ from certify_oracle import hochschild_b, pure_shape
 from series_oracle import oracle_quantize_series
 from solve_oracle import oracle_solve_order, prior_ops
 from starplane import diffop, docs
-from starplane.diffop import BiDiffOp, TriDiffOp, euler_lagrange, build_rhs_T
+from starplane.diffop import (BiDiffOp, DiffOp, TriDiffOp, build_rhs_T, euler_lagrange,
+                              substitute_sum)
 from starplane.errors import Infeasible, NotInImage, NotNormalized, UsageError
 
 from starplane.poly import ONE, X, Y, Poly2
@@ -134,12 +135,12 @@ def test_cocycle_breaks_euler_lagrange():
 def test_solve_order_checks_every_slot_of_T():
     # a slot that no read-off uses still has to match b(K): one more slot,
     # or one slot changed, makes the certificate fail, whether T is an
-    # operator or the recursion's kernel form
+    # operator or a kernel result whose terms were never read
     phi = X ** 2 * Y + X * Y ** 2
     m = quantize(phi, 3)
     for k in (2, 3):
         ops = prior_ops(phi, [m.ktables[i] for i in range(1, k)])
-        T, form = build_rhs_T(k, 0, *ops), diffop._rhs_form(k, 0, *ops)
+        T, form = TriDiffOp(dict(build_rhs_T(k, 0, *ops).terms)), build_rhs_T(k, 0, *ops)
         assert solve_order(T, k) == solve_order(form, k) == m.ktables[k]
         # slots of the shape dx f dx^(a-1) g dy^b h with b >= 2 are read by no kappa
         unread = [(A, B, C) for A, B, C in T.terms if A == (1, 0) and B[1] == 0 and C[1] >= 2]
@@ -147,8 +148,8 @@ def test_solve_order_checks_every_slot_of_T():
         extra = TriDiffOp({((0, 0), (0, 0), (1, 0)): ONE})
         for delta in [extra] + [TriDiffOp({slot: X}) for slot in unread]:
             errors = []
-            for bad in (T + delta, diffop._substitute_form(
-                    [(1, form, 0, diffop._ONE), (1, delta, 0, diffop._ONE)])):
+            for bad in (T + delta, substitute_sum(
+                    [(1, form, 0, DiffOp.identity()), (1, delta, 0, DiffOp.identity())])):
                 with pytest.raises(Infeasible) as caught:
                     solve_order(bad, k)
                 errors.append(str(caught.value))
@@ -194,14 +195,14 @@ def test_quantize_series_forms_each_product_once(monkeypatch, psi, N):
     # each one is a kernel item whose outer operator multiplies by psi_c
     module = importlib.import_module("starplane.quantize")
     calls = []
-    form = module._substitute_form
+    kernel = module.substitute_sum
 
     def counted(items):
         calls.extend((repr(outer.terms[0, 0]), repr(inner))
                      for _, outer, _, inner in items if outer.arity == 1)
-        return form(items)
+        return kernel(items)
 
-    monkeypatch.setattr(module, "_substitute_form", counted)
+    monkeypatch.setattr(module, "substitute_sum", counted)
     m = quantize_series(psi, N)
     monkeypatch.undo()
     assert calls and len(calls) == len(set(calls))
@@ -324,14 +325,14 @@ def test_classify_runs_the_recursion_once(monkeypatch):
     m = quantize_series([X * Y, Y, X], N)
     module = importlib.import_module("starplane.quantize")
     rhs, solves, series = [], [], []
-    build, solve, qs = module._rhs_form, module.solve_order, module.quantize_series
+    build, solve, qs = module.build_rhs_T, module.solve_order, module.quantize_series
 
     def counted_rhs(k, d, *a):
         T = build(k, d, *a)
         rhs.append(((k, d), bool(T)))
         return T
 
-    monkeypatch.setattr(module, "_rhs_form", counted_rhs)
+    monkeypatch.setattr(module, "build_rhs_T", counted_rhs)
     monkeypatch.setattr(module, "solve_order", lambda T, k: solves.append(k) or solve(T, k))
     monkeypatch.setattr(module, "quantize_series", lambda *a: series.append(a) or qs(*a))
     assert classify_p2(m).trimmed() == [X * Y, Y, X]
@@ -357,9 +358,9 @@ def test_classify_passes_no_zero_part_to_the_kernel(monkeypatch):
     m = quantize_series([X * Y, X], 6)
     module = importlib.import_module("starplane.quantize")
     calls = []
-    kernel = diffop._substitute_form
+    kernel = diffop.substitute_sum
     for owner in (diffop, module):
-        monkeypatch.setattr(owner, "_substitute_form",
+        monkeypatch.setattr(owner, "substitute_sum",
                             lambda items: calls.append(items) or kernel(items))
     assert classify_p2(m).trimmed() == [X * Y, X]
     assert calls and all(outer and inner for items in calls for _, outer, _, inner in items)

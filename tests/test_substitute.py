@@ -4,6 +4,7 @@ Leibniz loops it replaced (tests/compose_oracle.py)."""
 import importlib
 import json
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from starplane.parser import parse_poly
 from starplane.poly import X, Y, Poly2
 from starplane.quantize import _quantize_cached, quantize, quantize_series
 from starplane.series import HSeries
-from starplane.star import GaugeOp, assoc_defect, gauge_transform, normalize
+from starplane.star import GaugeOp, assoc_defect, gauge_transform, is_associative, normalize
 
 small_polys = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)),
@@ -222,24 +223,66 @@ def test_returned_orders_keep_their_form_apart_from_their_values(monkeypatch):
 
 
 def test_gauge_first_rows_build_no_poly2(monkeypatch):
-    # first[i][q] = m_q(U_i ., .) is read only by the kernel, so it stays in
-    # the kernel's integer form: building a row makes no Poly2 coefficient
+    # every kernel call of the gauge recursion, the rows first[i][q] =
+    # m_q(U_i ., .) among them, returns a result that holds only its integer
+    # form: no call builds a Poly2 coefficient, whether U is given or solved for
     star = importlib.import_module("starplane.star")
     m = quantize(parse_poly("x^2*y+x*y^2"), 4)
     U = GaugeOp(4, {1: DiffOp({(1, 1): 2, (2, 0): Fraction(1, 3)}), 2: DiffOp({(0, 2): -1})})
     want = oracle_gauge_transform(m, U)
-    made, rows = [], []
-    make, form = diffop._make, star._substitute_form
-    monkeypatch.setattr(diffop, "_make", lambda num, den: made.append(den) or make(num, den))
+    calls = []
+    kernel = star.substitute_sum
 
-    def row(items):
-        before = len(made)
-        out = form(items)
-        rows.append(len(made) - before)
-        assert not hasattr(out, "terms")
+    def counted(items):
+        with counting_poly2() as made:
+            out = kernel(items)
+        calls.append(len(made))
         return out
 
-    monkeypatch.setattr(star, "_substitute_form", row)
-    assert gauge_transform(m, U) == want
-    # U_1 and U_2 are nonzero and k < N = 4 for both: rows of 4 and 3 entries
-    assert rows == [0] * 7 and made
+    monkeypatch.setattr(star, "substitute_sum", counted)
+    with counting_poly2() as made:
+        got = gauge_transform(m, U)
+        # U_1 and U_2 are nonzero and k < N = 4 for both: rows of 4 and 3 entries
+        assert len(calls) > 7
+        W, out = normalize(got)
+    # normalize reads each R_k's terms outside the kernel, so the count sees Poly2s
+    assert calls == [0] * len(calls) and made
+    monkeypatch.undo()
+    assert got == want and out == m
+
+
+@contextmanager
+def counting_poly2():
+    """Record every Poly2 built inside the block (each goes through poly._new)."""
+    poly = importlib.import_module("starplane.poly")
+    made, new = [], poly._new
+    poly._new = lambda cls: made.append(cls) or new(cls)
+    try:
+        yield made
+    finally:
+        poly._new = new
+
+
+def test_the_associator_of_a_product_builds_no_poly2():
+    m = quantize(parse_poly("x^2*y+x*y^2"), 5)
+    with counting_poly2() as made:
+        assert is_associative(m)
+    assert made == []
+
+
+@given(cases())
+@settings(max_examples=100, deadline=None)
+def test_a_kernel_result_builds_its_terms_on_first_read_only(case):
+    outer, slot, inner, _ = case
+    got = substitute(outer, slot, inner)
+    with counting_poly2() as made:
+        nonzero = bool(got)  # read off the integer form
+        assert made == []
+        first = got.terms
+        built = len(made)
+        second = got.terms
+    assert nonzero == bool(first) and built == len(first) and len(made) == built
+    assert second is first
+    assert got == oracle_substitute(outer, slot, inner)
+    cached = {id(x) for x in lifted_lists(got)}
+    assert not cached & {id(v) for v in public_values(got)}
