@@ -13,9 +13,9 @@ of an outer operator by the Leibniz rule, on integer numerators.  Each
 operator is lifted to that integer form once and keeps it in a private slot
 that equality, repr and the documents ignore (_lifted_form reads it).  A
 kernel result holds only the form it was accumulated in and builds its
-Poly2 terms from it on first read, so a result only the kernel reads again
-builds no Poly2: the recursion right-hand side T_k (build_rhs_T), the parts
-m_j of the recursion, the associator and the rows of the gauge recursion in
+Poly2 terms from it on first read, so a result only the kernel (or the
+documents) reads again builds no Poly2: the recursion right-hand side T_k,
+the parts m_j of the recursion, the associator and the gauge recursion in
 star.py are such sums.  This module also provides the Euler-Lagrange
 constraint maps, the pure-shape membership test, and the two bases of the
 engine's objects: ReadOnly for values and Record for plain result records
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, perm
+from math import comb, gcd, lcm, perm
 from types import MappingProxyType
 
 from .errors import MissingPriorOrder
@@ -101,10 +101,12 @@ class _OpBase(ReadOnly):
     def __init__(self, terms=None):
         d = {}
         if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for k, p in items:
+            for k, p in terms.items() if hasattr(terms, "items") else terms:
                 if isinstance(p, (int, Fraction)):
                     p = Poly2.const(p)
+                elif not isinstance(p, Poly2):
+                    raise TypeError("operator coefficients must be Poly2, int or Fraction, "
+                                    f"got {type(p).__name__}")
                 _accum(d, k, p)
         object.__setattr__(self, "_terms", MappingProxyType(d))
 
@@ -113,6 +115,20 @@ class _OpBase(ReadOnly):
         """The operator whose terms are the dict d, taken over without a copy."""
         out = cls.__new__(cls)
         object.__setattr__(out, "_terms", MappingProxyType(d))
+        return out
+
+    @classmethod
+    def _of_form(cls, den, acc, reduce=False):
+        """The operator holding only the integer form acc / den, acc: key -> {(i, j): num},
+        zeros dropped; in lowest terms if reduce, so later kernel calls do not grow den."""
+        terms = [(key, flat) for key, a in acc.items()
+                 if (flat := [(i, j, v) for (i, j), v in a.items() if v])]
+        if reduce and den != 1 and (g := gcd(den, *(v for _, f in terms for _, _, v in f))) != 1:
+            den //= g
+            terms = [(key, [(i, j, v // g) for i, j, v in flat]) for key, flat in terms]
+        out = cls.__new__(cls)
+        object.__setattr__(out, "_terms", None)
+        object.__setattr__(out, "_lifted", (den, terms))
         return out
 
     @property
@@ -326,15 +342,7 @@ def substitute_sum(items):
                         f = w * m
                         for k, v in prod.items():
                             a[k] = a.get(k, 0) + v * f
-    terms = []
-    for key, a in acc.items():
-        flat = [(i, j, v) for (i, j), v in a.items() if v]
-        if flat:
-            terms.append((key, flat))
-    out = _ARITY[arity].__new__(_ARITY[arity])
-    object.__setattr__(out, "_terms", None)
-    object.__setattr__(out, "_lifted", (den, terms))
-    return out
+    return _ARITY[arity]._of_form(den, acc)
 
 
 def substitute(outer, slot: int, inner):

@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii as _quote
 
-from .diffop import BiDiffOp
+from .diffop import BiDiffOp, _lifted_form
 from .errors import UsageError
 from .parser import parse_poly
-from .poly import format_poly, format_rational, grlex_key
+from .poly import format_poly, format_rational, format_terms, grlex_key
 from .series import HSeries
 from .star import GaugeOp, PoissonSeries, StarProduct
 
@@ -64,12 +64,13 @@ def _emit(v, out: list, nl: str) -> None:
 
 def _op_entries(op, names) -> list:
     """op's terms graded-lex ascending slot by slot, each as its named index
-    lists plus coeff; a DiffOp key is one slot."""
-    keyed = [((key,) if op.arity == 1 else key, c) for key, c in op.terms.items()]
+    lists plus coeff; a DiffOp key is one slot.  Printed from the kernel's
+    integer form (_lifted_form), so a kernel result builds no Poly2 terms."""
+    den, terms = _lifted_form(op)
     out = []
-    for key, c in sorted(keyed, key=lambda kc: tuple(map(grlex_key, kc[0]))):
+    for key, flat in sorted(terms, key=lambda kf: tuple(map(grlex_key, kf[0]))):
         entry = {name: list(idx) for name, idx in zip(names, key)}
-        entry["coeff"] = format_poly(c)
+        entry["coeff"] = format_terms([((i, j), v) for i, j, v in flat], den)
         out.append(entry)
     return out
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm, perm
 
 from .errors import NotDivisible
@@ -301,28 +302,28 @@ def format_rational(c: Fraction | int) -> str:
 
 
 def format_poly(p: Poly2) -> str:
-    """Canonical text form; graded-lex descending, parseable by parse_poly.
+    """Canonical text form; graded-lex descending, parseable by parse_poly."""
+    return format_terms(p._num.items(), p._den)
 
-    Printed from the integer numerators: one gcd per term reduces n/den.
-    """
-    num, den = p._num, p._den
-    if not num:
-        return "0"
+
+@lru_cache(maxsize=None)
+def _monomial(i: int, j: int) -> str:
+    """x^i*y^j as format_terms prints it; "" for i = j = 0."""
+    x = "" if not i else "x" if i == 1 else "x^" + _digits(i)
+    y = "" if not j else "y" if j == 1 else "y^" + _digits(j)
+    return f"{x}*{y}" if x and y else x or y
+
+
+def format_terms(items, den: int) -> str:
+    """The one polynomial printer: sum n/den x^i y^j over ((i, j), n) items with
+    distinct exponents and n != 0, graded-lex descending, one gcd per term."""
     chunks = []
-    for i, j in sorted(num, key=grlex_key, reverse=True):
-        n = num[i, j]
+    for (i, j), n in sorted(items, key=lambda t: grlex_key(t[0]), reverse=True):
         g = gcd(n, den)
         a, d = abs(n) // g, den // g
-        factors = []
-        if a != d or (i == 0 and j == 0):  # a/d is in lowest terms, so a == d means |c| == 1
-            factors.append(_ratio_str(a, d))
-        if i:
-            factors.append("x" if i == 1 else "x^" + _digits(i))
-        if j:
-            factors.append("y" if j == 1 else "y^" + _digits(j))
-        body = "*".join(factors)
-        if not chunks:
-            chunks.append(("-" if n < 0 else "") + body)
-        else:
-            chunks.append(("- " if n < 0 else "+ ") + body)
-    return " ".join(chunks)
+        body = _monomial(i, j)
+        if a != d or not body:  # a/d is in lowest terms, so a == d means |c| == 1
+            body = f"{_ratio_str(a, d)}*{body}" if body else _ratio_str(a, d)
+        sign = ("- " if n < 0 else "+ ") if chunks else ("-" if n < 0 else "")
+        chunks.append(sign + body)
+    return " ".join(chunks) or "0"

@@ -7,13 +7,14 @@ normalization into the pure dx^a (x) dy^b class, the skew-evaluation map p3,
 and the symmetric Moyal fixture.
 
 The gauge action and normalization share one triangular recursion on
-U o m' = m o (U (x) U), _gauge, which never forms U^{-1}.
+U o m' = m o (U (x) U), _gauge, which never forms U^{-1}; normalization
+reads U_k and m'_k off the recursion's kernel sum R_k in closed form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from types import MappingProxyType
 
 from .diffop import (
@@ -23,6 +24,7 @@ from .diffop import (
     Record,
     is_k2_shape,
     _admissible,
+    _lifted_form,
     substitute_sum,
 )
 from .errors import CapExceeded, Inconsistent, UsageError
@@ -149,26 +151,46 @@ def spq_membership(m: StarProduct) -> bool:
 # -- gauge action ------------------------------------------------------------
 
 
-def _forced(r: BiDiffOp, k: int, max_op_order) -> DiffOp:
-    """U_k whose dU_k cancels every non-admissible slot of R_k.
+def _read_off(r: BiDiffOp, k: int, max_op_order):
+    """(U_k, m'_k) read off R_k's integer numerators in closed form.
 
-    dU_k puts C(nu, rho) u_nu on each slot (rho, sigma) with rho + sigma = nu
-    and both parts nonzero, so a slot (rho, sigma) of R_k outside the
-    admissible shape forces u_(rho+sigma) = coeff / C(rho+sigma, rho).
+    dU_k puts C(nu, rho) u_nu != 0 on each slot (rho, sigma) with rho + sigma
+    = nu, rho and sigma nonzero.  So a slot (A, B) of R_k off the admissible
+    shape forces u_(A+B) = coeff / C(A+B, A); m'_k = R_k - dU_k is pure-shape
+    iff R_k has a slot at every non-admissible split of every forced nu, and
+    is then R_k's admissible part minus u_nu on ((nu_0, 0), (0, nu_1)).
     """
-    forced = {}
-    for (A, B), c in r.terms.items():
+    den, terms = _lifted_form(r)
+    forced = {}  # nu -> (C(nu, A), R_k's numerators at the first slot (A, B) forcing it)
+    for (A, B), flat in terms:
         if _admissible(A, B):
             continue
         if A == (0, 0) or B == (0, 0):
             raise Inconsistent(f"order {k}: slot with an underived argument cannot be gauged away")
         nu = (A[0] + B[0], A[1] + B[1])
-        val = c * Fraction(1, comb(nu[0], A[0]) * comb(nu[1], A[1]))
-        if forced.setdefault(nu, val) != val:
+        c = comb(nu[0], A[0]) * comb(nu[1], A[1])
+        c0, flat0 = forced.setdefault(nu, (c, flat))
+        if flat0 is not flat and ({(i, j): v * c0 for i, j, v in flat}
+                                  != {(i, j): v * c for i, j, v in flat0}):
             raise Inconsistent(f"order {k}: conflicting forced values at {nu}")
+    if not forced:
+        return DiffOp(), r
     if max_op_order is not None and any(sum(nu) > max_op_order for nu in forced):
         raise CapExceeded(f"order {k}: U needs derivative order beyond {max_op_order}")
-    return DiffOp(forced)
+    slots = {key for key, _ in terms}
+    for n0, n1 in forced:
+        for A in ((a0, a1) for a0 in range(n0 + 1) for a1 in range(n1 + 1)):
+            B = (n0 - A[0], n1 - A[1])
+            if A != (0, 0) and B != (0, 0) and not _admissible(A, B) and (A, B) not in slots:
+                raise Inconsistent(f"order {k}: residual non-admissible term at {(A, B)}")
+    L = lcm(*(c for c, _ in forced.values()))
+    u = {(nu,): {(i, j): v * (L // c) for i, j, v in flat} for nu, (c, flat) in forced.items()}
+    m = {key: {(i, j): v * L for i, j, v in flat} for key, flat in terms if _admissible(*key)}
+    for ((n0, n1),), num in u.items():
+        if n0 and n1:
+            a = m.setdefault(((n0, 0), (0, n1)), {})
+            a.update({ij: a.get(ij, 0) - v for ij, v in num.items()})
+    return DiffOp._of_form(den * L, u, True), BiDiffOp._of_form(den * L, m, True)
 
 
 def _gauge(m: StarProduct, U: GaugeOp | None, max_op_order=None):
@@ -176,10 +198,10 @@ def _gauge(m: StarProduct, U: GaugeOp | None, max_op_order=None):
 
     Write R_k for the order-k part of that identity without its three U_k
     terms, namely sum_{q+i+j=k; i,j<k} m_q(U_i., U_j.) minus
-    sum_{p=1..k-1} U_p o m'_(k-p).  Then m'_k = R_k - dU_k with
-    dU(f,g) = U(fg) - U(f)g - fU(g).  Given U, this is the gauge action;
-    with U = None, U_k is read off the non-admissible slots of R_k
-    (_forced), which makes m' pure-shape.  U^{-1} is never formed.
+    sum_{p=1..k-1} U_p o m'_(k-p), one kernel sum.  Then m'_k = R_k - dU_k
+    with dU(f,g) = U(fg) - U(f)g - fU(g).  Given U, this is the gauge action;
+    with U = None, U_k and m'_k are read off R_k in closed form (_read_off),
+    which makes m' pure-shape.  U^{-1} is never formed.
     """
     N = m.n_order
     mult = StarProduct._unit  # the shared units keep their lifted forms across calls
@@ -196,25 +218,19 @@ def _gauge(m: StarProduct, U: GaugeOp | None, max_op_order=None):
                  if q + i and first[i][q] and (q + i == k or us[k - q - i])]
         items += [(-1, us[p], 0, new[k - p]) for p in range(1, k) if us[p] and new[k - p]]
         r = substitute_sum(items) if items else BiDiffOp()
-        uk = U.order_op(k) if U is not None else _forced(r, k, max_op_order)
-        mk = substitute_sum([(1, r, 1, us[0]), (-1, uk, 0, mult), (1, mult, 0, uk),
-                             (1, mult, 1, uk)]) if uk else r
         if U is None:
-            for A, B in mk.terms:
-                if not _admissible(A, B):
-                    raise Inconsistent(f"order {k}: residual non-admissible term at {(A, B)}")
+            uk, mk = _read_off(r, k, max_op_order)
+        else:
+            uk = U.order_op(k)
+            mk = substitute_sum([(1, r, 1, us[0]), (-1, uk, 0, mult), (1, mult, 0, uk),
+                                 (1, mult, 1, uk)]) if uk else r
         us.append(uk)
         new.append(mk)
         if k < N:
             first.append([substitute_sum([(1, mq, 0, uk)]) for mq in ms[:N - k + 1]]
                          if uk else None)
     out = StarProduct(N, dict(enumerate(new[1:], 1)))
-    if U is not None:
-        return out
-    U = GaugeOp(N, dict(enumerate(us[1:], 1)))
-    if not spq_membership(out):
-        raise Inconsistent("normalized product failed the shape check")
-    return U, out
+    return out if U is not None else (GaugeOp(N, dict(enumerate(us[1:], 1))), out)
 
 
 def gauge_transform(m: StarProduct, U: GaugeOp) -> StarProduct:
@@ -230,12 +246,11 @@ def gauge_transform(m: StarProduct, U: GaugeOp) -> StarProduct:
 def normalize(m: StarProduct, max_op_order: int | None = None):
     """Unique U with U1=1, Ux=x, Uy=y and U^{-1} m(U.,U.) of pure shape.
 
-    One pass of the gauge recursion (_gauge) with each U_k read off the
-    non-admissible slots of R_k (_forced); every forced derivative has
-    order >= 2, so U kills 1, x and y.  A slot with an underived argument,
-    conflicting forced values, or a non-admissible slot left in m'_k raise
-    Inconsistent; max_op_order, when given, must be >= 0 and bounds the
-    derivative order of each U_k (CapExceeded otherwise).
+    One pass of the gauge recursion (_gauge) with U_k and m'_k read off R_k
+    (_read_off); every forced derivative has order >= 2, so U kills 1, x and y.
+    Raised in this order: Inconsistent for a slot with an underived argument
+    or conflicting forced values, CapExceeded for a U_k above max_op_order
+    (which must be >= 0), Inconsistent for a non-admissible slot left in m'_k.
     """
     if max_op_order is not None and max_op_order < 0:
         raise UsageError(f"max_op_order must be >= 0, got {max_op_order!r}")

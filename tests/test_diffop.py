@@ -55,6 +55,22 @@ def test_compose_matches_sequential_application(u, v, f):
     assert u.compose(v).apply(f) == u.apply(v.apply(f))
 
 
+def test_operators_are_built_from_any_mapping():
+    # a mapping is read through .items(): an operator's own read-only terms
+    # rebuild an equal operator, never one keyed by the slots' multi-indices
+    op = BiDiffOp({((1, 0), (0, 1)): X, ((2, 0), (0, 0)): Fraction(1, 3)})
+    assert BiDiffOp(op.terms) == op and BiDiffOp(op.terms).terms == op.terms
+    assert DiffOp(DiffOp({(1, 1): 2}).terms) == DiffOp({(1, 1): ONE * 2})
+    assert BiDiffOp(list(op.terms.items())) == op  # (key, coefficient) pairs still work
+
+
+@pytest.mark.parametrize("coeff", ["abc", (0, 1), 1.5, None])
+def test_operator_coefficients_of_another_type_are_refused(coeff):
+    for make in (DiffOp, BiDiffOp, TriDiffOp):
+        with pytest.raises(TypeError, match=type(coeff).__name__):
+            make({(0, 0) if make.arity == 1 else ((0, 0),) * make.arity: coeff})
+
+
 def test_bidiff_apply():
     op = BiDiffOp({((1, 0), (0, 1)): ONE})
     assert op.apply(X ** 2, Y ** 2) == 4 * X * Y
@@ -187,7 +203,7 @@ def test_euler_lagrange_edge_cases():
     assert euler_lagrange(BiDiffOp(), "x") == {}
     # the kernel's one ring is Poly2
     with pytest.raises(TypeError):
-        euler_lagrange(pure_shape({(1, 1): HSeries(1, [X, Y])}), "x")
+        euler_lagrange(BiDiffOp._of({((1, 0), (0, 1)): HSeries(1, [X, Y])}), "x")
 
 
 @pytest.mark.parametrize("slot", [
@@ -229,7 +245,7 @@ def perturbed(T):
     yield "extra slot", TriDiffOp({**terms, ((0, 0), (0, 0), (1, 0)): c})
     yield "slot dropped", TriDiffOp({k: v for k, v in terms.items() if k != slot})
     yield "numerator off by one", TriDiffOp({**terms, slot: off_by_one(c)})
-    yield "HSeries for a Poly2", TriDiffOp({**terms, slot: HSeries.constant(c, 1)})
+    yield "HSeries for a Poly2", TriDiffOp._of({**terms, slot: HSeries.constant(c, 1)})
 
 
 @given(pure_shape_ops)

@@ -1,5 +1,6 @@
 """Star products as values: multiplication, gauge action, normalization."""
 
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import certify_oracle
 from gauge_oracle import oracle_apply_series, oracle_gauge_transform, oracle_inverse, oracle_normalize
+from starplane import poly
 from starplane.diffop import BiDiffOp, DiffOp
 from starplane.errors import CapExceeded, Inconsistent, UsageError
 from starplane.parser import parse_poly
@@ -248,12 +250,52 @@ _GAUGED = GaugeOp(3, {1: DiffOp({(1, 1): 2, (2, 0): Fraction(1, 3)}), 2: DiffOp(
     (StarProduct(2, {1: BiDiffOp({((1, 0), (1, 1)): 2})}), None, Inconsistent),
     (moyal_fixture(1, 3), 1, CapExceeded),
     (oracle_gauge_transform(quantize(X * Y, 3), _GAUGED), 2, CapExceeded),
-], ids=["underived-slot", "conflicting-values", "residual-slot", "moyal-cap", "gauged-cap"])
+    # nu = (2, 1): R_1 holds two of its three non-admissible splits, in agreement
+    (StarProduct(2, {1: BiDiffOp({((1, 0), (1, 1)): 2, ((1, 1), (1, 0)): 2})}), None, Inconsistent),
+    # nu = (3, 0) and (0, 3): no admissible split, one of two missing (nu = (2, 0)
+    # has a single split, the slot that forces it, so it cannot miss one)
+    (StarProduct(2, {1: BiDiffOp({((1, 0), (2, 0)): X})}), None, Inconsistent),
+    (StarProduct(2, {2: BiDiffOp({((0, 2), (0, 1)): 3})}), None, Inconsistent),
+    # the cap is checked before the residual: both would fail here
+    (StarProduct(2, {1: BiDiffOp({((1, 0), (1, 1)): 2})}), 2, CapExceeded),
+    (StarProduct(2, {1: BiDiffOp({((1, 0), (2, 0)): X})}), 2, CapExceeded),
+], ids=["underived-slot", "conflicting-values", "residual-slot", "moyal-cap", "gauged-cap",
+        "residual-mixed-nu", "residual-nu-30", "residual-nu-03", "cap-before-residual",
+        "cap-before-residual-nu-30"])
 def test_normalize_failures_match_inverse_route(m, cap, error):
     with pytest.raises(error):
         normalize(m, max_op_order=cap)
     with pytest.raises(error):
         oracle_normalize(m, max_op_order=cap)
+
+
+@pytest.mark.parametrize("slots, missing", [
+    ({((1, 0), (1, 1)): 2, ((1, 1), (1, 0)): 2}, ((0, 1), (2, 0))),
+    ({((1, 0), (2, 0)): X}, ((2, 0), (1, 0))),
+    ({((0, 2), (0, 1)): 3}, ((0, 1), (0, 2))),
+])
+def test_normalize_names_the_missing_split(slots, missing):
+    with pytest.raises(Inconsistent, match=re.escape(f"residual non-admissible term at {missing}")):
+        normalize(StarProduct(2, {1: BiDiffOp(slots)}))
+
+
+@pytest.mark.parametrize("m", [
+    # nu = (2, 0) and (0, 2): the forcing slot is the only split
+    StarProduct(1, {1: BiDiffOp({((1, 0), (0, 1)): ONE, ((1, 0), (1, 0)): 2 * X,
+                                 ((0, 1), (0, 1)): Y})}),
+    # nu = (2, 1) with all three non-admissible splits, and nu = (1, 1) with its admissible one
+    StarProduct(1, {1: BiDiffOp({((1, 0), (1, 1)): 2, ((1, 1), (1, 0)): 2, ((0, 1), (2, 0)): 1,
+                                 ((0, 1), (1, 0)): X, ((1, 0), (0, 1)): Y})}),
+    oracle_gauge_transform(quantize(X * Y, 3), _GAUGED),
+    moyal_fixture(Fraction(3, 7), 4),
+], ids=["nu-20-02", "all-splits", "gauged", "moyal"])
+def test_normalize_closed_form_matches_inverse_route_and_builds_no_poly2(m, monkeypatch):
+    made, new = [], poly._new
+    monkeypatch.setattr(poly, "_new", lambda cls: made.append(cls) or new(cls))
+    U, out = normalize(m)
+    assert made == []  # U_k and m'_k are read off R_k's integer form
+    monkeypatch.undo()
+    assert (U, out) == oracle_normalize(m)
 
 
 def test_star_product_attributes_are_read_only():

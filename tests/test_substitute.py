@@ -6,6 +6,7 @@ import json
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -85,11 +86,16 @@ def test_hochschild_b_matches_the_split_loops(D):
 
 
 def test_other_coefficient_rings_are_refused():
+    # the constructor refuses them; an operator that holds one anyway (built
+    # from its terms dict, as scale by an HSeries does) is refused by the kernel
     phi = X * Y + 1
-    local = BiDiffOp({((0, 0), (0, 0)): LocalizedFn(X, 1, phi)})
-    series = BiDiffOp({((0, 0), (0, 0)): HSeries(1, [LocalizedFn(X, 0, phi)] * 2)})
-    poly_series = BiDiffOp({((1, 0), (0, 0)): HSeries(1, [X, Y])})
-    for op in (local, series, poly_series):
+    terms = [{((0, 0), (0, 0)): LocalizedFn(X, 1, phi)},
+             {((0, 0), (0, 0)): HSeries(1, [LocalizedFn(X, 0, phi)] * 2)},
+             {((1, 0), (0, 0)): HSeries(1, [X, Y])}]
+    for d in terms:
+        with pytest.raises(TypeError):
+            BiDiffOp(d)
+    for op in map(BiDiffOp._of, terms):
         with pytest.raises(TypeError):
             substitute(BiDiffOp.multiplication(), 0, op)
         with pytest.raises(TypeError):
@@ -245,10 +251,25 @@ def test_gauge_first_rows_build_no_poly2(monkeypatch):
         # U_1 and U_2 are nonzero and k < N = 4 for both: rows of 4 and 3 entries
         assert len(calls) > 7
         W, out = normalize(got)
-    # normalize reads each R_k's terms outside the kernel, so the count sees Poly2s
-    assert calls == [0] * len(calls) and made
+    # normalize reads U_k and m'_k off R_k's integer form, so neither builds a Poly2
+    assert calls == [0] * len(calls) and made == []
     monkeypatch.undo()
     assert got == want and out == m
+
+
+def test_normalize_reads_off_orders_in_lowest_terms():
+    # U_k and m'_k are read off over den(R_k) * lcm of the binomials and then
+    # reduced, so the denominators of later kernel calls, products of
+    # these, do not grow order by order
+    m = quantize(parse_poly("x^2*y+x*y^2"), 5)
+    U = GaugeOp(5, {1: DiffOp({(1, 1): 2, (2, 0): Fraction(1, 3)}), 2: DiffOp({(0, 2): -1}),
+                    3: DiffOp({(2, 1): Fraction(5, 7)})})
+    W, out = normalize(gauge_transform(m, U))
+    assert sorted(W.orders) == [1, 2, 3, 4, 5]  # every order is read off
+    for op in [*W.orders.values(), *out.orders.values()]:
+        den, terms = op._lifted
+        assert gcd(den, *(v for _, flat in terms for _, _, v in flat)) == 1
+    assert out == m
 
 
 @contextmanager
