@@ -22,7 +22,7 @@ from .star import assoc_defect, normalize, star_mul
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
-        raise ParseError(message, 0, 0, expected=())
+        raise UsageError(message)
 
 
 def _build_parser() -> _ArgumentParser:
@@ -119,7 +119,7 @@ def _run(args, out) -> int:
                   file=sys.stderr)
             return 1
         return 0
-    raise ParseError(f"unknown command {args.command!r}", 0, 0, expected=())
+    raise UsageError(f"unknown command {args.command!r}")
 
 
 def main(argv=None) -> int:

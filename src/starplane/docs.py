@@ -92,23 +92,36 @@ def _multi_index(v) -> tuple:
     return tuple(v)
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "a number",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _expect(v, t: type, what: str):
+    """v if its JSON type is t's, else UsageError naming what and both types."""
+    if type(v) is not t:
+        got = _JSON_TYPES.get(type(v), "a value")
+        raise UsageError(f"{what} must be {_JSON_TYPES[t]}, got {got}")
+    return v
+
+
 def star_product_from_doc(doc: dict) -> StarProduct:
-    """Read a star_product document; a malformed one raises UsageError."""
+    """Read a star_product document; a malformed one raises UsageError naming its wrong part."""
     try:
-        if doc.get("kind") != "star_product":
+        if _expect(doc, dict, "a star_product document").get("kind") != "star_product":
             raise UsageError(f"expected a star_product document, got {doc.get('kind')!r}")
         n = doc["h_order"]
         if type(n) is not int or n < 1:
             raise UsageError(f"h_order must be an integer >= 1, got {n!r}")
         orders = {}
-        for entry in doc["terms"]:
-            k = entry["k"]
+        for entry in _expect(doc["terms"], list, "terms"):
+            k = _expect(entry, dict, "each entry of terms")["k"]
             if type(k) is not int or not 1 <= k <= n:
                 raise UsageError(f"term order k must be an integer in 1..{n}, got {k!r}")
             if k in orders:
                 raise UsageError(f"term order k = {k} appears twice")
             terms = {}
-            for op in entry["ops"]:
+            for op in _expect(entry["ops"], list, f"ops of order k = {k}"):
+                _expect(op, dict, f"each entry of ops at order k = {k}")
                 key = (_multi_index(op["df"]), _multi_index(op["dg"]))
                 if key in terms:
                     raise UsageError(f"order k = {k} repeats the entry df = {op['df']}, "
@@ -121,8 +134,6 @@ def star_product_from_doc(doc: dict) -> StarProduct:
         return StarProduct(n, orders)
     except KeyError as exc:
         raise UsageError(f"star_product document lacks the key {exc}") from None
-    except (AttributeError, TypeError) as exc:
-        raise UsageError(f"malformed star_product document: {exc}") from None
 
 
 def gauge_op_doc(u: GaugeOp) -> dict:

@@ -20,6 +20,16 @@ solved like a polynomial order, and the t^d part of order j lands at
 h^(j+d).  _build runs it once, by total h-order; quantize is the case of
 one part per order.  psi_(n-1) reaches h^n only as psi_(n-1) dx (x) dy, so
 classify_p2 reads it off order n in the same pass: the round trip itself.
+
+The pass is cached step by step in _step, a bounded lru_cache: the state
+after h-order n depends only on psi_0..psi_(n-2), so it is keyed by n and
+that prefix without trailing zeros, which quantize_series's trimmed
+coefficients and classify_p2's series read so far share.  So within one
+process classify_p2 on a product built earlier solves nothing, and
+quantize(phi, N) after quantize(phi, N') solves only orders N'+1..N; each
+K_k[d] is certified when it is first solved.  A process that has not built
+the series (the CLI runs one command per process) gets only the cold-path
+saving: the t-degree bound of each step follows the series read so far.
 """
 
 from __future__ import annotations
@@ -81,49 +91,83 @@ def solve_order(T, k: int) -> BiDiffOp:
     return K
 
 
-def _build(psi, N: int):
-    """Yield (parts, kops), n = 1..N: the recursion for phi_t = sum t^c psi[c] by h-order.
+def _trim(coeffs) -> tuple:
+    """The coefficients as a tuple without trailing zeros: the key of _step."""
+    coeffs = tuple(coeffs)
+    n = len(coeffs)
+    while n and coeffs[n - 1].is_zero():
+        n -= 1
+    return coeffs[:n]
+
+
+# A state holds read-only operators in tuples, so every later step and
+# caller may share it.  The bound keeps memory flat in long runs.
+@lru_cache(maxsize=256)
+def _step(n: int, prefix: tuple) -> tuple:
+    """(kops, mops, mult, parts): the recursion for phi_t = sum t^c psi_c after h-order n.
 
     K_k has degree k-1 in phi_t and its t^d part K_k[d] lands at h^(k+d), as
     does m_j[d] = sum_{c+e=d} psi_c K_j[e], the t^d part of order j.  Step n
-    solves each K_k[n-k], 2 <= k <= n and n-k <= (k-1)(len(psi)-1), from
-    T_k[n-k], which reads only parts below h^n, then forms m_k[n-k], so each
-    psi_c K_j[e] is formed once.  At the n-th yield parts holds the m_k[n-k],
-    k >= 2, whose sum rest_n is order n less m_1[n-1] = psi_(n-1) dx (x) dy;
-    then a caller may fill in psi[n-1], and m_1[n-1] joins parts.  Only
-    K_k[d] = kops[k-1][d], a pure-shape BiDiffOp, gets Poly2 coefficients:
-    T_k[d] (build_rhs_T) and m_k[d] are kernel results that only the kernel
-    reads, so they build none.  psi = [phi] for a polynomial phi.
+    solves each K_k[n-k], 2 <= k <= n, from T_k[n-k], which reads only parts
+    below h^n, then forms m_k[n-k], so each psi_c K_j[e] is formed once.
+    Every part step n makes reads only psi_0..psi_(n-2), so prefix is those
+    with trailing zeros dropped, and a part past the t-degree bound that
+    prefix gives, K_k[d] with d > (k-1)(len(prefix)-1), is zero: it is
+    neither built nor solved.  kops[k-1][d] = K_k[d] and mops[j-1][d] =
+    m_j[d], a zero operator where a part is zero, so each index is the
+    t-degree; mult[c] multiplies by psi_c, c <= n-2, and m_1[c] = psi_c
+    dx (x) dy.  parts holds the nonzero m_k[n-k], k >= 2, whose sum rest_n
+    is order n less m_1[n-1].  Only
+    K_k[d], a pure-shape BiDiffOp, gets Poly2 coefficients: T_k[d]
+    (build_rhs_T) and m_k[d] are kernel results that only the kernel reads,
+    so they build none.  Step n extends step n - 1, so a series whose prefix
+    was built before in this process solves nothing again.
     """
-    width = len(psi) - 1
-    kops = [[BiDiffOp({_DXDY: 1})]] + [[] for _ in range(N - 1)]
-    mops = [[] for _ in range(N)]
-    mult = []  # mult[c] = DiffOp({(0, 0): psi[c]})
+    if n == 1:
+        return ((BiDiffOp({_DXDY: 1}),),), ((),), (), ()
+    kops, mops, mult, _ = _step(n - 1, _trim(prefix[:n - 2]))
+    kops = [list(row) for row in kops] + [[]]
+    mops = [list(row) for row in mops] + [[]]
+    new = prefix[n - 2:]  # (psi_(n-2),), or () when it is zero
+    mult += (DiffOp({(0, 0): c for c in new}),)
+    mops[0].append(BiDiffOp({_DXDY: c for c in new}))
+    width = len(prefix) - 1  # the t-degree of phi_t as far as step n reads it
+    parts = []
+    for k in range(2, n + 1):
+        d = n - k
+        T = build_rhs_T(k, d, kops, mops) if d <= (k - 1) * width else None
+        # K = 0 is the one solution of an empty T: nothing to solve or certify
+        kops[k - 1].append(solve_order(T, k) if T else BiDiffOp())
+        items = [(1, mult[d - e], 0, K) for e, K in enumerate(kops[k - 1]) if K and mult[d - e]]
+        mops[k - 1].append(substitute_sum(items) if items else BiDiffOp())
+        if items:
+            parts.append(mops[k - 1][-1])
+    return tuple(map(tuple, kops)), tuple(map(tuple, mops)), mult, tuple(parts)
+
+
+def _build(psi, N: int):
+    """Yield _step's states n = 1..N for phi_t = sum t^c psi[c]; psi = [phi] for
+    a polynomial phi.  Step n is keyed by psi[:n-1] without trailing zeros,
+    read when it starts, so after the n-th yield a caller may fill in psi[n-1]
+    (classify_p2 does).  A step built before in this process, by any series
+    with the same prefix, is reused; the others are solved and certified."""
     for n in range(1, N + 1):
-        parts = []
-        for k in range(2, n + 1):
-            if n - k <= (k - 1) * width:
-                T = build_rhs_T(k, n - k, kops, mops)
-                # K = 0 is the one solution of an empty T: nothing to solve or certify
-                kops[k - 1].append(solve_order(T, k) if T else BiDiffOp())
-            if n - k <= k * width:
-                items = [(1, mult[n - k - d], 0, K) for d, K in enumerate(kops[k - 1])
-                         if n - k - d <= width and K and mult[n - k - d]]
-                mops[k - 1].append(substitute_sum(items) if items else BiDiffOp())
-                parts.append(mops[k - 1][-1])
-        yield parts, kops
-        if n <= len(psi):
-            mult.append(DiffOp({(0, 0): psi[n - 1]}))
-            mops[0].append(BiDiffOp({_DXDY: psi[n - 1]}))
-            parts.append(mops[0][-1])
+        yield _step(n, _trim(psi[:n - 1]))
 
 
 def _orders(psi, N: int):
-    """({n: order n}, kops) of the product for sum h^i psi_i through h^N;
-    each order is one kernel sum of its parts, its terms built on first read."""
-    steps = list(_build(psi, N))
-    return {n: substitute_sum([(1, op, 0, _ONE) for op in parts if op])
-            for n, (parts, _) in enumerate(steps, 1) if any(parts)}, steps[-1][1]
+    """({n: order n}, kops) of the product for sum h^i psi_i through h^N; order n
+    is one kernel sum of rest_n's parts and m_1[n-1], its terms built on first read."""
+    states = list(_build(psi, N))
+    kops, mops = states[-1][:2]
+    # m_1[n-1] for n < N is the operator step n + 1 holds, so each is built once
+    k1 = mops[0] + (BiDiffOp({_DXDY: c for c in psi[N - 1:N]}),)
+    orders = {}
+    for n, (*_, parts) in enumerate(states, 1):
+        ops = [op for op in parts + (k1[n - 1],) if op]
+        if ops:
+            orders[n] = substitute_sum([(1, op, 0, _ONE) for op in ops])
+    return orders, kops
 
 
 # Products are read-only, so every caller may share the cached one.  The
@@ -148,12 +192,12 @@ def quantize_series(psi: PoissonSeries | list, N: int) -> StarProduct:
 
     psi_i first reaches the product at h^(i+1), so psi_i with i >= N is dropped;
     a series with one nonzero coefficient left goes through the cached quantize,
-    and one with none has no parts.
+    and one with none has no parts.  The steps of the recursion stay in _step's
+    cache, keyed by the coefficients they read, so classify_p2 on the result in
+    the same process, or a later call that shares a prefix, reuses them.
     """
     _check_order(N)
-    coeffs = list(psi.coeffs if isinstance(psi, PoissonSeries) else psi)[:N]
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
+    coeffs = _trim(list(psi.coeffs if isinstance(psi, PoissonSeries) else psi)[:N])
     if len(coeffs) == 1:
         return quantize(coeffs[0], N)
     return StarProduct(N, _orders(coeffs, N)[0])
@@ -167,14 +211,18 @@ def classify_p2(m: StarProduct) -> PoissonSeries:
     hold only the dx (x) dy slot, whose coefficient is psi_(n-1); any other
     slot raises NotInImage.  This is the round trip on every order and slot,
     compared on integer numerators: only the terms of m_n - rest_n are built.
+    Step n is keyed by the psi_0..psi_(n-2) read so far, the key
+    quantize_series gave it, so on a product built earlier in this process
+    every step comes from _step's cache and only the comparison runs; a cold
+    step bounds its t-degrees by the series read so far, not by N - 1.
     """
     if not spq_membership(m):
         raise NotNormalized("classify_p2 requires a pure-shape product")
     N = m.n_order
     psi = [Poly2.zero()] * N
-    for n, (parts, _) in enumerate(_build(psi, N), 1):
+    for n, (*_, parts) in enumerate(_build(psi, N), 1):
         left = substitute_sum([(1, m.order_op(n), 0, _ONE)]
-                              + [(-1, op, 0, _ONE) for op in parts if op]).terms
+                              + [(-1, op, 0, _ONE) for op in parts]).terms
         if any(key != _DXDY for key in left):
             raise NotInImage("product is not in the image of quantization")
         if left:

@@ -114,6 +114,19 @@ def test_usage_error_exit_code():
     assert code == 3
 
 @pytest.mark.parametrize("argv", [
+    ["quantize", "--phi", "x*y", "--order", "2", "--extra"],  # an unknown flag
+    ["quantize", "--phi", "x*y", "--order", "abc"],
+    [],  # no subcommand
+])
+def test_usage_error_names_no_position(argv, capsys):
+    # argparse's messages have no place in a source text, so none is given
+    code, out = run_cli(argv)
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert " line " not in err and "column" not in err
+
+@pytest.mark.parametrize("argv", [
     ["quantize", "--phi", "x", "--order", "0"],
     ["fit-lie", "--k", "0", "--samples", "x*y"],
     ["berezin", "--phi", "0", "--order", "2"],
@@ -128,6 +141,16 @@ def test_argument_outside_domain_exit_code(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     if argv[-1] == "-1":  # the message names the value given
         assert err.rstrip().endswith("got -1")
+
+# documents with a container of the wrong JSON type, and the part each message names
+CONTAINER_ERRORS = {
+    '[{"kind": "star_product", "h_order": 1, "terms": []}]':
+        "a star_product document must be an object, got an array",
+    '{"kind": "star_product", "h_order": 1, "terms": {"k": 1, "ops": []}}':
+        "terms must be an array, got an object",
+    '{"kind": "star_product", "h_order": 1, "terms": [{"k": 1, "ops": [5]}]}':
+        "each entry of ops at order k = 1 must be an object, got a number",
+}
 
 @pytest.mark.parametrize("content", [
     "{",
@@ -156,6 +179,7 @@ def test_argument_outside_domain_exit_code(argv, capsys):
     '{"kind": "star_product", "h_order": 1, "terms": ['
     '{"k": 1, "ops": [{"df": [1, 0], "dg": [0, 1], "coeff": "1"}, '
     '{"df": [1, 0], "dg": [0, 1], "coeff": "x"}]}]}',
+    *CONTAINER_ERRORS,
 ])
 def test_malformed_product_file_exit_code(tmp_path, capsys, content):
     f = tmp_path / "p.json"
@@ -164,6 +188,8 @@ def test_malformed_product_file_exit_code(tmp_path, capsys, content):
     assert code == 3 and out == ""
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if content in CONTAINER_ERRORS:
+        assert err == f"error: {CONTAINER_ERRORS[content]}\n"
 
 @pytest.mark.parametrize("command", ["classify", "assoc-check", "normalize"])
 @pytest.mark.parametrize("coeff", ["5", "null"])

@@ -19,7 +19,9 @@ from starplane.errors import Infeasible, NotInImage, NotNormalized, UsageError
 
 from starplane.poly import ONE, X, Y, Poly2
 from starplane.quantize import (
+    _build,
     _quantize_cached,
+    _step,
     classify_p2,
     quantize,
     quantize_series,
@@ -174,13 +176,16 @@ def test_the_recursion_builds_no_poly2_for_T_or_m(monkeypatch):
     # are the kappa of each K_k[d], the slots of each product order, psi, and
     # the constant of K_1 in each pass (before: about 1,260 per classify pass)
     psi = [X * Y, Y, X]
+    _step.cache_clear()  # each measured call runs the recursion cold
     made, kappas, m = count_poly2(monkeypatch, lambda: quantize_series(psi, 5))
     slots = sum(len(op.terms) for op in m.orders.values())
     assert made <= kappas + slots + 1
+    _step.cache_clear()
     made, kappas, back = count_poly2(monkeypatch, lambda: classify_p2(m))
     assert back.trimmed() == psi
     assert made <= kappas + len(back.coeffs) + 1
     _quantize_cached.cache_clear()
+    _step.cache_clear()
     phi = X ** 2 * Y + X * Y ** 2
     made, kappas, m = count_poly2(monkeypatch, lambda: quantize(phi, 5))
     assert kappas == sum(len(K.terms) for k, K in m.ktables.items() if k >= 2)
@@ -203,6 +208,7 @@ def test_quantize_series_forms_each_product_once(monkeypatch, psi, N):
         return kernel(items)
 
     monkeypatch.setattr(module, "substitute_sum", counted)
+    _step.cache_clear()  # a cold recursion
     m = quantize_series(psi, N)
     monkeypatch.undo()
     assert calls and len(calls) == len(set(calls))
@@ -335,6 +341,7 @@ def test_classify_runs_the_recursion_once(monkeypatch):
     monkeypatch.setattr(module, "build_rhs_T", counted_rhs)
     monkeypatch.setattr(module, "solve_order", lambda T, k: solves.append(k) or solve(T, k))
     monkeypatch.setattr(module, "quantize_series", lambda *a: series.append(a) or qs(*a))
+    _step.cache_clear()  # a cold recursion; a warm one solves nothing
     assert classify_p2(m).trimmed() == [X * Y, Y, X]
     parts = [key for key, _ in rhs]
     assert len(parts) == len(set(parts)) <= N * (N - 1) // 2
@@ -349,6 +356,7 @@ def test_classify_solves_no_empty_part(monkeypatch):
     solves = []
     solve = module.solve_order
     monkeypatch.setattr(module, "solve_order", lambda T, k: solves.append(k) or solve(T, k))
+    _step.cache_clear()  # a cold recursion
     assert classify_p2(m).trimmed() == [X * Y, X]
     assert len(solves) == 11  # 15 with the 4 empty parts solved
 
@@ -362,6 +370,7 @@ def test_classify_passes_no_zero_part_to_the_kernel(monkeypatch):
     for owner in (diffop, module):
         monkeypatch.setattr(owner, "substitute_sum",
                             lambda items: calls.append(items) or kernel(items))
+    _step.cache_clear()  # a cold recursion
     assert classify_p2(m).trimmed() == [X * Y, X]
     assert calls and all(outer and inner for items in calls for _, outer, _, inner in items)
     # both routes ran: T_k[d] (three arguments) and m_j[d] (psi_c times K_j[e])
@@ -400,6 +409,105 @@ def test_classify_inverts_quantize_series_on_every_order(case, data):
     tweaked = {**m.orders, n: m.order_op(n) + BiDiffOp({((a, 0), (0, b)): bump})}
     with pytest.raises(NotInImage):
         classify_p2(StarProduct(N, tweaked))
+
+def test_classify_of_a_product_built_in_this_process_solves_nothing(monkeypatch):
+    # quantize_series leaves each step of its recursion in the step cache,
+    # keyed by the series read so far; classify_p2 reads the same series, so
+    # it only compares each order with rest_n + psi_(n-1) dx (x) dy
+    psi, N = [X * Y, Poly2.zero(), X, Y], 6
+    m = quantize_series(psi, N)
+    module = importlib.import_module("starplane.quantize")
+    calls = []
+    for name in ("build_rhs_T", "solve_order"):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    assert classify_p2(m) == PoissonSeries(len(psi) - 1, psi)
+    assert calls == []
+
+
+def test_quantize_extends_a_shorter_build(monkeypatch):
+    # after quantize(phi, N - 2), quantize(phi, N) solves only orders N - 1
+    # and N, and matches a cold build in its orders, tables and document
+    phi, N = X ** 2 * Y + X * Y ** 2, 6
+    _quantize_cached.cache_clear()
+    _step.cache_clear()
+    cold = quantize(phi, N)
+    _quantize_cached.cache_clear()
+    _step.cache_clear()
+    quantize(phi, N - 2)
+    module = importlib.import_module("starplane.quantize")
+    orders = []
+    build = module.build_rhs_T
+    monkeypatch.setattr(module, "build_rhs_T",
+                        lambda k, d, *a: orders.append(k + d) or build(k, d, *a))
+    warm = quantize(phi, N)
+    assert warm is not cold and set(orders) == {N - 1, N}
+    assert warm.orders == cold.orders and warm.ktables == cold.ktables
+    assert docs.render(docs.star_product_doc(warm)) == docs.render(docs.star_product_doc(cold))
+
+
+def form_lists(op):
+    """Every list of op's integer form, if it holds one."""
+    try:
+        _, terms = op._lifted
+    except AttributeError:
+        return []
+    return [terms] + [flat for _, flat in terms]
+
+
+def public_values(op):
+    """What a caller can reach from op without a leading underscore."""
+    return [op.terms, *op.terms.values()]
+
+
+def run_calls(calls, cold):
+    """Each call's results as (product, its document, classify's series or None);
+    both caches are emptied before every public call if cold, else once."""
+    def clear():
+        _quantize_cached.cache_clear()
+        _step.cache_clear()
+
+    clear()
+    out = []
+    for kind, psi, N in calls:
+        if cold:
+            clear()
+        m = quantize(psi[0], N) if kind == "quantize" else quantize_series(psi, N)
+        if cold:
+            clear()
+        back = classify_p2(m) if kind == "classify" else None
+        out.append((m, docs.render(docs.star_product_doc(m)), back))
+    return out
+
+
+maybe_zero = series_polys | st.just(Poly2.zero())
+
+
+@given(st.lists(maybe_zero, min_size=1, max_size=3),
+       st.lists(st.tuples(st.sampled_from(["quantize", "series", "classify"]),
+                          st.integers(1, 3), st.lists(maybe_zero, max_size=2),
+                          st.integers(1, 4)), min_size=1, max_size=4))
+@settings(max_examples=20, deadline=None)
+def test_a_warm_step_cache_gives_what_a_cold_one_gives(base, draws):
+    # calls on series that share prefixes, with interior and trailing zeros,
+    # in any order: each result, document and classified series is the one a
+    # cold cache gives, and no list of a cached state's integer form is
+    # reachable from a returned product
+    calls = [(kind, base[:cut] + extra, N) for kind, cut, extra, N in draws]
+    warm = run_calls(calls, cold=False)
+    # the states the warm calls left in the cache, and the lists in their forms
+    cached = {id(x) for kind, psi, N in calls
+              for state in _build(psi[:1] if kind == "quantize" else psi, N)
+              for ops in (*state[0], *state[1], state[2], state[3]) for op in ops
+              for x in form_lists(op)}
+    for m, _, _ in warm:
+        for op in m.orders.values():
+            assert not cached & {id(x) for x in form_lists(op) + public_values(op)}
+    cold = run_calls(calls, cold=True)
+    for (m, doc, back), (m0, doc0, back0) in zip(warm, cold):
+        assert m == m0 and doc == doc0 and m.ktables == m0.ktables
+        assert back == back0 and (back is None or back.coeffs == back0.coeffs)
+
 
 def test_skew_evaluation_leads_with_phi():
     phi = 2 * X + 5

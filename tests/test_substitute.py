@@ -25,7 +25,7 @@ from starplane.diffop import (
 from starplane.localized import LocalizedFn
 from starplane.parser import parse_poly
 from starplane.poly import X, Y, Poly2
-from starplane.quantize import _quantize_cached, quantize, quantize_series
+from starplane.quantize import _quantize_cached, _step, quantize, quantize_series
 from starplane.series import HSeries
 from starplane.star import GaugeOp, assoc_defect, gauge_transform, is_associative, normalize
 
@@ -187,6 +187,7 @@ def count_lifts(monkeypatch):
 
 def test_quantize_lifts_each_operator_once(monkeypatch):
     _quantize_cached.cache_clear()
+    _step.cache_clear()
     seen = count_lifts(monkeypatch)
     quantize(parse_poly("x^2*y+x*y^2"), 6)
     # K_1..K_6 (K_2..K_6 by their own certificates), phi K_1 and the
@@ -209,6 +210,7 @@ def test_returned_orders_keep_their_form_apart_from_their_values(monkeypatch):
     # they were summed in: no list of it is reachable from the order's public
     # values, so emptying every list leaves each order's value as it was
     _quantize_cached.cache_clear()
+    _step.cache_clear()
     seen = count_lifts(monkeypatch)
     phi = parse_poly("x^2*y+x*y^2")
     U = GaugeOp(4, {1: DiffOp({(1, 1): 2, (2, 0): Fraction(1, 3)}), 2: DiffOp({(0, 2): -1})})
