@@ -9,9 +9,17 @@ sees no other ring.
 
 Every composition of operators is one kernel, substitute_sum (substitute
 for a single term): it feeds an inner operator's output into one argument
-of an outer operator by the Leibniz rule, on integer numerators.  Each
-operator is lifted to that integer form once and keeps it in a private slot
-that equality, repr and the documents ignore (_lifted_form reads it).  A
+of an outer operator by the Leibniz rule, on integer numerators, in two
+stages.  Stage 1 adds each product c * d^p e of an outer coefficient and a
+derivative of an inner one into a bucket per (outer key around the slot,
+inner key, derivative left over), shared by every item of the call; stage 2
+spreads each bucket once over the inner arguments.  Inside a call a
+monomial x^i y^j is the one int i << s | j, s sized to the call, so the
+buckets and output slots hold only ints: no key tuple is made per product,
+and the cyclic garbage collector does not track those dicts.  Each
+operator is lifted once to integer numerators over one denominator, stored
+as (i, j, numerator) triples, and keeps that form in a private slot that
+equality, repr and the documents ignore (_lifted_form reads it).  A
 kernel result holds only the form it was accumulated in and builds its
 Poly2 terms from it on first read, so a result only the kernel (or the
 documents) reads again builds no Poly2: the recursion right-hand side T_k,
@@ -118,11 +126,19 @@ class _OpBase(ReadOnly):
         return out
 
     @classmethod
-    def _of_form(cls, den, acc, reduce=False):
-        """The operator holding only the integer form acc / den, acc: key -> {(i, j): num},
-        zeros dropped; in lowest terms if reduce, so later kernel calls do not grow den."""
-        terms = [(key, flat) for key, a in acc.items()
-                 if (flat := [(i, j, v) for (i, j), v in a.items() if v])]
+    def _of_form(cls, den, acc, s, reduce=False):
+        """The operator holding only the integer form acc / den, acc: key -> {i << s | j: num}
+        for the monomial x^i y^j, j < 2^s, unpacked to (i, j, num) with zeros dropped;
+        in lowest terms if reduce, so later kernel calls do not grow den."""
+        mask = (1 << s) - 1
+        terms = []
+        for key, a in acc.items():  # loops, not comprehensions: most slots are short
+            flat = []
+            for k, v in a.items():
+                if v:
+                    flat.append((k >> s, k & mask, v))
+            if flat:
+                terms.append((key, flat))
         if reduce and den != 1 and (g := gcd(den, *(v for _, f in terms for _, _, v in f))) != 1:
             den //= g
             terms = [(key, [(i, j, v // g) for i, j, v in flat]) for key, flat in terms]
@@ -278,6 +294,34 @@ _ONE = DiffOp.identity()  # summing with the identity adds the outer operators
 _IDENTITY = _lift(_ONE)[1]  # the lifted terms of a multiple of the identity
 
 
+def _width(forms):
+    """The bit width s of monomial keys i << s | j for the lifted forms: every
+    y-exponent j in them is below 2^(s-1), so the key of the product of two
+    monomials is the sum of theirs, exactly."""
+    top = 0
+    for _, terms in forms:
+        for _, flat in terms:
+            for _, j, _ in flat:
+                if j > top:
+                    top = j
+    return top.bit_length() + 1
+
+
+def _packed(terms, s):
+    """Lifted terms as (key, [(i << s | j, numerator), ...], largest i, largest j)."""
+    out = []
+    for key, flat in terms:
+        mono, mx, my = [], 0, 0
+        for i, j, v in flat:
+            mono.append((i << s | j, v))
+            if i > mx:
+                mx = i
+            if j > my:
+                my = j
+        out.append((key, mono, mx, my))
+    return out
+
+
 def substitute_sum(items):
     """sum of sign * substitute(outer, slot, inner) over (sign, outer, slot, inner).
 
@@ -287,11 +331,18 @@ def substitute_sum(items):
     it later lifts nothing.  A call works over D = lcm of d_outer * d_inner
     over its items, scaling each item's weight by D / (d_outer * d_inner).
     For outer term c d^A in the slot and inner term e d^B1 .. d^Bn,
-    d^A (e F) = sum C(A; p, q1..qn) d^p e d^(B1+q1) .. d^(Bn+qn): each d^p e
-    is formed once per call (d^0 e is e) and c * d^p e once per p, and plain
-    ints are accumulated per output slot.  An inner identity changes no key,
-    so that item adds the outer's numerators as they are.  Every item must
-    give the same arity.
+    d^A (e F) = sum_p C(A; p) d^p e d^(A-p) (d^B1 .. d^Bn), in two stages.
+    Stage 1 adds sign * C(A; p) * c * d^p e into one bucket per (outer key
+    around the slot, inner key, rest = A - p), which every item of the call
+    shares; a share p beyond e's largest x- or y-exponent is skipped (each
+    operand is packed, its largest exponents found, once per call), and each
+    d^p e is formed once per call (d^0 e is e).  Stage 2 spreads each bucket
+    once: d^rest over the inner arguments (_spread) into the output slots.
+    Inside a call the monomial x^i y^j is the one int i << s | j (_width), so
+    buckets and output slots hold only ints, which the cyclic garbage
+    collector leaves untracked.  An inner identity changes no key, so that
+    item adds the outer's numerators to its slots as they are.  Every item
+    must give the same arity.
     """
     (arity,) = {outer.arity + inner.arity - 1 for _, outer, _, inner in items}
     forms = {}
@@ -300,7 +351,10 @@ def substitute_sum(items):
             if id(op) not in forms:
                 forms[id(op)] = _lifted_form(op)
     den = lcm(*{forms[id(o)][0] * forms[id(i)][0] for _, o, _, i in items})
+    s = _width(forms.values())
+    packed = {}  # id of operator -> _packed terms
     derived = {}  # (id of inner, term index, px, py) -> d^p e
+    buckets = {}  # (head, tail, inner key, rest) -> {monomial: numerator}
     acc = {}
     for sign, outer, slot, inner in items:
         dout, lo = forms[id(outer)]
@@ -312,37 +366,45 @@ def substitute_sum(items):
                 if a is None:
                     a = acc[okey] = {}
                 for i, j, v in c:
-                    a[i, j] = a.get((i, j), 0) + v * scale
+                    k = i << s | j
+                    a[k] = a.get(k, 0) + v * scale
             continue
         nid = id(inner)
-        for okey, c in lo:
-            ax, ay = okey[slot]
+        for op in (outer, inner):
+            if id(op) not in packed:
+                packed[id(op)] = _packed(forms[id(op)][1], s)
+        lp = packed[nid]
+        for okey, c, _, _ in packed[id(outer)]:
+            A = okey[slot]
             head, tail = okey[:slot], okey[slot + 1:]
-            for n, (ikey, e) in enumerate(li):
-                for ((px, py), rest), w in _shares((ax, ay), 2):
-                    de = derived.get((nid, n, px, py)) if px or py else e
-                    if de is None:
-                        de = derived[nid, n, px, py] = [
-                            (i - px, j - py, v * perm(i, px) * perm(j, py))
-                            for i, j, v in e if i >= px and j >= py]
-                    if not de:
+            for n, (ikey, e, ex, ey) in enumerate(lp):
+                for ((px, py), rest), w in _shares(A, 2):
+                    if px > ex or py > ey:
                         continue
-                    prod = {}
-                    get = prod.get
-                    for i1, j1, v1 in c:
-                        for i2, j2, v2 in de:
-                            k = (i1 + i2, j1 + j2)
-                            prod[k] = get(k, 0) + v1 * v2
+                    if px or py:
+                        de = derived.get((nid, n, px, py))
+                        if de is None:
+                            de = derived[nid, n, px, py] = [
+                                ((i - px) << s | (j - py), v * perm(i, px) * perm(j, py))
+                                for i, j, v in li[n][1] if i >= px and j >= py]
+                        if not de:
+                            continue
+                    else:
+                        de = e
+                    b = buckets.setdefault((head, tail, ikey, rest), {})
+                    get = b.get
                     w *= scale
-                    for mid, m in _spread(ikey, rest):
-                        key = head + mid + tail
-                        a = acc.get(key)
-                        if a is None:
-                            a = acc[key] = {}
-                        f = w * m
-                        for k, v in prod.items():
-                            a[k] = a.get(k, 0) + v * f
-    return _ARITY[arity]._of_form(den, acc)
+                    for k1, v1 in c:
+                        v1 *= w
+                        for k2, v2 in de:
+                            k = k1 + k2
+                            b[k] = get(k, 0) + v1 * v2
+    for (head, tail, ikey, rest), b in buckets.items():
+        for mid, m in _spread(ikey, rest):
+            a = acc.setdefault(head + mid + tail, {})
+            for k, v in b.items():
+                a[k] = a.get(k, 0) + v * m
+    return _ARITY[arity]._of_form(den, acc, s)
 
 
 def substitute(outer, slot: int, inner):
@@ -394,12 +456,16 @@ def hochschild_b_equals(K: BiDiffOp, T) -> bool:
         return False
     terms = dict(tterms)
     n = 0
-    for slot, kappa, f in _b_terms(kterms):
-        t = terms.get(slot)
-        if t is None or ({(i, j): v * dk for i, j, v in t}
-                         != {(i, j): v * f * dt for i, j, v in kappa}):
-            return False
-        n += 1
+    for key, kappa in kterms:
+        want = {(i, j): v * dt for i, j, v in kappa}  # shared by kappa's a + b - 2 slots
+        for slot, _, f in _b_terms([(key, kappa)]):
+            # neither side stores a zero numerator, so equal sizes and a match
+            # of every numerator of t settle equality
+            t = terms.get(slot)
+            if t is None or len(t) != len(want) or any(want.get((i, j), 0) * f != v * dk
+                                                       for i, j, v in t):
+                return False
+            n += 1
     return n == len(terms)
 
 

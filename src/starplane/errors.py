@@ -34,8 +34,9 @@ class CapExceeded(EngineError):
 
 
 class Inconsistent(EngineError):
-    """normalize finds no pure-shape gauge: a slot with an underived argument,
-    conflicting forced values, or a non-admissible slot left in m'_k."""
+    """normalize finds no pure-shape gauge: a slot with one underived argument
+    (the product is not associative), conflicting forced values, or a
+    non-admissible slot left in m'_k."""
 
 
 class NotInImage(EngineError):

@@ -25,6 +25,7 @@ from .diffop import (
     is_k2_shape,
     _admissible,
     _lifted_form,
+    _width,
     substitute_sum,
 )
 from .errors import CapExceeded, Inconsistent, UsageError
@@ -154,21 +155,30 @@ def spq_membership(m: StarProduct) -> bool:
 def _read_off(r: BiDiffOp, k: int, max_op_order):
     """(U_k, m'_k) read off R_k's integer numerators in closed form.
 
-    dU_k puts C(nu, rho) u_nu != 0 on each slot (rho, sigma) with rho + sigma
-    = nu, rho and sigma nonzero.  So a slot (A, B) of R_k off the admissible
-    shape forces u_(A+B) = coeff / C(A+B, A); m'_k = R_k - dU_k is pure-shape
-    iff R_k has a slot at every non-admissible split of every forced nu, and
-    is then R_k's admissible part minus u_nu on ((nu_0, 0), (0, nu_1)).
+    dU(f, g) = U(fg) - U(f)g - fU(g), so dU_k puts C(nu, rho) u_nu on each
+    slot (rho, sigma) with rho + sigma = nu, rho and sigma nonzero, and -u_0
+    on the slot ((0, 0), (0, 0)), where neither argument is derived.  So a
+    slot (A, B) of R_k off the admissible shape forces u_(A+B) =
+    coeff / C(A+B, A), the slot ((0, 0), (0, 0)) forces u_0 = -coeff (C is
+    -1 there), and a slot with exactly one underived argument, which no U_k
+    reaches, means the product is not associative through order k.
+    m'_k = R_k - dU_k is pure-shape iff R_k has a slot at every
+    non-admissible split of every forced nu, and is then R_k's admissible
+    part minus u_nu on ((nu_0, 0), (0, nu_1)).  Both are summed int-keyed,
+    as in the kernel (_of_form).
     """
     den, terms = _lifted_form(r)
     forced = {}  # nu -> (C(nu, A), R_k's numerators at the first slot (A, B) forcing it)
     for (A, B), flat in terms:
         if _admissible(A, B):
             continue
-        if A == (0, 0) or B == (0, 0):
-            raise Inconsistent(f"order {k}: slot with an underived argument cannot be gauged away")
+        if A == B == (0, 0):
+            c = -1
+        elif A == (0, 0) or B == (0, 0):
+            raise Inconsistent(f"order {k}: the product is not associative through order {k}")
+        else:
+            c = comb(A[0] + B[0], A[0]) * comb(A[1] + B[1], A[1])
         nu = (A[0] + B[0], A[1] + B[1])
-        c = comb(nu[0], A[0]) * comb(nu[1], A[1])
         c0, flat0 = forced.setdefault(nu, (c, flat))
         if flat0 is not flat and ({(i, j): v * c0 for i, j, v in flat}
                                   != {(i, j): v * c for i, j, v in flat0}):
@@ -183,14 +193,16 @@ def _read_off(r: BiDiffOp, k: int, max_op_order):
             B = (n0 - A[0], n1 - A[1])
             if A != (0, 0) and B != (0, 0) and not _admissible(A, B) and (A, B) not in slots:
                 raise Inconsistent(f"order {k}: residual non-admissible term at {(A, B)}")
-    L = lcm(*(c for c, _ in forced.values()))
-    u = {(nu,): {(i, j): v * (L // c) for i, j, v in flat} for nu, (c, flat) in forced.items()}
-    m = {key: {(i, j): v * L for i, j, v in flat} for key, flat in terms if _admissible(*key)}
+    L = lcm(*(abs(c) for c, _ in forced.values()))
+    s = _width([(den, terms)])
+    u = {(nu,): {i << s | j: v * (L // c) for i, j, v in flat}
+         for nu, (c, flat) in forced.items()}
+    m = {key: {i << s | j: v * L for i, j, v in flat} for key, flat in terms if _admissible(*key)}
     for ((n0, n1),), num in u.items():
         if n0 and n1:
             a = m.setdefault(((n0, 0), (0, n1)), {})
-            a.update({ij: a.get(ij, 0) - v for ij, v in num.items()})
-    return DiffOp._of_form(den * L, u, True), BiDiffOp._of_form(den * L, m, True)
+            a.update({mono: a.get(mono, 0) - v for mono, v in num.items()})
+    return DiffOp._of_form(den * L, u, s, True), BiDiffOp._of_form(den * L, m, s, True)
 
 
 def _gauge(m: StarProduct, U: GaugeOp | None, max_op_order=None):
@@ -244,13 +256,15 @@ def gauge_transform(m: StarProduct, U: GaugeOp) -> StarProduct:
 
 
 def normalize(m: StarProduct, max_op_order: int | None = None):
-    """Unique U with U1=1, Ux=x, Uy=y and U^{-1} m(U.,U.) of pure shape.
+    """Unique U with every U_k in span{1, d^nu : |nu| >= 2} and U^{-1} m(U.,U.) of pure shape.
 
     One pass of the gauge recursion (_gauge) with U_k and m'_k read off R_k
-    (_read_off); every forced derivative has order >= 2, so U kills 1, x and y.
-    Raised in this order: Inconsistent for a slot with an underived argument
-    or conflicting forced values, CapExceeded for a U_k above max_op_order
-    (which must be >= 0), Inconsistent for a non-admissible slot left in m'_k.
+    (_read_off).  U_k's order-0 part is -R_k(1, 1); it is zero when every
+    m_k(1, 1) is, and then U1 = 1, Ux = x and Uy = y.  Raised in this order:
+    Inconsistent for a slot with exactly one underived argument (the product
+    is not associative through that order) or conflicting forced values,
+    CapExceeded for a U_k above max_op_order (which must be >= 0),
+    Inconsistent for a non-admissible slot left in m'_k.
     """
     if max_op_order is not None and max_op_order < 0:
         raise UsageError(f"max_op_order must be >= 0, got {max_op_order!r}")

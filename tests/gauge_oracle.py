@@ -4,7 +4,8 @@ This is the route the engine used before the single triangular recursion.
 oracle_gauge_transform forms V = U^{-1} order by order and evaluates
 V(m(U., U.)) as a sum of exact compositions; oracle_normalize re-runs that
 whole transform at every order, reads U_k off the non-admissible slots of
-the partially gauged product, and re-runs it again to check the order.  It
+the partially gauged product (its order-0 part off the slot where neither
+argument is derived), and re-runs it again to check the order.  It
 is slow (2N+1 full transforms) and independent of the recursion's
 R_k - dU_k bookkeeping, so tests compare the two routes.
 """
@@ -85,17 +86,16 @@ def oracle_normalize(m: StarProduct, max_op_order=None):
         for (A, B), c in known.terms.items():
             if _admissible(A, B):
                 continue
-            if A == (0, 0) or B == (0, 0):
-                raise Inconsistent(
-                    f"order {k}: slot with an underived argument cannot be gauged away"
-                )
             nu = (A[0] + B[0], A[1] + B[1])
-            val = c * Fraction(1, comb(nu[0], A[0]) * comb(nu[1], A[1]))
+            if A == B == (0, 0):
+                # d(u.)(f, g) = -u f g: the order-0 part of U_k is -m'_k(1, 1)
+                val = -c
+            elif A == (0, 0) or B == (0, 0):
+                raise Inconsistent(f"order {k}: the product is not associative through order {k}")
+            else:
+                val = c * Fraction(1, comb(nu[0], A[0]) * comb(nu[1], A[1]))
             if forced.setdefault(nu, val) != val:
                 raise Inconsistent(f"order {k}: conflicting forced values at {nu}")
-        # the old polar conditions; never fires, since every forced nu has |nu| >= 2
-        for nu in ((0, 0), (1, 0), (0, 1)):
-            forced.pop(nu, None)
         if max_op_order is not None and any(sum(nu) > max_op_order for nu in forced):
             raise CapExceeded(f"order {k}: U needs derivative order beyond {max_op_order}")
         if forced:

@@ -182,9 +182,10 @@ PHIS = [parse_poly(t) for t in ("1", "x", "x*y", "x^2*y")]
 
 
 @st.composite
-def gauges(draw, N, polar):
-    """U of order N; polar ones use derivatives of order >= 2 only."""
-    nus = indices.filter(lambda nu: sum(nu) >= 2) if polar else indices
+def gauges(draw, N, polar, unit=False):
+    """U of order N; polar ones use derivatives of order >= 2 only, and also
+    order 0 if unit."""
+    nus = indices.filter(lambda nu: sum(nu) >= 2 or unit and nu == (0, 0)) if polar else indices
     return GaugeOp(N, {k: DiffOp(draw(st.dictionaries(nus, coeffs, max_size=2)))
                        for k in range(1, N + 1)})
 
@@ -242,6 +243,48 @@ def test_gauge_with_zero_middle_orders_matches_inverse_route(data):
 
 
 _GAUGED = GaugeOp(3, {1: DiffOp({(1, 1): 2, (2, 0): Fraction(1, 3)}), 2: DiffOp({(0, 2): -1})})
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_normalize_with_an_order_0_gauge_part_matches_inverse_route(data):
+    # U_k in span{1, d^nu : |nu| >= 2}: each order-0 part lands on the slot
+    # ((0, 0), (0, 0)) of the gauged product, and both routes read it off there
+    N = data.draw(st.integers(1, 3))
+    m = quantize(data.draw(st.sampled_from(PHIS)), N)
+    gauged = gauge_transform(m, data.draw(gauges(N, polar=True, unit=True)))
+    got = _outcome(normalize, gauged)
+    event(got.__name__ if isinstance(got, type) else "normalized")
+    assert got == _outcome(oracle_normalize, gauged)
+    if not isinstance(got, type):
+        W, out = got
+        assert spq_membership(out) and is_associative(out) and out == gauge_transform(gauged, W)
+
+
+@pytest.mark.parametrize("U", [
+    GaugeOp(3, {1: DiffOp({(0, 0): X})}),
+    GaugeOp(3, {1: DiffOp({(0, 0): 3})}),
+    GaugeOp(3, {1: DiffOp({(0, 0): Y}), 2: DiffOp({(0, 0): X * Y - 1}), 3: DiffOp({(0, 0): 2})}),
+    GaugeOp(3, {1: DiffOp({(0, 0): 3, (1, 1): 2}), 2: DiffOp({(0, 0): Fraction(-5, 2), (2, 0): 1})}),
+], ids=["x", "constant", "multiplications", "constant-coefficients"])
+def test_normalize_undoes_a_gauge_with_an_order_0_part(U):
+    # normalize gives back the product and U^{-1}, which stays in the normal
+    # class here: U is an order-0 multiplier alone (1 + hx is undone by
+    # U_k = (-x)^k), or its coefficients are constants, which commute
+    m = quantize(X * Y, 3)
+    W, out = normalize(gauge_transform(m, U))
+    assert out == m and W == oracle_inverse(U)
+    if U.order_op(2).is_zero() and len(U.order_op(1).terms) == 1:
+        (u,) = U.order_op(1).terms.values()
+        assert W == GaugeOp(3, {k: DiffOp({(0, 0): (-u) ** k}) for k in (1, 2, 3)})
+
+
+def test_one_underived_argument_means_not_associative():
+    # m_1 = 1 (x) dy: b(m_1)(f, g, h) = f g h_y != 0, and no gauge reaches the slot
+    m = StarProduct(2, {1: BiDiffOp({((0, 0), (0, 1)): ONE})})
+    for route in (normalize, oracle_normalize):
+        with pytest.raises(Inconsistent, match="order 1: the product is not associative through order 1"):
+            route(m)
 
 
 @pytest.mark.parametrize("m, cap, error", [

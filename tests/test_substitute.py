@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import compose_oracle as oracle
-from gauge_oracle import oracle_gauge_transform
+from gauge_oracle import oracle_gauge_transform, oracle_normalize
 from starplane import diffop, docs
 from certify_oracle import hochschild_b
 from starplane.diffop import (
@@ -27,7 +27,8 @@ from starplane.parser import parse_poly
 from starplane.poly import X, Y, Poly2
 from starplane.quantize import _quantize_cached, _step, quantize, quantize_series
 from starplane.series import HSeries
-from starplane.star import GaugeOp, assoc_defect, gauge_transform, is_associative, normalize
+from starplane.star import (GaugeOp, StarProduct, assoc_defect, gauge_transform, is_associative,
+                            normalize)
 
 small_polys = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)),
@@ -37,10 +38,10 @@ small_polys = st.dictionaries(
 idx = st.tuples(st.integers(0, 2), st.integers(0, 2))
 
 
-def operators(arity):
+def operators(arity, coefficients=small_polys):
     key = idx if arity == 1 else st.tuples(*[idx] * arity)
     cls = {1: DiffOp, 2: BiDiffOp}[arity]
-    return st.dictionaries(key, small_polys, max_size=3).map(cls)
+    return st.dictionaries(key, coefficients, max_size=3).map(cls)
 
 
 def oracle_substitute(outer, slot, inner):
@@ -77,6 +78,84 @@ def test_substitute_matches_the_leibniz_loops(case, sign):
     assert got == want.scale(sign) - oracle_substitute(outer, slot, other)
     if other is inner and sign == 1:
         assert got.is_zero()
+
+
+# output arity -> the pairings that give it; one call sums items of one output arity
+BY_ARITY = {}
+for _pairing in PAIRINGS:
+    BY_ARITY.setdefault(_pairing[0] + _pairing[2] - 1, []).append(_pairing)
+
+
+@st.composite
+def sums(draw, inner_coefficients=small_polys):
+    """2-5 items of one output arity, each with its own sign, outer, slot and
+    inner; the derivatives come from a small range, so items share buckets."""
+    arity = draw(st.sampled_from(sorted(BY_ARITY)))
+    items = []
+    for _ in range(draw(st.integers(2, 5))):
+        arity_out, slot, arity_in = draw(st.sampled_from(BY_ARITY[arity]))
+        items.append((draw(st.integers(-3, 3)), draw(operators(arity_out)), slot,
+                      draw(operators(arity_in, inner_coefficients))))
+    return items
+
+
+def oracle_sum(items):
+    want = None
+    for sign, outer, slot, inner in items:
+        term = oracle_substitute(outer, slot, inner).scale(sign)
+        want = term if want is None else want + term
+    return want
+
+
+@given(sums())
+@settings(max_examples=150, deadline=None)
+def test_a_sum_of_items_matches_the_leibniz_loops(items):
+    assert substitute_sum(items) == oracle_sum(items)
+
+
+def one_variable_polys(exponent):
+    return st.dictionaries(exponent, st.fractions(min_value=-6, max_value=6, max_denominator=5),
+                           min_size=1, max_size=3).map(Poly2)
+
+
+# inner coefficients of degree 0 in x, in y or in both: the shares of an outer
+# derivative beyond that degree are skipped, one variable at a time
+ONE_VARIABLE = {
+    "constant": one_variable_polys(st.just((0, 0))),
+    "x-only": one_variable_polys(st.tuples(st.integers(0, 3), st.just(0))),
+    "y-only": one_variable_polys(st.tuples(st.just(0), st.integers(0, 3))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ONE_VARIABLE))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_shares_past_the_inner_degree_are_skipped_exactly(kind, data):
+    items = data.draw(sums(ONE_VARIABLE[kind]))
+    assert substitute_sum(items) == oracle_sum(items)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 16])
+def test_exponents_at_the_packing_bound_and_past_it(m):
+    # a call keys x^i y^j by i << s | j with every input y-exponent below
+    # 2^(s-1) (_width), so a product reaches at most 2^s - 2; top = 2^m - 1
+    # is the largest exponent for its s, and 2^m the first that needs s + 1
+    for top in (2 ** m - 1, 2 ** m):
+        s = diffop._width([(1, [(((0, 0),), [(3, top, 1), (2 ** m + 5, 0, 1)])])])
+        assert top < 2 ** (s - 1)
+        c = X ** 3 * Y ** top + X ** (2 ** m + 5) - Y ** (top - 1) * Fraction(1, 3)
+        e = Y ** top * 2 + X * Y ** (top - 1)
+        outer = BiDiffOp({((1, 1), (0, 2)): c, ((0, 0), (2, 1)): e})
+        inner = BiDiffOp({((0, 1), (1, 0)): e, ((0, 0), (0, 0)): c})
+        for slot in (0, 1):
+            got = substitute(outer, slot, inner)
+            assert got == oracle_substitute(outer, slot, inner)
+            assert max(j for p in got.terms.values() for _, j in p._num) == 2 * top
+        assert substitute(DiffOp({(0, 2): c}), 0, DiffOp({(1, 1): e})) == oracle.compose(
+            DiffOp({(0, 2): c}), DiffOp({(1, 1): e}))
+        # normalize reads U_k and m'_k off R_k int-keyed too
+        m_top = StarProduct(1, {1: BiDiffOp({((1, 0), (0, 1)): e, ((1, 0), (1, 0)): c})})
+        assert normalize(m_top) == oracle_normalize(m_top)
 
 
 @given(operators(2))
