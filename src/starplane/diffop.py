@@ -16,14 +16,16 @@ inner key, derivative left over), shared by every item of the call; stage 2
 spreads each bucket once over the inner arguments.  Inside a call a
 monomial x^i y^j is the one int i << s | j, s sized to the call, so the
 buckets and output slots hold only ints: no key tuple is made per product,
-and the cyclic garbage collector does not track those dicts.  Each
-operator is lifted once to integer numerators over one denominator, stored
-as (i, j, numerator) triples, and keeps that form in a private slot that
-equality, repr and the documents ignore (_lifted_form reads it).  A
-kernel result holds only the form it was accumulated in and builds its
-Poly2 terms from it on first read, so a result only the kernel (or the
-documents) reads again builds no Poly2: the recursion right-hand side T_k,
-the parts m_j of the recursion, the associator and the gauge recursion in
+and the cyclic garbage collector does not track those dicts.  Every
+operator holds one state from birth, its integer form: numerators over one
+denominator, stored as (i, j, numerator) triples per slot.  The constructor
+lifts its Poly2, int or Fraction coefficients once; a kernel result, a K_k
+solved in quantize and a U_k or m'_k read off in star.py are born holding
+the numerators they were summed in, not always in lowest terms.  ==, bool,
+apply, the shape tests and the documents read the form; the Poly2 terms are
+a read-only view built on first read, so an operator only the kernel (or the
+documents) reads builds no Poly2: the recursion right-hand side T_k, the
+parts m_j of the recursion, the associator and the gauge recursion in
 star.py are such sums.  This module also provides the Euler-Lagrange
 constraint maps, the pure-shape membership test, and the two bases of the
 engine's objects: ReadOnly for values and Record for plain result records
@@ -47,20 +49,6 @@ from .errors import MissingPriorOrder
 from .poly import Poly2, _make
 
 Idx = tuple  # (i, j) derivative multi-index
-
-
-def _accum(d, key, poly):
-    if not poly:
-        return
-    acc = d.get(key)
-    if acc is None:
-        d[key] = poly
-    else:
-        s = acc + poly
-        if s:
-            d[key] = s
-        else:
-            del d[key]
 
 
 class ReadOnly:
@@ -99,37 +87,52 @@ class Record:
 
 
 class _OpBase(ReadOnly):
-    """Operators are values: terms is a read-only mapping that cannot be rebound."""
+    """Operators are values held in one integer form, set once at birth.
 
-    # _terms is None only in a kernel result until terms is read;
-    # _lifted, the kernel's integer form, is set once
-    __slots__ = ("_terms", "_lifted")
+    _lifted = (den, terms): terms lists (key, [(i, j, numerator), ...]), the
+    key a tuple with one multi-index per argument, with no zero numerator and
+    no empty key, all over den.  A form need not be in lowest terms, so ==
+    cross-multiplies.  terms is the read-only Poly2 view of it, built on
+    first read.
+    """
+
+    __slots__ = ("_lifted", "_terms")
     arity = None
 
     def __init__(self, terms=None):
-        d = {}
-        if terms:
-            for k, p in terms.items() if hasattr(terms, "items") else terms:
-                if isinstance(p, (int, Fraction)):
-                    p = Poly2.const(p)
-                elif not isinstance(p, Poly2):
-                    raise TypeError("operator coefficients must be Poly2, int or Fraction, "
-                                    f"got {type(p).__name__}")
-                _accum(d, k, p)
-        object.__setattr__(self, "_terms", MappingProxyType(d))
+        """From a mapping, or (key, coefficient) pairs, of Poly2, int or Fraction
+        coefficients (TypeError for any other), lifted over their lcm denominator."""
+        polys = {}
+        for k, p in (terms.items() if hasattr(terms, "items") else terms or ()):
+            if isinstance(p, (int, Fraction)):
+                p = Poly2.const(p)
+            elif not isinstance(p, Poly2):
+                raise TypeError("operator coefficients must be Poly2, int or Fraction, "
+                                f"got {type(p).__name__}")
+            polys[k] = polys[k] + p if k in polys else p
+        polys = {(k,) if self.arity == 1 else k: p for k, p in polys.items() if p}
+        den = lcm(1, *(p._den for p in polys.values()))
+        object.__setattr__(self, "_lifted", (den, [
+            (key, [(i, j, n * (den // p._den)) for (i, j), n in p._num.items()])
+            for key, p in polys.items()]))
+        object.__setattr__(self, "_terms", None)
 
     @classmethod
-    def _of(cls, d):
-        """The operator whose terms are the dict d, taken over without a copy."""
+    def _of_form(cls, den, terms, reduce=False):
+        """The operator with the integer form (den, terms), taken over without a
+        copy; in lowest terms if reduce, so later kernel calls do not grow den."""
+        if reduce and den != 1 and (g := gcd(den, *(v for _, f in terms for _, _, v in f))) != 1:
+            den //= g
+            terms = [(key, [(i, j, v // g) for i, j, v in flat]) for key, flat in terms]
         out = cls.__new__(cls)
-        object.__setattr__(out, "_terms", MappingProxyType(d))
+        object.__setattr__(out, "_lifted", (den, terms))
+        object.__setattr__(out, "_terms", None)
         return out
 
     @classmethod
-    def _of_form(cls, den, acc, s, reduce=False):
-        """The operator holding only the integer form acc / den, acc: key -> {i << s | j: num}
-        for the monomial x^i y^j, j < 2^s, unpacked to (i, j, num) with zeros dropped;
-        in lowest terms if reduce, so later kernel calls do not grow den."""
+    def _of_packed(cls, den, acc, s, reduce=False):
+        """The operator acc / den, acc: key -> {i << s | j: num} for the monomial
+        x^i y^j, j < 2^s, unpacked to its integer form with zeros dropped."""
         mask = (1 << s) - 1
         terms = []
         for key, a in acc.items():  # loops, not comprehensions: most slots are short
@@ -139,17 +142,11 @@ class _OpBase(ReadOnly):
                     flat.append((k >> s, k & mask, v))
             if flat:
                 terms.append((key, flat))
-        if reduce and den != 1 and (g := gcd(den, *(v for _, f in terms for _, _, v in f))) != 1:
-            den //= g
-            terms = [(key, [(i, j, v // g) for i, j, v in flat]) for key, flat in terms]
-        out = cls.__new__(cls)
-        object.__setattr__(out, "_terms", None)
-        object.__setattr__(out, "_lifted", (den, terms))
-        return out
+        return cls._of_form(den, terms, reduce)
 
     @property
     def terms(self):
-        """slot -> Poly2; a kernel result builds it from its integer form on first read."""
+        """slot -> Poly2, built from the integer form on first read."""
         terms = self._terms
         if terms is None:
             den, lifted = self._lifted
@@ -160,44 +157,52 @@ class _OpBase(ReadOnly):
         return terms
 
     def __bool__(self):
-        terms = self._terms  # both views list only nonzero slots
-        return bool(self._lifted[1] if terms is None else terms)
+        return bool(self._lifted[1])
 
     def is_zero(self):
         return not self
 
     def __eq__(self, other):
+        """Same slots, and on each n1 * d2 == n2 * d1 for every monomial."""
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other):
-        d = dict(self.terms)
-        for k, p in other.terms.items():
-            _accum(d, k, p)
-        return type(self)._of(d)
-
-    def __neg__(self):
-        return type(self)._of({k: -p for k, p in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+        d1, t1 = self._lifted
+        d2, t2 = other._lifted
+        if len(t1) != len(t2):
+            return False
+        slots = dict(t2)  # keys are distinct, so a match for each of t1's is a bijection
+        for key, flat in t1:
+            f2 = slots.get(key)
+            if f2 is None or len(f2) != len(flat) or (
+                    {(i, j): v * d2 for i, j, v in flat} != {(i, j): v * d1 for i, j, v in f2}):
+                return False
+        return True
 
     def apply(self, *args):
-        """The operator applied to one polynomial per argument."""
-        out = Poly2.zero()
-        for key, c in self.terms.items():
-            for (i, j), f in zip((key,) if self.arity == 1 else key, args, strict=True):
-                c = c * f.dx(i).dy(j)
-            out = out + c
-        return out
-
-    def scale(self, poly):
-        """Multiply every coefficient by a polynomial (or scalar)."""
-        d = {}
-        for k, p in self.terms.items():
-            _accum(d, k, p * poly)
-        return type(self)._of(d)
+        """The operator applied to one polynomial per argument, on integer
+        numerators: each derivative of an argument is formed once per call,
+        and the one Poly2 built is the result."""
+        den, terms = self._lifted
+        for f in args:
+            den *= f._den
+        derived = {}  # (argument, multi-index) -> numerators of that derivative
+        out = {}
+        for key, flat in terms:
+            prod = {(i, j): v for i, j, v in flat}
+            for n, ((a, b), f) in enumerate(zip(key, args, strict=True)):
+                d = derived.get((n, a, b))
+                if d is None:
+                    d = derived[n, a, b] = [(i - a, j - b, v * perm(i, a) * perm(j, b))
+                                            for (i, j), v in f._num.items() if i >= a and j >= b]
+                nxt = {}
+                for (i1, j1), c1 in prod.items():
+                    for i2, j2, c2 in d:
+                        e = (i1 + i2, j1 + j2)
+                        nxt[e] = nxt.get(e, 0) + c1 * c2
+                prod = nxt
+            for e, v in prod.items():
+                out[e] = out.get(e, 0) + v
+        return _make({e: v for e, v in out.items() if v}, den)
 
     def __repr__(self):
         if not self.terms:
@@ -264,34 +269,8 @@ def _spread(ikey: tuple, rest: Idx) -> tuple:
                   for qs, m in _shares(rest, len(ikey))])
 
 
-def _lift(op):
-    """Store and return op's coefficients as integer numerators over op's own denominator.
-
-    The form is (den, terms): terms lists (key, [(i, j, numerator), ...]),
-    the key being a tuple with one multi-index per argument.  A coefficient
-    other than a Poly2 raises TypeError.
-    """
-    den = 1
-    for c in op.terms.values():
-        if not isinstance(c, Poly2):
-            raise TypeError(f"operator coefficients must be Poly2, got {type(c).__name__}")
-        den = lcm(den, c._den)
-    terms = []
-    for key, c in op.terms.items():
-        f = den // c._den
-        terms.append(((key,) if op.arity == 1 else key,
-                      [(i, j, n * f) for (i, j), n in c._num.items()]))
-    object.__setattr__(op, "_lifted", (den, terms))
-    return den, terms
-
-
-def _lifted_form(op):
-    """op's integer form (den, terms): the one it holds, else _lift's."""
-    return getattr(op, "_lifted", None) or _lift(op)
-
-
 _ONE = DiffOp.identity()  # summing with the identity adds the outer operators
-_IDENTITY = _lift(_ONE)[1]  # the lifted terms of a multiple of the identity
+_IDENTITY = _ONE._lifted[1]  # the lifted terms of a multiple of the identity
 
 
 def _width(forms):
@@ -325,10 +304,10 @@ def _packed(terms, s):
 def substitute_sum(items):
     """sum of sign * substitute(outer, slot, inner) over (sign, outer, slot, inner).
 
-    Every operator is lifted once in its life (_lift), and the result holds
-    only the integer form it was accumulated in (zero numerators and empty
-    keys dropped), from which it builds its terms on first read; composing
-    it later lifts nothing.  A call works over D = lcm of d_outer * d_inner
+    Every operand is read through the integer form it was born with, and
+    the result is born holding the form it was accumulated in (zero
+    numerators and empty keys dropped), from which it builds its terms on
+    first read.  A call works over D = lcm of d_outer * d_inner
     over its items, scaling each item's weight by D / (d_outer * d_inner).
     For outer term c d^A in the slot and inner term e d^B1 .. d^Bn,
     d^A (e F) = sum_p C(A; p) d^p e d^(A-p) (d^B1 .. d^Bn), in two stages.
@@ -349,7 +328,7 @@ def substitute_sum(items):
     for _, outer, _, inner in items:
         for op in (outer, inner):
             if id(op) not in forms:
-                forms[id(op)] = _lifted_form(op)
+                forms[id(op)] = op._lifted
     den = lcm(*{forms[id(o)][0] * forms[id(i)][0] for _, o, _, i in items})
     s = _width(forms.values())
     packed = {}  # id of operator -> _packed terms
@@ -404,7 +383,7 @@ def substitute_sum(items):
             a = acc.setdefault(head + mid + tail, {})
             for k, v in b.items():
                 a[k] = a.get(k, 0) + v * m
-    return _ARITY[arity]._of_form(den, acc, s)
+    return _ARITY[arity]._of_packed(den, acc, s)
 
 
 def substitute(outer, slot: int, inner):
@@ -434,7 +413,7 @@ def _b_terms(kappas):
 
 def _check_pure_shape(K, who):
     """Raise ValueError naming K's first slot that is not dx^a (x) dy^b, a, b >= 1."""
-    for slot in K.terms:
+    for slot, _ in K._lifted[1]:
         if not _admissible(*slot):
             raise ValueError(f"{who} needs slots dx^a (x) dy^b with a, b >= 1, got {slot}")
 
@@ -449,11 +428,8 @@ def hochschild_b_equals(K: BiDiffOp, T) -> bool:
     the second condition.
     """
     _check_pure_shape(K, "hochschild_b_equals")
-    try:
-        dt, tterms = _lifted_form(T)
-        dk, kterms = _lifted_form(K)
-    except TypeError:
-        return False
+    dt, tterms = T._lifted
+    dk, kterms = K._lifted
     terms = dict(tterms)
     n = 0
     for key, kappa in kterms:
@@ -485,8 +461,8 @@ def build_rhs_T(k: int, d: int, kops, mops) -> TriDiffOp:
     polynomial phi is the case of one row per order and d = 0.  A pair with
     a zero part adds nothing, so it is left out.  A caller that keeps both
     lists across orders passes the same operators each time, so the kernel
-    lifts each one once.  The result is a kernel result: it builds its Poly2
-    terms only when they are read.
+    packs each operand once per call.  The result is a kernel result: it
+    builds its Poly2 terms only when they are read.
     """
     if k < 2:
         raise ValueError("recursion starts at k = 2")
@@ -511,14 +487,14 @@ def euler_lagrange(K: BiDiffOp, axis: str) -> dict:
     K is of pure shape, kappa_ab on dx^a (x) dy^b; another slot raises
     ValueError.  axis "x": for each b, sum_a (-1)^(a-1) dx^(a-1) kappa_ab.
     K is in the admissible divergence-form class iff both axes vanish.
-    The sums run on K's stored integer form (_lift), one accumulator per
+    The sums run on K's integer form, one accumulator per
     opposite index, and a Poly2 is built only for a functional that does
     not vanish.
     """
     if axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
     _check_pure_shape(K, "euler_lagrange")
-    den, terms = _lifted_form(K)
+    den, terms = K._lifted
     acc = {}
     for ((a, _), (_, b)), flat in terms:
         key, n = (b, a - 1) if axis == "x" else (a, b - 1)
@@ -550,4 +526,4 @@ def _admissible(A: Idx, B: Idx) -> bool:
 
 def is_k2_shape(D) -> bool:
     """First slot pure-x of positive order, second slot pure-y of positive order."""
-    return all(_admissible(A, B) for A, B in D.terms)
+    return all(_admissible(*slot) for slot, _ in D._lifted[1])

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii as _quote
 
-from .diffop import BiDiffOp, _lifted_form
+from .diffop import BiDiffOp
 from .errors import UsageError
 from .parser import parse_poly
 from .poly import format_poly, format_rational, format_terms, grlex_key
@@ -64,9 +64,9 @@ def _emit(v, out: list, nl: str) -> None:
 
 def _op_entries(op, names) -> list:
     """op's terms graded-lex ascending slot by slot, each as its named index
-    lists plus coeff; a DiffOp key is one slot.  Printed from the kernel's
-    integer form (_lifted_form), so a kernel result builds no Poly2 terms."""
-    den, terms = _lifted_form(op)
+    lists plus coeff; a DiffOp key is one slot.  Printed from the operator's
+    integer form, so it builds no Poly2 terms."""
+    den, terms = op._lifted
     out = []
     for key, flat in sorted(terms, key=lambda kf: tuple(map(grlex_key, kf[0]))):
         entry = {name: list(idx) for name, idx in zip(names, key)}

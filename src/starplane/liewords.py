@@ -15,10 +15,11 @@ by composing the corresponding first-order operators in the given order.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations, product
 
 from . import linsolve
-from .diffop import BiDiffOp, DiffOp, Record, substitute
+from .diffop import BiDiffOp, DiffOp, Record, substitute, substitute_sum
 from .errors import UsageError
 from .poly import Poly2
 from .quantize import quantize
@@ -61,13 +62,12 @@ def _word_op(letters, order, axis):
 
 
 def _ansatz_ops(phi: Poly2, k: int):
-    """BiDiffOp per (sigma, tau) word pair, summed over index tuples."""
+    """BiDiffOp per (sigma, tau) word pair, summed over index tuples in one kernel call."""
     terms = _separable_terms(phi)
-    n = len(terms)
     words = list(permutations(range(k)))
-    ops = {(s, t): BiDiffOp() for s in words for t in words}
+    items = {(s, t): [] for s in words for t in words}
     mult = BiDiffOp.multiplication()
-    for tup in product(range(n), repeat=k + 1):
+    for tup in product(range(len(terms)), repeat=k + 1):
         xis = [terms[i][0] for i in tup]
         etas = [terms[i][1] for i in tup]
         x_words = {}
@@ -79,8 +79,14 @@ def _ansatz_ops(phi: Poly2, k: int):
         for s in words:
             left = substitute(mult, 0, x_words[s])  # (f, g) -> word_s(f) * g
             for t in words:
-                ops[(s, t)] = ops[(s, t)] + substitute(left, 1, y_words[t])
-    return ops
+                items[s, t].append((1, left, 1, y_words[t]))
+    return {pair: substitute_sum(its) if its else BiDiffOp() for pair, its in items.items()}
+
+
+def _table(op):
+    """slot -> {(i, j): Fraction}, read off op's integer form."""
+    den, terms = op._lifted
+    return {key: {(i, j): Fraction(v, den) for i, j, v in flat} for key, flat in terms}
 
 
 def fit_lie_words(phi_samples, k: int) -> FitReport:
@@ -97,21 +103,14 @@ def fit_lie_words(phi_samples, k: int) -> FitReport:
         if pairs is None:
             pairs = sorted(ops)
         targets.append((target, ops))
-        keys = set(target.terms)
-        for op in ops.values():
-            keys |= set(op.terms)
-        for key in sorted(keys):
-            mons = set(target.terms.get(key, Poly2.zero()).terms)
-            for op in ops.values():
-                mons |= set(op.terms.get(key, Poly2.zero()).terms)
-            rhs_poly = target.terms.get(key, Poly2.zero())
-            for mon in sorted(mons):
-                coeffs = {}
-                for col, pair in enumerate(pairs):
-                    v = ops[pair].terms.get(key, Poly2.zero()).coeff(*mon)
-                    if v:
-                        coeffs[col] = v
-                rows.append((coeffs, rhs_poly.coeff(*mon)))
+        want = _table(target)
+        tables = [_table(ops[pair]) for pair in pairs]
+        for key in sorted(set(want).union(*tables)):
+            rhs = want.get(key, {})
+            cols = [t.get(key, {}) for t in tables]
+            for mon in sorted(set(rhs).union(*cols)):
+                rows.append(({c: col[mon] for c, col in enumerate(cols) if mon in col},
+                             rhs.get(mon, Fraction(0))))
     res = linsolve.solve(rows, len(pairs))
     report = FitReport(k=k, status="ok", num_unknowns=len(pairs),
                        rank=res.rank, kernel_dim=res.kernel_dim,
@@ -120,13 +119,11 @@ def fit_lie_words(phi_samples, k: int) -> FitReport:
         report.status = "not_representable"
         return report
     lambdas = {pairs[i]: res.solution[i] for i in range(len(pairs))}
-    # re-substitute to certify the fit on every sample
+    # re-substitute to certify the fit on every sample: one kernel sum of the
+    # ansatz operators, each under the constant multiplier lambda
     for target, ops in targets:
-        acc = BiDiffOp()
-        for pair, lam in lambdas.items():
-            if lam:
-                acc = acc + BiDiffOp({key: p * lam for key, p in ops[pair].terms.items()})
-        if acc != target:
+        items = [(1, DiffOp({(0, 0): lam}), 0, ops[pair]) for pair, lam in lambdas.items() if lam]
+        if (substitute_sum(items) if items else BiDiffOp()) != target:
             report.status = "not_representable"
             return report
     report.lambdas = lambdas

@@ -37,10 +37,10 @@ from __future__ import annotations
 from functools import lru_cache
 from math import lcm, perm
 
-from .diffop import (_ONE, BiDiffOp, DiffOp, _lifted_form, build_rhs_T, euler_lagrange,
-                     hochschild_b_equals, substitute_sum)
+from .diffop import (_ONE, BiDiffOp, DiffOp, build_rhs_T, euler_lagrange, hochschild_b_equals,
+                     substitute_sum)
 from .errors import Infeasible, NotInImage, NotNormalized
-from .poly import Poly2, _make
+from .poly import Poly2
 from .star import PoissonSeries, StarProduct, _check_order, spq_membership
 
 _DXDY = ((1, 0), (0, 1))  # K_1 = dx (x) dy, the slot each psi_i first reaches
@@ -55,8 +55,10 @@ def solve_order(T, k: int) -> BiDiffOp:
     -a * kappa_ab on dx f dx^(a-1) g dy^b h, and no other kappa reaches
     either slot, so kappa_ab (b >= 2) and kappa_a1 (a >= 2) are read off T_k;
     kappa_11 = sum_{a>=2} (-1)^a dx^(a-1) kappa_a1 makes the x-axis
-    Euler-Lagrange functional vanish at b = 1.  Everything here is linear
-    over Q, so a t^d part T_k[d] of a series recursion gives K_k[d].
+    Euler-Lagrange functional vanish at b = 1.  K_k is born holding these
+    numerators, divided by their common gcd, and builds no Poly2.  Everything
+    here is linear over Q, so a t^d part T_k[d] of a series recursion gives
+    K_k[d].
 
     The result is certified before it is returned: every slot of T must equal
     the closed-form slot of b(K) (hochschild_b_equals, integer
@@ -64,7 +66,7 @@ def solve_order(T, k: int) -> BiDiffOp:
     both Euler-Lagrange functionals must vanish (summed on K's integer
     numerators); any mismatch raises Infeasible.
     """
-    den, terms = _lifted_form(T)
+    den, terms = T._lifted
     reads = []  # (key, T's numerators on the slot, f): kappa = t / f
     for (A, B, C), flat in terms:
         if B == (0, 1) and A[0] >= 1 and A[1] == 0 and C[0] == 0 and C[1] >= 1:
@@ -72,17 +74,19 @@ def solve_order(T, k: int) -> BiDiffOp:
         elif A == (1, 0) and B[0] >= 1 and B[1] == 0 and C == (0, 1):
             reads.append((((B[0] + 1, 0), (0, 1)), flat, -B[0] - 1))
     scale = lcm(*(abs(f) for _, _, f in reads))  # every kappa is over den * scale
-    nums, k11 = [], {}
+    kappas, k11 = [], {}
     for key, flat, f in reads:
-        num = {(i, j): v * (scale // f) for i, j, v in flat}
-        nums.append((key, num))
+        num = [(i, j, v * (scale // f)) for i, j, v in flat]
+        kappas.append((key, num))
         a = key[0][0]
         if key[1] == (0, 1):  # kappa_11 gets (-1)^a dx^(a-1) kappa_a1
-            for (i, j), v in num.items():
+            for i, j, v in num:
                 if i >= a - 1:
                     k11[i - a + 1, j] = k11.get((i - a + 1, j), 0) + (-1) ** a * v * perm(i, a - 1)
-    nums.append((_DXDY, {e: v for e, v in k11.items() if v}))
-    K = BiDiffOp._of({key: _make(num, den * scale) for key, num in nums if num})
+    k11 = [(i, j, v) for (i, j), v in k11.items() if v]
+    if k11:
+        kappas.append((_DXDY, k11))
+    K = BiDiffOp._of_form(den * scale, kappas, reduce=True)
     # dual-route verification: b(K) on every slot of T and both EL functionals
     if not hochschild_b_equals(K, T):
         raise Infeasible(f"order {k}: solution fails b(K) = T re-check")
@@ -117,11 +121,12 @@ def _step(n: int, prefix: tuple) -> tuple:
     m_j[d], a zero operator where a part is zero, so each index is the
     t-degree; mult[c] multiplies by psi_c, c <= n-2, and m_1[c] = psi_c
     dx (x) dy.  parts holds the nonzero m_k[n-k], k >= 2, whose sum rest_n
-    is order n less m_1[n-1].  Only
-    K_k[d], a pure-shape BiDiffOp, gets Poly2 coefficients: T_k[d]
-    (build_rhs_T) and m_k[d] are kernel results that only the kernel reads,
-    so they build none.  Step n extends step n - 1, so a series whose prefix
-    was built before in this process solves nothing again.
+    is order n less m_1[n-1].  No
+    part builds Poly2 coefficients: T_k[d] (build_rhs_T) and m_k[d] are
+    kernel results that only the kernel reads, and K_k[d], a pure-shape
+    BiDiffOp, is born from its solved numerators.  Step n extends step
+    n - 1, so a series whose prefix was built before in this process solves
+    nothing again.
     """
     if n == 1:
         return ((BiDiffOp({_DXDY: 1}),),), ((),), (), ()

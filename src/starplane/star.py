@@ -24,12 +24,11 @@ from .diffop import (
     Record,
     is_k2_shape,
     _admissible,
-    _lifted_form,
     _width,
     substitute_sum,
 )
 from .errors import CapExceeded, Inconsistent, UsageError
-from .poly import Poly2
+from .poly import Poly2, _make
 from .series import HSeries
 
 
@@ -132,9 +131,13 @@ def star_mul(m: StarProduct, f: Poly2, g: Poly2) -> HSeries:
 
 
 def assoc_defect(m: StarProduct) -> dict:
-    """Exact order-k associator operators for k = 2..N (zero ops included)."""
+    """Exact order-k associator operators for k = 1..N (zero ops included).
+
+    Order 1 is -b(m_1), so a product whose m_1 is not a Hochschild cocycle
+    is not associative at order 1.
+    """
     out = {}
-    for k in range(2, m.n_order + 1):
+    for k in range(1, m.n_order + 1):
         out[k] = substitute_sum([(sign, m.order_op(i), slot, m.order_op(k - i))
                                  for i in range(k + 1) for sign, slot in ((1, 0), (-1, 1))])
     return out
@@ -165,9 +168,9 @@ def _read_off(r: BiDiffOp, k: int, max_op_order):
     m'_k = R_k - dU_k is pure-shape iff R_k has a slot at every
     non-admissible split of every forced nu, and is then R_k's admissible
     part minus u_nu on ((nu_0, 0), (0, nu_1)).  Both are summed int-keyed,
-    as in the kernel (_of_form).
+    as in the kernel (_of_packed).
     """
-    den, terms = _lifted_form(r)
+    den, terms = r._lifted
     forced = {}  # nu -> (C(nu, A), R_k's numerators at the first slot (A, B) forcing it)
     for (A, B), flat in terms:
         if _admissible(A, B):
@@ -202,7 +205,7 @@ def _read_off(r: BiDiffOp, k: int, max_op_order):
         if n0 and n1:
             a = m.setdefault(((n0, 0), (0, n1)), {})
             a.update({mono: a.get(mono, 0) - v for mono, v in num.items()})
-    return DiffOp._of_form(den * L, u, s, True), BiDiffOp._of_form(den * L, m, s, True)
+    return DiffOp._of_packed(den * L, u, s, True), BiDiffOp._of_packed(den * L, m, s, True)
 
 
 def _gauge(m: StarProduct, U: GaugeOp | None, max_op_order=None):
@@ -274,14 +277,12 @@ def normalize(m: StarProduct, max_op_order: int | None = None):
 # -- Poisson extraction ------------------------------------------------------
 
 
-_X = Poly2.monomial(1, 0)
-_Y = Poly2.monomial(0, 1)
 _D0, _DX, _DY = (0, 0), (1, 0), (0, 1)
-# (slot, sign, factor) of m(x, y) - m(y, x): the identity, dx and dy are
-# the only derivatives that leave x or y nonzero
-_SKEW_SLOTS = (((_DX, _DY), 1, None), ((_DY, _DX), -1, None),
-               ((_D0, _DY), 1, _X), ((_DY, _D0), -1, _X),
-               ((_DX, _D0), 1, _Y), ((_D0, _DX), -1, _Y))
+# (slot, sign, monomial shift) of m(x, y) - m(y, x): the identity, dx and dy
+# are the only derivatives that leave x or y nonzero
+_SKEW_SLOTS = (((_DX, _DY), 1, _D0), ((_DY, _DX), -1, _D0),
+               ((_D0, _DY), 1, _DX), ((_DY, _D0), -1, _DX),
+               ((_DX, _D0), 1, _DY), ((_D0, _DX), -1, _DY))
 
 
 def extract_poisson_p3(m: StarProduct) -> PoissonSeries:
@@ -290,18 +291,18 @@ def extract_poisson_p3(m: StarProduct) -> PoissonSeries:
     In closed form that is c[dx, dy] - c[dy, dx] + (c[1, dy] - c[dy, 1]) x
     + (c[dx, 1] - c[1, dx]) y, c being m_k's coefficient on a slot: the
     xy terms of c[1, 1] cancel, and on every other slot a derivative of x or
-    y vanishes.  So at most six slots are read, for any product.
+    y vanishes.  So at most six slots of m_k's integer form are read, for any
+    product, and one Poly2 is built per order.
     """
     coeffs = []
     for k in range(1, m.n_order + 1):
-        terms = m.order_op(k).terms
-        out = Poly2.zero()
-        for slot, sign, factor in _SKEW_SLOTS:
-            c = terms.get(slot)
-            if c is not None:
-                c = c if factor is None else c * factor
-                out = out + c if sign > 0 else out - c
-        coeffs.append(out)
+        den, terms = m.order_op(k)._lifted
+        slots = dict(terms)
+        out = {}
+        for slot, sign, (si, sj) in _SKEW_SLOTS:
+            for i, j, v in slots.get(slot, ()):
+                out[i + si, j + sj] = out.get((i + si, j + sj), 0) + sign * v
+        coeffs.append(_make({e: v for e, v in out.items() if v}, den))
     return PoissonSeries(m.n_order - 1, coeffs)
 
 

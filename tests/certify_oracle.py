@@ -9,7 +9,8 @@ from the closed form itself, so the two routes can be compared, and
 pure_shape writes a kappa_ab table as the operator K_k.
 """
 
-from starplane.diffop import BiDiffOp, TriDiffOp, _accum, _b_terms, substitute_sum
+from compose_oracle import _accum
+from starplane.diffop import BiDiffOp, TriDiffOp, _b_terms, substitute_sum
 from starplane.poly import X, Y
 from starplane.star import PoissonSeries
 
@@ -28,7 +29,7 @@ def hochschild_b(D) -> TriDiffOp:
 
 def hochschild_b_closed(K) -> TriDiffOp:
     """b(K) for a pure-shape K, built from the closed form of diffop._b_terms."""
-    return TriDiffOp._of({slot: kappa * f for slot, kappa, f in _b_terms(K.terms.items())})
+    return TriDiffOp({slot: kappa * f for slot, kappa, f in _b_terms(K.terms.items())})
 
 
 def euler_lagrange(K, axis):

@@ -1,16 +1,42 @@
 """Test-only reference: the per-slot Leibniz loops the engine used before
-diffop.substitute.
+diffop.substitute, and op_sum, a sum of operators scaled by coefficients.
 
-Each function below composes two operators the direct way: for every pair
-of terms and every split of the outer derivative (_splits2 / _splits3), it
-differentiates the inner Poly2 coefficient, multiplies, and
-accumulates with _accum, one coefficient object per term.  They share no
-code with the integer-lifted kernel, so tests compare the two.
+Each function below works the direct way, on the Poly2 terms of its
+operators: for every pair of terms and every split of the outer derivative
+(_splits2 / _splits3), it differentiates the inner Poly2 coefficient,
+multiplies, and accumulates with _accum, one coefficient object per term.
+They share no code with the integer-lifted kernel, so tests compare the two.
 """
 
 from math import comb, factorial
 
-from starplane.diffop import BiDiffOp, DiffOp, TriDiffOp, _accum
+from starplane.diffop import BiDiffOp, DiffOp, TriDiffOp
+
+
+def _accum(d, key, poly):
+    """d[key] += poly, dropping the key when the sum is zero."""
+    if not poly:
+        return
+    acc = d.get(key)
+    if acc is None:
+        d[key] = poly
+    else:
+        s = acc + poly
+        if s:
+            d[key] = s
+        else:
+            del d[key]
+
+
+def op_sum(parts):
+    """sum of c * op over the (c, op) parts, c a Poly2, int or Fraction, summed
+    slot by slot with Poly2 arithmetic; the operator type is the first op's."""
+    parts = list(parts)
+    d = {}
+    for c, op in parts:
+        for key, p in op.terms.items():
+            _accum(d, key, p * c)
+    return type(parts[0][1])(d)
 
 
 def _splits2(n):
@@ -52,7 +78,7 @@ def compose(self: DiffOp, other: DiffOp) -> DiffOp:
                     continue
                 key = (tail[0] + bx, tail[1] + by)
                 _accum(d, key, a * db * m)
-    return DiffOp._of(d)
+    return DiffOp(d)
 
 
 def hochschild_b(D) -> TriDiffOp:
@@ -65,7 +91,7 @@ def hochschild_b(D) -> TriDiffOp:
         for p, q, m in _splits2(B):
             _accum(d, (A, p, q), c * m)
         _accum(d, (A, B, (0, 0)), -c)
-    return TriDiffOp._of(d)
+    return TriDiffOp(d)
 
 
 def compose_in_first(outer: BiDiffOp, inner: BiDiffOp) -> TriDiffOp:
@@ -79,7 +105,7 @@ def compose_in_first(outer: BiDiffOp, inner: BiDiffOp) -> TriDiffOp:
                     continue
                 key = ((al[0] + q[0], al[1] + q[1]), (be[0] + r[0], be[1] + r[1]), B)
                 _accum(d, key, c * de * m)
-    return TriDiffOp._of(d)
+    return TriDiffOp(d)
 
 
 def compose_in_second(outer: BiDiffOp, inner: BiDiffOp) -> TriDiffOp:
@@ -93,7 +119,7 @@ def compose_in_second(outer: BiDiffOp, inner: BiDiffOp) -> TriDiffOp:
                     continue
                 key = (A, (al[0] + q[0], al[1] + q[1]), (be[0] + r[0], be[1] + r[1]))
                 _accum(d, key, c * de * m)
-    return TriDiffOp._of(d)
+    return TriDiffOp(d)
 
 
 def _precompose(M: BiDiffOp, U: DiffOp, slot: int) -> BiDiffOp:
@@ -109,7 +135,7 @@ def _precompose(M: BiDiffOp, U: DiffOp, slot: int) -> BiDiffOp:
                 new = (tail[0] + ux, tail[1] + uy)
                 key = (new, B) if slot == 0 else (A, new)
                 _accum(d, key, c * du * mult)
-    return BiDiffOp._of(d)
+    return BiDiffOp(d)
 
 
 def _postcompose(V: DiffOp, M: BiDiffOp) -> BiDiffOp:
@@ -123,4 +149,4 @@ def _postcompose(V: DiffOp, M: BiDiffOp) -> BiDiffOp:
                     continue
                 key = ((A[0] + q[0], A[1] + q[1]), (B[0] + r[0], B[1] + r[1]))
                 _accum(d, key, v * dc * mult)
-    return BiDiffOp._of(d)
+    return BiDiffOp(d)

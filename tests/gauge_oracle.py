@@ -13,7 +13,7 @@ R_k - dU_k bookkeeping, so tests compare the two routes.
 from fractions import Fraction
 from math import comb
 
-from compose_oracle import _postcompose, _precompose, compose
+from compose_oracle import _postcompose, _precompose, compose, op_sum
 from starplane.diffop import BiDiffOp, DiffOp
 from starplane.errors import CapExceeded, Inconsistent
 from starplane.series import HSeries
@@ -24,7 +24,7 @@ def oracle_inverse(U: GaugeOp) -> GaugeOp:
     """V with V o U = 1 mod h^(N+1), by V_k = -sum_{q>=1} V_(k-q) o U_q."""
     inv = {}
     for k in range(1, U.n_order + 1):
-        acc = DiffOp()
+        parts = []
         for q in range(1, k + 1):
             uq = U.orders.get(q)
             if uq is None:
@@ -32,9 +32,9 @@ def oracle_inverse(U: GaugeOp) -> GaugeOp:
             vk = inv.get(k - q) if k - q else DiffOp.identity()
             if vk is None:
                 continue
-            acc = acc + compose(vk, uq)
-        if acc:
-            inv[k] = -acc
+            parts.append((-1, compose(vk, uq)))
+        if parts and (vk := op_sum(parts)):
+            inv[k] = vk
     return GaugeOp(U.n_order, inv)
 
 
@@ -52,7 +52,7 @@ def oracle_gauge_transform(m: StarProduct, U: GaugeOp) -> StarProduct:
     V = oracle_inverse(U)
     new_orders = {}
     for k in range(1, N + 1):
-        acc = BiDiffOp()
+        parts = [(1, BiDiffOp())]
         for q in range(k + 1):
             mq = m.order_op(q)
             if not mq:
@@ -67,8 +67,8 @@ def oracle_gauge_transform(m: StarProduct, U: GaugeOp) -> StarProduct:
                     if not step2:
                         continue
                     step3 = _postcompose(V.order_op(p), step2) if p else step2
-                    acc = acc + step3
-        new_orders[k] = acc
+                    parts.append((1, step3))
+        new_orders[k] = op_sum(parts)
     return StarProduct(N, new_orders)
 
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import comb, perm
 
 from certify_oracle import pure_shape
+from compose_oracle import op_sum
 from starplane import linsolve
 from starplane.diffop import TriDiffOp, build_rhs_T
 from starplane.poly import Poly2
@@ -21,7 +22,7 @@ from starplane.poly import Poly2
 def prior_ops(phi, tables):
     """(kops, mops) of build_rhs_T for the operators K_1.. of phi: each K_i and
     each product order phi K_i, one t-degree row per order."""
-    return [[K] for K in tables], [[K.scale(phi)] for K in tables]
+    return [[K] for K in tables], [[op_sum([(phi, K)])] for K in tables]
 
 
 def total_degree(p: Poly2) -> int:

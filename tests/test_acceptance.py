@@ -13,6 +13,7 @@ import random
 
 from affine_oracle import subs_affine
 from certify_oracle import hochschild_b, pure_shape
+from compose_oracle import op_sum
 from solve_oracle import oracle_solve_order, prior_ops
 from starplane.berezin import berezin_pipeline
 from starplane.diffop import euler_lagrange, build_rhs_T
@@ -84,7 +85,7 @@ def test_criterion_4_uniqueness():
         for k in range(2, 5):
             _, res = oracle_solve_order(phi, [m.ktables[i] for i in range(1, k)], k)
             assert res.kernel_dim == 0
-            bumped = m.ktables[k] + pure_shape({(1, 1): ONE})
+            bumped = op_sum([(1, m.ktables[k]), (1, pure_shape({(1, 1): ONE}))])
             assert hochschild_b(bumped) == hochschild_b(m.ktables[k])
             assert euler_lagrange(bumped, "x") != {}
 

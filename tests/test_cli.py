@@ -58,6 +58,17 @@ def test_assoc_check_exit_codes(tmp_path):
     assert code == 1
     assert json.loads(report)["defects"]
 
+def test_assoc_check_names_order_1(tmp_path, capsys):
+    # m_1(f, g) = f dy g is no Hochschild cocycle, so order 1 is not associative
+    f = tmp_path / "m1.json"
+    f.write_text(json.dumps({"kind": "star_product", "h_order": 2, "terms": [
+        {"k": 1, "ops": [{"df": [0, 0], "dg": [0, 1], "coeff": "1"}]}]}))
+    code, report = run_cli(["assoc-check", "--product", str(f)])
+    assert code == 1
+    assert [entry["k"] for entry in json.loads(report)["defects"]][0] == 1
+    assert capsys.readouterr().err.startswith("error: the product is not associative at order 1")
+
+
 def test_classify_round_trip_via_cli(tmp_path):
     f = tmp_path / "p.json"
     _, text = run_cli(["quantize", "--phi", "2*x + 5", "--order", "3"])

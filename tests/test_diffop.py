@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import certify_oracle
+from compose_oracle import op_sum
 from certify_oracle import hochschild_b, hochschild_b_closed, pure_shape
 from starplane.diffop import (
     BiDiffOp,
@@ -22,7 +23,6 @@ from starplane.diffop import (
 )
 from starplane.errors import MissingPriorOrder
 from starplane.poly import ONE, X, Y, Poly2
-from starplane.series import HSeries
 
 rationals = st.fractions(min_value=-12, max_value=12, max_denominator=6)
 small_polys = st.dictionaries(
@@ -119,7 +119,7 @@ def test_build_rhs_T_is_the_order2_associator():
     # m = fg + h*phi*K_1
     phi = X ** 2 * Y - 3 * Y
     K1 = pure_shape({(1, 1): ONE})
-    m1 = K1.scale(phi)
+    m1 = op_sum([(phi, K1)])
     T2 = build_rhs_T(2, 0, [[K1]], [[m1]])
     for f in monomials(3):
         for g in monomials(3):
@@ -133,7 +133,7 @@ def test_build_rhs_T_splits_by_t_degree():
     # psi_0 T_2[d] + psi_1 T_2[d-1] must be the t^d part of the h^2 associator
     psi = [X * Y, X + Y ** 2]
     K1 = pure_shape({(1, 1): ONE})
-    m1 = [K1.scale(p) for p in psi]
+    m1 = [op_sum([(p, K1)]) for p in psi]
     T = [build_rhs_T(2, d, [[K1]], [m1]) for d in range(3)]
     assert T[2].is_zero()  # K_1 has one row and m_1 two, so T_2 stops at t^1
     for f in monomials(2):
@@ -152,7 +152,7 @@ def test_build_rhs_T_splits_by_t_degree():
 def test_build_rhs_T_needs_priors():
     K1 = pure_shape({(1, 1): ONE})
     with pytest.raises(MissingPriorOrder):
-        build_rhs_T(3, 0, [[K1]], [[K1.scale(X)]])
+        build_rhs_T(3, 0, [[K1]], [[op_sum([(X, K1)])]])
     with pytest.raises(ValueError):
         build_rhs_T(1, 0, [], [])
 
@@ -183,7 +183,7 @@ def balanced(K, axis):
     oracle's functional on that axis vanishes."""
     fix = {(1, key) if axis == "x" else (key, 1): -val
            for key, val in certify_oracle.euler_lagrange(K, axis).items()}
-    return K + pure_shape(fix)
+    return op_sum([(1, K), (1, pure_shape(fix))])
 
 
 @given(pure_shape_ops, st.sampled_from([None, "x", "y"]))
@@ -201,9 +201,6 @@ def test_euler_lagrange_edge_cases():
     with pytest.raises(ValueError):
         euler_lagrange(BiDiffOp(), "t")
     assert euler_lagrange(BiDiffOp(), "x") == {}
-    # the kernel's one ring is Poly2
-    with pytest.raises(TypeError):
-        euler_lagrange(BiDiffOp._of({((1, 0), (0, 1)): HSeries(1, [X, Y])}), "x")
 
 
 @pytest.mark.parametrize("slot", [
@@ -245,7 +242,6 @@ def perturbed(T):
     yield "extra slot", TriDiffOp({**terms, ((0, 0), (0, 0), (1, 0)): c})
     yield "slot dropped", TriDiffOp({k: v for k, v in terms.items() if k != slot})
     yield "numerator off by one", TriDiffOp({**terms, slot: off_by_one(c)})
-    yield "HSeries for a Poly2", TriDiffOp._of({**terms, slot: HSeries.constant(c, 1)})
 
 
 @given(pure_shape_ops)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starplane.diffop import BiDiffOp
+from compose_oracle import op_sum
 from starplane.parser import parse_poly
 from starplane.poly import Poly2
 from starplane.quantize import quantize, quantize_series
@@ -58,14 +58,13 @@ def reparametrized(phi, cs, N):
     m = quantize(phi, N)
     s = [Fraction(1)] + [Fraction(c) for c in cs]
     power = [Fraction(1)]  # s^k, truncated at h^N
-    out = {n: BiDiffOp() for n in range(1, N + 1)}
+    parts = {n: [] for n in range(1, N + 1)}
     for k in range(1, N + 1):
         power = [sum(power[i] * s[j - i] for i in range(len(power)) if 0 <= j - i < len(s))
                  for j in range(N - k + 1)]
         for n in range(k, N + 1):
-            if power[n - k]:
-                out[n] = out[n] + m.order_op(k).scale(power[n - k])
-    return out
+            parts[n].append((power[n - k], m.order_op(k)))
+    return {n: op_sum(p) for n, p in parts.items()}
 
 
 def test_reparametrized_reference_is_the_binomial_sum():
@@ -73,10 +72,7 @@ def test_reparametrized_reference_is_the_binomial_sum():
     phi, c, N = parse_poly("x^2*y"), Fraction(5, 2), 5
     m = quantize(phi, N)
     for n, op in reparametrized(phi, [c], N).items():
-        want = BiDiffOp()
-        for k in range(1, n + 1):
-            if comb(k, n - k):
-                want = want + m.order_op(k).scale(comb(k, n - k) * c ** (n - k))
+        want = op_sum((comb(k, n - k) * c ** (n - k), m.order_op(k)) for k in range(1, n + 1))
         assert op == want, n
 
 

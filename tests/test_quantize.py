@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certify_oracle import hochschild_b, pure_shape
+from compose_oracle import op_sum
 from series_oracle import oracle_quantize_series
 from solve_oracle import oracle_solve_order, prior_ops
 from starplane import diffop, docs
@@ -116,7 +117,7 @@ def test_every_single_entry_perturbation_breaks_the_recursion(phi):
         for a in range(1, k + 2):
             for b in range(1, k + 2):
                 for bump in (ONE, X ** 2 * Y):
-                    bumped = K + pure_shape({(a, b): bump})
+                    bumped = op_sum([(1, K), (1, pure_shape({(a, b): bump}))])
                     assert (hochschild_b(bumped) != T or euler_lagrange(bumped, "x")
                             or euler_lagrange(bumped, "y")), (k, a, b, bump)
 
@@ -130,7 +131,7 @@ def test_cocycle_breaks_euler_lagrange():
     m = quantize(X * Y, 3)
     for k in range(2, 4):
         K = m.ktables[k]
-        bumped = K + pure_shape({(1, 1): ONE})
+        bumped = op_sum([(1, K), (1, pure_shape({(1, 1): ONE}))])
         assert hochschild_b(bumped) == hochschild_b(K)
         assert euler_lagrange(bumped, "x") != {}
 
@@ -150,7 +151,7 @@ def test_solve_order_checks_every_slot_of_T():
         extra = TriDiffOp({((0, 0), (0, 0), (1, 0)): ONE})
         for delta in [extra] + [TriDiffOp({slot: X}) for slot in unread]:
             errors = []
-            for bad in (T + delta, substitute_sum(
+            for bad in (op_sum([(1, T), (1, delta)]), substitute_sum(
                     [(1, form, 0, DiffOp.identity()), (1, delta, 0, DiffOp.identity())])):
                 with pytest.raises(Infeasible) as caught:
                     solve_order(bad, k)
@@ -190,6 +191,22 @@ def test_the_recursion_builds_no_poly2_for_T_or_m(monkeypatch):
     made, kappas, m = count_poly2(monkeypatch, lambda: quantize(phi, 5))
     assert kappas == sum(len(K.terms) for k, K in m.ktables.items() if k >= 2)
     assert made <= kappas + sum(len(op.terms) for op in m.orders.values()) + 1
+
+
+def test_shape_tests_and_a_cold_build_read_forms_not_poly2(monkeypatch):
+    # spq_membership reads the slots of each order's integer form; K_k is
+    # born from its solved numerators, so a cold quantize builds only K_1's
+    # constant
+    _quantize_cached.cache_clear()
+    _step.cache_clear()
+    m = quantize_series([X * Y, Y, X], 5)
+    made, _, member = count_poly2(monkeypatch, lambda: spq_membership(m))
+    assert member and made == 0
+    phi = X ** 2 * Y + X * Y ** 2
+    _quantize_cached.cache_clear()
+    _step.cache_clear()
+    made, _, _ = count_poly2(monkeypatch, lambda: quantize(phi, 6))
+    assert made <= 1
 
 
 @pytest.mark.parametrize("psi, N", [
@@ -290,7 +307,7 @@ def test_cocycle_tweak_is_still_in_the_image():
     # is a different admissible product: the one for the series x + h^2*x
     m = quantize(X, 3)
     tweaked = dict(m.orders)
-    tweaked[3] = tweaked[3] + type(tweaked[3])({((1, 0), (0, 1)): X})
+    tweaked[3] = op_sum([(1, tweaked[3]), (1, BiDiffOp({((1, 0), (0, 1)): X}))])
     assert classify_p2(StarProduct(3, tweaked)).trimmed() == [X, Poly2.zero(), X]
 
 def test_classify_rejects_products_outside_the_image():
@@ -298,7 +315,7 @@ def test_classify_rejects_products_outside_the_image():
     # so only the round trip, which compares every slot, can catch it
     m = quantize(X, 3)
     tweaked = dict(m.orders)
-    tweaked[2] = tweaked[2] + type(tweaked[2])({((1, 0), (0, 2)): ONE})
+    tweaked[2] = op_sum([(1, tweaked[2]), (1, BiDiffOp({((1, 0), (0, 2)): ONE}))])
     broken = StarProduct(3, tweaked)
     with pytest.raises(NotInImage):
         classify_p2(broken)
@@ -310,7 +327,7 @@ def test_classify_rejects_a_top_order_tweak():
     # dx (x) dy, which the round trip must reject
     m = quantize(X, 3)
     tweaked = dict(m.orders)
-    tweaked[3] = tweaked[3] + type(tweaked[3])({((1, 0), (0, 2)): ONE})
+    tweaked[3] = op_sum([(1, tweaked[3]), (1, BiDiffOp({((1, 0), (0, 2)): ONE}))])
     with pytest.raises(NotInImage):
         classify_p2(StarProduct(3, tweaked))
 
@@ -393,7 +410,8 @@ def test_top_coefficient_reaches_h_to_the_n_only_through_k1(case):
     for n in range(1, len(psi) + 1):
         q, m = quantize_series(psi[:n - 1], N), quantize_series(psi[:n], N)
         assert all(m.order_op(i) == q.order_op(i) for i in range(1, n))
-        assert m.order_op(n) == q.order_op(n) + BiDiffOp({((1, 0), (0, 1)): psi[n - 1]})
+        assert m.order_op(n) == op_sum([(1, q.order_op(n)),
+                                        (1, BiDiffOp({((1, 0), (0, 1)): psi[n - 1]}))])
 
 @given(series_inputs, st.data())
 @settings(max_examples=25, deadline=None)
@@ -406,7 +424,7 @@ def test_classify_inverts_quantize_series_on_every_order(case, data):
     n = data.draw(st.integers(1, N))
     a, b = data.draw(st.tuples(st.integers(1, 3), st.integers(1, 3)).filter(lambda s: s != (1, 1)))
     bump = data.draw(series_polys.filter(bool))
-    tweaked = {**m.orders, n: m.order_op(n) + BiDiffOp({((a, 0), (0, b)): bump})}
+    tweaked = {**m.orders, n: op_sum([(1, m.order_op(n)), (1, BiDiffOp({((a, 0), (0, b)): bump}))])}
     with pytest.raises(NotInImage):
         classify_p2(StarProduct(N, tweaked))
 

@@ -9,6 +9,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import certify_oracle
+from compose_oracle import op_sum
 from gauge_oracle import oracle_apply_series, oracle_gauge_transform, oracle_inverse, oracle_normalize
 from starplane import poly
 from starplane.diffop import BiDiffOp, DiffOp
@@ -92,6 +93,21 @@ def test_assoc_defect_flags_broken_products():
     d = assoc_defect(bad)
     assert any(not op.is_zero() for op in d.values())
     assert not is_associative(bad)
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_assoc_defect_starts_at_order_1(N):
+    # m_1(f, g) = f dy g is no Hochschild cocycle: b(m_1)(f, g, h) = f g dy h,
+    # and the order-1 associator is -b(m_1)
+    m1 = BiDiffOp({((0, 0), (0, 1)): 1})
+    bad = StarProduct(N, {1: m1})
+    d = assoc_defect(bad)
+    assert sorted(d) == list(range(1, N + 1))
+    assert d[1] == op_sum([(-1, certify_oracle.hochschild_b(m1))]) and d[1]
+    assert d[1].apply(X, Y, X * Y) == -(X * Y * X)
+    assert not is_associative(bad)
+    # a cocycle m_1 leaves order 1 zero
+    assert not assoc_defect(StarProduct(N, {1: BiDiffOp({((1, 0), (0, 1)): X})}))[1]
+
 
 def test_pointwise_product_is_associative():
     assert is_associative(StarProduct(3, {}))
@@ -218,7 +234,7 @@ def test_normalize_matches_inverse_route(data):
         k = data.draw(st.integers(1, N))
         slot = st.tuples(st.integers(0, 1), st.integers(0, 1))
         stray = BiDiffOp({(data.draw(slot), data.draw(slot)): data.draw(coeffs)})
-        m = StarProduct(N, {**m.orders, k: m.order_op(k) + stray})
+        m = StarProduct(N, {**m.orders, k: op_sum([(1, m.order_op(k)), (1, stray)])})
     cap = data.draw(st.sampled_from([None, 1, 2, 3, 4]))
     got = _outcome(normalize, m, max_op_order=cap)
     event(got.__name__ if isinstance(got, type) else "normalized")
@@ -339,6 +355,22 @@ def test_normalize_closed_form_matches_inverse_route_and_builds_no_poly2(m, monk
     assert made == []  # U_k and m'_k are read off R_k's integer form
     monkeypatch.undo()
     assert (U, out) == oracle_normalize(m)
+
+
+def test_star_mul_builds_only_its_result(monkeypatch):
+    # apply works on each order's integer form: the Poly2s built are the
+    # result's coefficients, on a first call and on a repeat
+    U = GaugeOp(4, {1: DiffOp({(1, 1): 2, (2, 0): Fraction(1, 3)}), 2: DiffOp({(0, 2): -1})})
+    _, m = normalize(gauge_transform(quantize(parse_poly("x^2*y+x*y^2"), 4), U))
+    f, g = parse_poly("x^3*y + 2*y^2"), parse_poly("x*y^2 - 1/2*x")
+    made, new = [], poly._new
+    monkeypatch.setattr(poly, "_new", lambda cls: made.append(cls) or new(cls))
+    for _ in range(2):
+        made.clear()
+        got = star_mul(m, f, g)
+        assert len(made) == len(got.coeffs) == 5
+    monkeypatch.undo()
+    assert got == star_mul(quantize(parse_poly("x^2*y+x*y^2"), 4), f, g)
 
 
 def test_star_product_attributes_are_read_only():

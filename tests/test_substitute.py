@@ -19,6 +19,7 @@ from certify_oracle import hochschild_b
 from starplane.diffop import (
     BiDiffOp,
     DiffOp,
+    TriDiffOp,
     substitute,
     substitute_sum,
 )
@@ -40,7 +41,7 @@ idx = st.tuples(st.integers(0, 2), st.integers(0, 2))
 
 def operators(arity, coefficients=small_polys):
     key = idx if arity == 1 else st.tuples(*[idx] * arity)
-    cls = {1: DiffOp, 2: BiDiffOp}[arity]
+    cls = {1: DiffOp, 2: BiDiffOp, 3: TriDiffOp}[arity]
     return st.dictionaries(key, coefficients, max_size=3).map(cls)
 
 
@@ -75,7 +76,7 @@ def test_substitute_matches_the_leibniz_loops(case, sign):
     # one accumulator for several substitutions; with other == inner and
     # sign == 1 every slot cancels to zero
     got = substitute_sum([(sign, outer, slot, inner), (-1, outer, slot, other)])
-    assert got == want.scale(sign) - oracle_substitute(outer, slot, other)
+    assert got == oracle.op_sum([(sign, want), (-1, oracle_substitute(outer, slot, other))])
     if other is inner and sign == 1:
         assert got.is_zero()
 
@@ -100,11 +101,8 @@ def sums(draw, inner_coefficients=small_polys):
 
 
 def oracle_sum(items):
-    want = None
-    for sign, outer, slot, inner in items:
-        term = oracle_substitute(outer, slot, inner).scale(sign)
-        want = term if want is None else want + term
-    return want
+    return oracle.op_sum((sign, oracle_substitute(outer, slot, inner))
+                         for sign, outer, slot, inner in items)
 
 
 @given(sums())
@@ -165,8 +163,8 @@ def test_hochschild_b_matches_the_split_loops(D):
 
 
 def test_other_coefficient_rings_are_refused():
-    # the constructor refuses them; an operator that holds one anyway (built
-    # from its terms dict, as scale by an HSeries does) is refused by the kernel
+    # the constructor refuses them, so no operator holds one and the kernel
+    # reads only integer forms
     phi = X * Y + 1
     terms = [{((0, 0), (0, 0)): LocalizedFn(X, 1, phi)},
              {((0, 0), (0, 0)): HSeries(1, [LocalizedFn(X, 0, phi)] * 2)},
@@ -174,11 +172,6 @@ def test_other_coefficient_rings_are_refused():
     for d in terms:
         with pytest.raises(TypeError):
             BiDiffOp(d)
-    for op in map(BiDiffOp._of, terms):
-        with pytest.raises(TypeError):
-            substitute(BiDiffOp.multiplication(), 0, op)
-        with pytest.raises(TypeError):
-            substitute(op, 1, BiDiffOp.multiplication())
 
 
 # -- the lifted form each operator keeps -------------------------------------
@@ -203,14 +196,14 @@ def reuse_cases(draw):
     """One shared operator and partners for it in both roles, over different
     denominators."""
     arity = draw(st.sampled_from([1, 2]))
-    shared = draw(operators(arity)).scale(Fraction(1, draw(denominators)))
+    shared = oracle.op_sum([(Fraction(1, draw(denominators)), draw(operators(arity)))])
     calls = []
     for _ in range(draw(st.integers(2, 4))):
         as_outer = draw(st.booleans())
         arity_out, slot, arity_in = draw(st.sampled_from(
             [p for p in PAIRINGS if (p[0] if as_outer else p[2]) == arity]))
-        other = draw(operators(arity_in if as_outer else arity_out)).scale(
-            Fraction(1, draw(denominators)))
+        other = oracle.op_sum([(Fraction(1, draw(denominators)),
+                                draw(operators(arity_in if as_outer else arity_out)))])
         calls.append((shared, slot, other) if as_outer else (other, slot, shared))
     return shared, calls
 
@@ -219,7 +212,7 @@ def reuse_cases(draw):
 @settings(max_examples=100, deadline=None)
 def test_a_reused_operator_composes_like_the_oracle(case):
     shared, calls = case
-    twin = type(shared)._of(dict(shared.terms))  # equal, never lifted
+    twin = type(shared)(shared.terms)  # equal, lifted from its terms anew
     before = repr(shared)
     for outer, slot, inner in calls:
         got = substitute(outer, slot, inner)
@@ -239,58 +232,101 @@ def test_a_reused_operator_composes_like_the_oracle(case):
 def test_the_lifted_form_is_invisible_in_values_and_documents():
     m = quantize(parse_poly("x^2*y+x*y^2"), 4)
     text = docs.render(docs.star_product_doc(m))
-    fresh = docs.star_product_from_doc(json.loads(text))  # equal operators, never lifted
-    assert all(not hasattr(op, "_lifted") for op in fresh.orders.values())
+    fresh = docs.star_product_from_doc(json.loads(text))  # equal operators, lifted from their terms
+    # every operator has its form from birth: kernel results and constructed ones alike
+    assert all(op._lifted[1] for p in (m, fresh) for op in p.orders.values())
     reprs = [repr(op) for op in m.orders.values()]
-    defect = assoc_defect(m)  # lifts every order of m
+    defect = assoc_defect(m)
     assert all(not op for op in defect.values())
-    assert all(hasattr(op, "_lifted") for op in m.orders.values())
     assert m == fresh and fresh == m
     assert [repr(op) for op in m.orders.values()] == reprs
     assert docs.render(docs.star_product_doc(m)) == text
     assert docs.render(docs.star_product_doc(fresh)) == text
 
 
-def count_lifts(monkeypatch):
-    """Patch diffop._lift to record every operator it computes a form for."""
+def reference_apply(op, *args):
+    """op applied with Poly2 arithmetic on its terms."""
+    out = Poly2.zero()
+    for key, c in op.terms.items():
+        for (i, j), f in zip((key,) if op.arity == 1 else key, args, strict=True):
+            c = c * f.dx(i).dy(j)
+        out = out + c
+    return out
+
+
+def twins(op):
+    """Copies of op's integer form, each one numerator off or one slot short."""
+    den, terms = op._lifted
+    for n, (key, flat) in enumerate(terms):
+        (i, j, v), *rest = flat
+        off = [(i, j, v + 1 if v != -1 else -2)] + rest  # no numerator becomes zero
+        yield type(op)._of_form(den, terms[:n] + [(key, off)] + terms[n + 1:])
+        yield type(op)._of_form(den, terms[:n] + terms[n + 1:])
+
+
+@given(st.sampled_from([1, 2, 3]).flatmap(operators), st.integers(2, 6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_equality_and_apply_read_the_form(op, q, data):
+    # a kernel result over q times op's denominator, not in lowest terms,
+    # equals the constructed op; so does a copy built from op's terms
+    over = substitute_sum([(q, op, 0, DiffOp({(0, 0): Fraction(1, q)}))])
+    den, terms = over._lifted
+    assert not terms or gcd(den, *(v for _, flat in terms for _, _, v in flat)) > 1
+    for other in [over, type(op)(op.terms), *twins(over), *twins(op)]:
+        assert (other == op) == (op == other) == (dict(other.terms) == dict(op.terms))
+    assert over == op and all(twin != op for twin in [*twins(over), *twins(op)])
+    args = [data.draw(small_polys) for _ in range(op.arity)]
+    assert op.apply(*args) == over.apply(*args) == reference_apply(op, *args)
+
+
+def count_born(monkeypatch):
+    """Patch the operator constructor to record, by value, every nonzero
+    operator it lifts from a mapping of coefficients."""
     seen = Counter()
-    lift = diffop._lift
+    init = diffop._OpBase.__init__
 
-    def counted(op):
-        seen[repr(op)] += 1  # by value: an equal operator rebuilt counts again
-        return lift(op)
+    def counted(self, terms=None):
+        init(self, terms)
+        if self:  # the form of a constructed operator is canonical for its terms
+            seen[repr((type(self).__name__, self._lifted))] += 1
 
-    monkeypatch.setattr(diffop, "_lift", counted)
+    monkeypatch.setattr(diffop._OpBase, "__init__", counted)
     return seen
 
 
 def test_quantize_lifts_each_operator_once(monkeypatch):
     _quantize_cached.cache_clear()
     _step.cache_clear()
-    seen = count_lifts(monkeypatch)
-    quantize(parse_poly("x^2*y+x*y^2"), 6)
-    # K_1..K_6 (K_2..K_6 by their own certificates), phi K_1 and the
-    # multiplication by phi; every other m part is born in kernel form
-    assert len(seen) == 8 and max(seen.values()) == 1
+    seen = count_born(monkeypatch)
+    m = quantize(parse_poly("x^2*y+x*y^2"), 6)
+    # the constructor lifts K_1, phi K_1 and the multiplication by phi, once
+    # each; K_2..K_6 are born from their solved numerators and every m part
+    # in kernel form, so every operator has its form from birth
+    assert len(seen) == 3 and max(seen.values()) == 1
+    assert all(op._lifted[1] for op in [*m.orders.values(), *m.ktables.values()])
 
 
 def test_normalize_lifts_each_operator_once(monkeypatch):
     _quantize_cached.cache_clear()
     m = quantize(parse_poly("x^2*y+x*y^2"), 4)
     U = GaugeOp(4, {1: DiffOp({(1, 1): 2, (2, 0): Fraction(1, 3)}), 2: DiffOp({(0, 2): -1})})
-    seen = count_lifts(monkeypatch)
+    seen = count_born(monkeypatch)
     W, out = normalize(gauge_transform(m, U))
     assert out == m
-    assert seen and max(seen.values()) == 1
+    # every operator of the gauge recursion is born in kernel form or read
+    # off R_k's numerators: none is lifted from Poly2 terms
+    assert not seen
+    assert all(op._lifted[1] for p in (W, out) for op in p.orders.values())
 
 
 def test_returned_orders_keep_their_form_apart_from_their_values(monkeypatch):
     # the orders quantize and quantize_series return carry the integer form
     # they were summed in: no list of it is reachable from the order's public
-    # values, so emptying every list leaves each order's value as it was
+    # values, so emptying every list leaves the terms and repr a caller has
+    # read as they were
     _quantize_cached.cache_clear()
     _step.cache_clear()
-    seen = count_lifts(monkeypatch)
+    seen = count_born(monkeypatch)
     phi = parse_poly("x^2*y+x*y^2")
     U = GaugeOp(4, {1: DiffOp({(1, 1): 2, (2, 0): Fraction(1, 3)}), 2: DiffOp({(0, 2): -1})})
     W, out = normalize(gauge_transform(quantize(phi, 4), U))
