@@ -90,9 +90,11 @@ def _table(op):
 
 
 def fit_lie_words(phi_samples, k: int) -> FitReport:
-    if k < 1:
-        raise UsageError("k must be >= 1")
+    if type(k) is not int or k < 1:
+        raise UsageError(f"k must be an integer >= 1, got {k!r}")
     samples = list(phi_samples)
+    if not samples:
+        raise UsageError("fit_lie_words needs at least one sample phi")
     pairs = None
     rows = []
     targets = []

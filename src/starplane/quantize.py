@@ -30,6 +30,7 @@ quantize(phi, N) after quantize(phi, N') solves only orders N'+1..N; each
 K_k[d] is certified when it is first solved.  A process that has not built
 the series (the CLI runs one command per process) gets only the cold-path
 saving: the t-degree bound of each step follows the series read so far.
+_step is the only cache: every quantize call sums a new product from it.
 """
 
 from __future__ import annotations
@@ -175,18 +176,11 @@ def _orders(psi, N: int):
     return orders, kops
 
 
-# Products are read-only, so every caller may share the cached one.  The
-# bound keeps memory flat in long runs.
-@lru_cache(maxsize=256)
-def _quantize_cached(phi: Poly2, N: int) -> StarProduct:
-    orders, kops = _orders([phi], N)
-    return StarProduct(N, orders, phi=phi, ktables={k: Ks[0] for k, Ks in enumerate(kops, 1)})
-
-
 def quantize(phi: Poly2, N: int) -> StarProduct:
     """Star product fg + sum h^k phi K_k of one polynomial phi, through h^N (an int >= 1)."""
     _check_order(N)
-    return _quantize_cached(phi, N)
+    orders, kops = _orders([phi], N)
+    return StarProduct(N, orders, phi=phi, ktables={k: Ks[0] for k, Ks in enumerate(kops, 1)})
 
 
 # -- formal series inputs ----------------------------------------------------
@@ -196,10 +190,11 @@ def quantize_series(psi: PoissonSeries | list, N: int) -> StarProduct:
     """Quantize sum h^i psi_i exactly through h^N, N an int >= 1.
 
     psi_i first reaches the product at h^(i+1), so psi_i with i >= N is dropped;
-    a series with one nonzero coefficient left goes through the cached quantize,
-    and one with none has no parts.  The steps of the recursion stay in _step's
-    cache, keyed by the coefficients they read, so classify_p2 on the result in
-    the same process, or a later call that shares a prefix, reuses them.
+    a series with one nonzero coefficient left goes through quantize, which
+    attaches phi and ktables, and one with none has no parts.  The steps of
+    the recursion stay in _step's cache, keyed by the coefficients they read,
+    so classify_p2 on the result in the same process, or a later call that
+    shares a prefix, reuses them.
     """
     _check_order(N)
     coeffs = _trim(list(psi.coeffs if isinstance(psi, PoissonSeries) else psi)[:N])

@@ -43,8 +43,8 @@ class _OrderSeries(ReadOnly):
 
     n_order must be an int >= 1 and every key of orders an int in
     1..n_order (UsageError, a ValueError, otherwise).  Read-only, like the
-    operators in orders, because quantize() hands one cached product to
-    every caller.  Equality is type-strict.
+    operators in orders, because quantize()'s ktables share each K_k with
+    the recursion's step cache.  Equality is type-strict.
     """
 
     __slots__ = ("n_order", "orders")
@@ -214,9 +214,10 @@ def _gauge(m: StarProduct, U: GaugeOp | None, max_op_order=None):
     Write R_k for the order-k part of that identity without its three U_k
     terms, namely sum_{q+i+j=k; i,j<k} m_q(U_i., U_j.) minus
     sum_{p=1..k-1} U_p o m'_(k-p), one kernel sum.  Then m'_k = R_k - dU_k
-    with dU(f,g) = U(fg) - U(f)g - fU(g).  Given U, this is the gauge action;
-    with U = None, U_k and m'_k are read off R_k in closed form (_read_off),
-    which makes m' pure-shape.  U^{-1} is never formed.
+    with dU(f,g) = U(fg) - U(f)g - fU(g).  Given U, this is the gauge action,
+    with -dU_k's three items in R_k's kernel sum; with U = None, U_k and m'_k
+    are read off R_k in closed form (_read_off), which makes m' pure-shape.
+    U^{-1} is never formed.
     """
     N = m.n_order
     mult = StarProduct._unit  # the shared units keep their lifted forms across calls
@@ -232,13 +233,12 @@ def _gauge(m: StarProduct, U: GaugeOp | None, max_op_order=None):
                  for i in range(k) if first[i] for q in range(k - i + 1)
                  if q + i and first[i][q] and (q + i == k or us[k - q - i])]
         items += [(-1, us[p], 0, new[k - p]) for p in range(1, k) if us[p] and new[k - p]]
-        r = substitute_sum(items) if items else BiDiffOp()
         if U is None:
-            uk, mk = _read_off(r, k, max_op_order)
+            uk, mk = _read_off(substitute_sum(items) if items else BiDiffOp(), k, max_op_order)
         else:
             uk = U.order_op(k)
-            mk = substitute_sum([(1, r, 1, us[0]), (-1, uk, 0, mult), (1, mult, 0, uk),
-                                 (1, mult, 1, uk)]) if uk else r
+            items += [(-1, uk, 0, mult), (1, mult, 0, uk), (1, mult, 1, uk)] if uk else []
+            mk = substitute_sum(items) if items else BiDiffOp()
         us.append(uk)
         new.append(mk)
         if k < N:

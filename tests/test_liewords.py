@@ -1,9 +1,11 @@
 """Universal Lie-word coefficients for the order-(k+1) operator."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
+from starplane.errors import UsageError
 from starplane.liewords import fit_lie_words, _separable_terms, _ansatz_ops
 from starplane.parser import parse_poly
 from starplane.poly import ONE, X, Y
@@ -65,6 +67,13 @@ def test_multiterm_sample():
     assert r.lambdas[((0,), (0,))] == Fraction(1, 2)
 
 
-def test_k_must_be_positive():
-    with pytest.raises(ValueError):
-        fit_lie_words(SAMPLES, 0)
+@pytest.mark.parametrize("k", [0, -1, 2.5, "2", True])
+def test_k_must_be_an_int_at_least_one(k):
+    with pytest.raises(UsageError, match=rf"^k must be an integer >= 1, got {re.escape(repr(k))}$"):
+        fit_lie_words([X * Y], k)
+
+
+def test_samples_must_not_be_empty():
+    for samples in ([], iter(())):
+        with pytest.raises(UsageError, match="at least one sample"):
+            fit_lie_words(samples, 2)

@@ -21,7 +21,6 @@ from starplane.errors import Infeasible, NotInImage, NotNormalized, UsageError
 from starplane.poly import ONE, X, Y, Poly2
 from starplane.quantize import (
     _build,
-    _quantize_cached,
     _step,
     classify_p2,
     quantize,
@@ -185,7 +184,6 @@ def test_the_recursion_builds_no_poly2_for_T_or_m(monkeypatch):
     made, kappas, back = count_poly2(monkeypatch, lambda: classify_p2(m))
     assert back.trimmed() == psi
     assert made <= kappas + len(back.coeffs) + 1
-    _quantize_cached.cache_clear()
     _step.cache_clear()
     phi = X ** 2 * Y + X * Y ** 2
     made, kappas, m = count_poly2(monkeypatch, lambda: quantize(phi, 5))
@@ -197,13 +195,11 @@ def test_shape_tests_and_a_cold_build_read_forms_not_poly2(monkeypatch):
     # spq_membership reads the slots of each order's integer form; K_k is
     # born from its solved numerators, so a cold quantize builds only K_1's
     # constant
-    _quantize_cached.cache_clear()
     _step.cache_clear()
     m = quantize_series([X * Y, Y, X], 5)
     made, _, member = count_poly2(monkeypatch, lambda: spq_membership(m))
     assert member and made == 0
     phi = X ** 2 * Y + X * Y ** 2
-    _quantize_cached.cache_clear()
     _step.cache_clear()
     made, _, _ = count_poly2(monkeypatch, lambda: quantize(phi, 6))
     assert made <= 1
@@ -232,8 +228,21 @@ def test_quantize_series_forms_each_product_once(monkeypatch, psi, N):
     assert all(poly in {repr(p) for p in psi if p} for poly, _ in calls)
     assert m == oracle_quantize_series(psi, N)
 
-def test_quantize_caching_returns_identical_object():
-    assert quantize(X * Y, 3) is quantize(Y * X, 3)
+def test_repeated_quantize_solves_nothing_and_returns_a_new_product(monkeypatch):
+    # the step cache holds every K_k, so a repeat solves nothing; the product
+    # is built anew, equal to the first, and shares its K_k with it
+    first = quantize(X * Y, 3)
+    module = importlib.import_module("starplane.quantize")
+    calls = []
+    for name in ("build_rhs_T", "solve_order"):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    again = quantize(Y * X, 3)
+    assert calls == []
+    assert again == first and again is not first
+    assert again.ktables.keys() == first.ktables.keys()
+    assert all(again.ktables[k] is K for k, K in first.ktables.items())
+    assert docs.render(docs.star_product_doc(again)) == docs.render(docs.star_product_doc(first))
 
 @pytest.mark.parametrize("build, arg", [(quantize, X * Y), (quantize_series, [X * Y, X])])
 @pytest.mark.parametrize("order", [0, -1, 2.5, "3", True])
@@ -242,8 +251,8 @@ def test_order_must_be_an_int_at_least_one(build, arg, order):
         build(arg, order)
 
 def test_cached_product_cannot_be_mutated():
-    # quantize hands one cached product to every caller, so a write into it
-    # would corrupt every later quantize of the same phi
+    # a product's ktables share each K_k with the step cache, so a write into
+    # one would corrupt every later quantize of the same phi
     m = quantize(X * Y, 3)
     with pytest.raises(TypeError):
         m.orders[2] = BiDiffOp()
@@ -447,10 +456,8 @@ def test_quantize_extends_a_shorter_build(monkeypatch):
     # after quantize(phi, N - 2), quantize(phi, N) solves only orders N - 1
     # and N, and matches a cold build in its orders, tables and document
     phi, N = X ** 2 * Y + X * Y ** 2, 6
-    _quantize_cached.cache_clear()
     _step.cache_clear()
     cold = quantize(phi, N)
-    _quantize_cached.cache_clear()
     _step.cache_clear()
     quantize(phi, N - 2)
     module = importlib.import_module("starplane.quantize")
@@ -480,19 +487,15 @@ def public_values(op):
 
 def run_calls(calls, cold):
     """Each call's results as (product, its document, classify's series or None);
-    both caches are emptied before every public call if cold, else once."""
-    def clear():
-        _quantize_cached.cache_clear()
-        _step.cache_clear()
-
-    clear()
+    the step cache is emptied before every public call if cold, else once."""
+    _step.cache_clear()
     out = []
     for kind, psi, N in calls:
         if cold:
-            clear()
+            _step.cache_clear()
         m = quantize(psi[0], N) if kind == "quantize" else quantize_series(psi, N)
         if cold:
-            clear()
+            _step.cache_clear()
         back = classify_p2(m) if kind == "classify" else None
         out.append((m, docs.render(docs.star_product_doc(m)), back))
     return out

@@ -26,7 +26,7 @@ from starplane.diffop import (
 from starplane.localized import LocalizedFn
 from starplane.parser import parse_poly
 from starplane.poly import X, Y, Poly2
-from starplane.quantize import _quantize_cached, _step, quantize, quantize_series
+from starplane.quantize import _step, quantize, quantize_series
 from starplane.series import HSeries
 from starplane.star import (GaugeOp, StarProduct, assoc_defect, gauge_transform, is_associative,
                             normalize)
@@ -295,7 +295,6 @@ def count_born(monkeypatch):
 
 
 def test_quantize_lifts_each_operator_once(monkeypatch):
-    _quantize_cached.cache_clear()
     _step.cache_clear()
     seen = count_born(monkeypatch)
     m = quantize(parse_poly("x^2*y+x*y^2"), 6)
@@ -307,7 +306,6 @@ def test_quantize_lifts_each_operator_once(monkeypatch):
 
 
 def test_normalize_lifts_each_operator_once(monkeypatch):
-    _quantize_cached.cache_clear()
     m = quantize(parse_poly("x^2*y+x*y^2"), 4)
     U = GaugeOp(4, {1: DiffOp({(1, 1): 2, (2, 0): Fraction(1, 3)}), 2: DiffOp({(0, 2): -1})})
     seen = count_born(monkeypatch)
@@ -324,7 +322,6 @@ def test_returned_orders_keep_their_form_apart_from_their_values(monkeypatch):
     # they were summed in: no list of it is reachable from the order's public
     # values, so emptying every list leaves the terms and repr a caller has
     # read as they were
-    _quantize_cached.cache_clear()
     _step.cache_clear()
     seen = count_born(monkeypatch)
     phi = parse_poly("x^2*y+x*y^2")
@@ -333,16 +330,18 @@ def test_returned_orders_keep_their_form_apart_from_their_values(monkeypatch):
     assert seen and max(seen.values()) == 1  # from quantize on, each operator once
     monkeypatch.undo()
     assert out == quantize(phi, 4)
-    for m in (quantize(phi, 4), quantize_series([X * Y, Y, X], 4)):
-        for op in m.orders.values():
-            assert substitute(op, 0, DiffOp.identity()) == op
-            cached = {id(x) for x in lifted_lists(op)}
-            assert not cached & {id(v) for v in public_values(op)}
-            before = repr(op), dict(op.terms)
-            for x in lifted_lists(op):
-                x.clear()
-            assert (repr(op), dict(op.terms)) == before
-    _quantize_cached.cache_clear()  # the emptied forms leave with the cached product
+    try:
+        for m in (quantize(phi, 4), quantize_series([X * Y, Y, X], 4)):
+            for op in m.orders.values():
+                assert substitute(op, 0, DiffOp.identity()) == op
+                cached = {id(x) for x in lifted_lists(op)}
+                assert not cached & {id(v) for v in public_values(op)}
+                before = repr(op), dict(op.terms)
+                for x in lifted_lists(op):
+                    x.clear()
+                assert (repr(op), dict(op.terms)) == before
+    finally:
+        _step.cache_clear()  # no emptied form can reach a later test
 
 
 def test_gauge_first_rows_build_no_poly2(monkeypatch):
