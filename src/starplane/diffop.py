@@ -8,15 +8,15 @@ Poly2; quantize_series splits its recursion by t-degree, so the kernel
 sees no other ring.
 
 Every composition of operators is one kernel, substitute_sum (substitute
-for a single term): it feeds an inner operator's output into one argument
-of an outer operator by the Leibniz rule, on integer numerators, in two
-stages.  Stage 1 adds each product c * d^p e of an outer coefficient and a
-derivative of an inner one into a bucket per (outer key around the slot,
-inner key, derivative left over), shared by every item of the call; stage 2
-spreads each bucket once over the inner arguments.  Inside a call a
-monomial x^i y^j is the one int i << s | j, s sized to the call, so the
-buckets and output slots hold only ints: no key tuple is made per product,
-and the cyclic garbage collector does not track those dicts.  Every
+for one term): it feeds the output of an inner operator of 1 or 2 arguments
+into one argument of an outer one by the Leibniz rule, on integer
+numerators, in two stages split by one table, _shares.  Stage 1 adds each
+product c * d^p e of an outer coefficient and a derivative of an inner one
+into a bucket per (outer key around the slot, inner key, derivative left
+over), shared by every item of the call; stage 2 spreads each bucket once.
+Inside a call x^i y^j is the one int i << s | j, s sized to the call, so
+the buckets and output slots hold only ints: no key tuple is made per
+product, and the cyclic garbage collector does not track those dicts.  Every
 operator holds one state from birth, its integer form: numerators over one
 denominator, stored as (i, j, numerator) triples per slot.  The constructor
 lifts its Poly2, int or Fraction coefficients once; a kernel result, a K_k
@@ -247,26 +247,12 @@ _ARITY = {1: DiffOp, 2: BiDiffOp, 3: TriDiffOp}
 
 
 @lru_cache(maxsize=None)
-def _shares(n: Idx, parts: int) -> tuple:
-    """Every way to write n as an ordered sum of `parts` multi-indices, with
-    its multinomial coefficient; the Leibniz rule of substitute."""
-    if parts == 1:
-        return (((n,), 1),)
+def _shares(n: Idx) -> tuple:
+    """((q, n - q), C(n, q)) for every q <= n: each way to split the multi-index
+    n over two factors, with its binomial weight; the Leibniz rule of the kernel."""
     nx, ny = n
-    return tuple((((qx, qy),) + rest, comb(nx, qx) * comb(ny, qy) * m)
-                 for qx in range(nx + 1) for qy in range(ny + 1)
-                 for rest, m in _shares((nx - qx, ny - qy), parts - 1))
-
-
-@lru_cache(maxsize=None)
-def _spread(ikey: tuple, rest: Idx) -> tuple:
-    """(shifted key, multinomial) for every way the derivative `rest` spreads
-    over the arguments of the inner term ikey."""
-    if len(ikey) == 1:
-        ((bx, by),) = ikey
-        return ((((bx + rest[0], by + rest[1]),), 1),)
-    return tuple([(tuple([(b[0] + q[0], b[1] + q[1]) for b, q in zip(ikey, qs)]), m)
-                  for qs, m in _shares(rest, len(ikey))])
+    return tuple((((qx, qy), (nx - qx, ny - qy)), comb(nx, qx) * comb(ny, qy))
+                 for qx in range(nx + 1) for qy in range(ny + 1))
 
 
 _ONE = DiffOp.identity()  # summing with the identity adds the outer operators
@@ -309,23 +295,27 @@ def substitute_sum(items):
     numerators and empty keys dropped), from which it builds its terms on
     first read.  A call works over D = lcm of d_outer * d_inner
     over its items, scaling each item's weight by D / (d_outer * d_inner).
-    For outer term c d^A in the slot and inner term e d^B1 .. d^Bn,
-    d^A (e F) = sum_p C(A; p) d^p e d^(A-p) (d^B1 .. d^Bn), in two stages.
-    Stage 1 adds sign * C(A; p) * c * d^p e into one bucket per (outer key
-    around the slot, inner key, rest = A - p), which every item of the call
-    shares; a share p beyond e's largest x- or y-exponent is skipped (each
-    operand is packed, its largest exponents found, once per call), and each
-    d^p e is formed once per call (d^0 e is e).  Stage 2 spreads each bucket
-    once: d^rest over the inner arguments (_spread) into the output slots.
-    Inside a call the monomial x^i y^j is the one int i << s | j (_width), so
-    buckets and output slots hold only ints, which the cyclic garbage
-    collector leaves untracked.  An inner identity changes no key, so that
-    item adds the outer's numerators to its slots as they are.  Every item
-    must give the same arity.
+    For outer term c d^A in the slot and inner term e d^B or e d^B1 d^B2,
+    d^A (e F) = sum_p C(A, p) d^p e d^(A-p) F, in two stages, both split by
+    _shares.  Stage 1 adds sign * C(A, p) * c * d^p e into one bucket per
+    (outer key around the slot, inner key, rest = A - p), which every item
+    of the call shares; a share p beyond e's largest x- or y-exponent is
+    skipped (each operand is packed, its largest exponents found, once per
+    call), and each d^p e is formed once per call (d^0 e is e).  Stage 2
+    spreads each bucket once into the output slots: rest = 0 keeps the inner
+    key, d^B goes to d^(B+rest), and d^B1 d^B2 to d^(B1+q) d^(B2+rest-q)
+    with weight C(rest, q) for each share q of rest.  Inside a call x^i y^j
+    is the one int i << s | j (_width), so buckets and output slots hold
+    only ints, which the cyclic garbage collector leaves untracked.  An inner
+    identity changes no key: its item adds the outer's numerators as they
+    are.  Every item must give the same arity; an inner of 3 arguments,
+    which the engine never composes, raises ValueError.
     """
     (arity,) = {outer.arity + inner.arity - 1 for _, outer, _, inner in items}
     forms = {}
     for _, outer, _, inner in items:
+        if inner.arity > 2:
+            raise ValueError(f"substitute_sum needs inners of arity 1 or 2, got {inner.arity}")
         for op in (outer, inner):
             if id(op) not in forms:
                 forms[id(op)] = op._lifted
@@ -341,9 +331,7 @@ def substitute_sum(items):
         scale = sign * (den // (dout * din))
         if li == _IDENTITY:
             for okey, c in lo:
-                a = acc.get(okey)
-                if a is None:
-                    a = acc[okey] = {}
+                a = acc.setdefault(okey, {})
                 for i, j, v in c:
                     k = i << s | j
                     a[k] = a.get(k, 0) + v * scale
@@ -357,7 +345,7 @@ def substitute_sum(items):
             A = okey[slot]
             head, tail = okey[:slot], okey[slot + 1:]
             for n, (ikey, e, ex, ey) in enumerate(lp):
-                for ((px, py), rest), w in _shares(A, 2):
+                for ((px, py), rest), w in _shares(A):
                     if px > ex or py > ey:
                         continue
                     if px or py:
@@ -379,7 +367,15 @@ def substitute_sum(items):
                             k = k1 + k2
                             b[k] = get(k, 0) + v1 * v2
     for (head, tail, ikey, rest), b in buckets.items():
-        for mid, m in _spread(ikey, rest):
+        if rest == (0, 0):
+            spread = ((ikey, 1),)
+        elif len(ikey) == 1:
+            spread = ((((ikey[0][0] + rest[0], ikey[0][1] + rest[1]),), 1),)
+        else:
+            (ax, ay), (bx, by) = ikey
+            spread = [(((ax + qx, ay + qy), (bx + rx, by + ry)), m)
+                      for ((qx, qy), (rx, ry)), m in _shares(rest)]
+        for mid, m in spread:
             a = acc.setdefault(head + mid + tail, {})
             for k, v in b.items():
                 a[k] = a.get(k, 0) + v * m

@@ -213,8 +213,11 @@ def _gauge(m: StarProduct, U: GaugeOp | None, max_op_order=None):
 
     Write R_k for the order-k part of that identity without its three U_k
     terms, namely sum_{q+i+j=k; i,j<k} m_q(U_i., U_j.) minus
-    sum_{p=1..k-1} U_p o m'_(k-p), one kernel sum.  Then m'_k = R_k - dU_k
-    with dU(f,g) = U(fg) - U(f)g - fU(g).  Given U, this is the gauge action,
+    sum_{p=1..k-1} U_p o m'_(k-p): one kernel sum of m_q(U_(k-q) ., .) for
+    q >= 1 (j = 0), L_n(., U_(k-n) .) for n = 1..k-1, the row sum
+    L_n = sum_{q+i=n} m_q(U_i ., .) being one kernel call made once, and
+    -U_p o m'_(k-p).  Then m'_k = R_k - dU_k with
+    dU(f,g) = U(fg) - U(f)g - fU(g).  Given U, this is the gauge action,
     with -dU_k's three items in R_k's kernel sum; with U = None, U_k and m'_k
     are read off R_k in closed form (_read_off), which makes m' pure-shape.
     U^{-1} is never formed.
@@ -224,14 +227,11 @@ def _gauge(m: StarProduct, U: GaugeOp | None, max_op_order=None):
     ms = [mult] + [m.order_op(q) for q in range(1, N + 1)]
     us = [GaugeOp._unit]
     new = [mult]
-    # first[i][q] = m_q(U_i ., .), shared by every later order; None if U_i = 0.
-    # Only the kernel reads the rows i >= 1, so they build no Poly2.
-    first = [ms]
+    rows = [None]  # rows[n] = L_n, None if zero; only the kernel reads them, so no Poly2
     for k in range(1, N + 1):
-        # with U_0 = 1 in the second argument (q + i = k) the kernel adds first[i][q] as it is
-        items = [(1, first[i][q], 1, us[k - q - i])
-                 for i in range(k) if first[i] for q in range(k - i + 1)
-                 if q + i and first[i][q] and (q + i == k or us[k - q - i])]
+        # the j = 0 terms; the kernel adds m_k (U_0 = 1) as it is
+        head = [(1, ms[q], 0, us[k - q]) for q in range(1, k + 1) if ms[q] and us[k - q]]
+        items = head + [(1, rows[n], 1, us[k - n]) for n in range(1, k) if rows[n] and us[k - n]]
         items += [(-1, us[p], 0, new[k - p]) for p in range(1, k) if us[p] and new[k - p]]
         if U is None:
             uk, mk = _read_off(substitute_sum(items) if items else BiDiffOp(), k, max_op_order)
@@ -242,16 +242,18 @@ def _gauge(m: StarProduct, U: GaugeOp | None, max_op_order=None):
         us.append(uk)
         new.append(mk)
         if k < N:
-            first.append([substitute_sum([(1, mq, 0, uk)]) for mq in ms[:N - k + 1]]
-                         if uk else None)
+            head += [(1, mult, 0, uk)] if uk else []  # L_k = head + m_0(U_k ., .)
+            rows.append(substitute_sum(head) if head else None)
     out = StarProduct(N, dict(enumerate(new[1:], 1)))
     return out if U is not None else (GaugeOp(N, dict(enumerate(us[1:], 1))), out)
 
 
 def gauge_transform(m: StarProduct, U: GaugeOp) -> StarProduct:
     """The m' with U(m'(f,g)) = m(Uf, Ug), i.e. U^{-1} m(U., U.), through h^N."""
+    if not isinstance(U, GaugeOp):
+        raise UsageError(f"U must be a GaugeOp, got {U!r}")
     if U.n_order < m.n_order:
-        raise ValueError("gauge operator truncated below the product order")
+        raise UsageError(f"U has order {U.n_order}, below the product's order {m.n_order}")
     return _gauge(m, U)
 
 
@@ -266,11 +268,11 @@ def normalize(m: StarProduct, max_op_order: int | None = None):
     m_k(1, 1) is, and then U1 = 1, Ux = x and Uy = y.  Raised in this order:
     Inconsistent for a slot with exactly one underived argument (the product
     is not associative through that order) or conflicting forced values,
-    CapExceeded for a U_k above max_op_order (which must be >= 0),
+    CapExceeded for a U_k above max_op_order (UsageError unless an int >= 0),
     Inconsistent for a non-admissible slot left in m'_k.
     """
-    if max_op_order is not None and max_op_order < 0:
-        raise UsageError(f"max_op_order must be >= 0, got {max_op_order!r}")
+    if max_op_order is not None and (type(max_op_order) is not int or max_op_order < 0):
+        raise UsageError(f"max_op_order must be an integer >= 0 or None, got {max_op_order!r}")
     return _gauge(m, None, max_op_order)
 
 

@@ -449,6 +449,49 @@ def test_normalize_rejects_a_negative_cap():
     assert normalize(quantize(X * Y, 4), max_op_order=1) == (U, m)
 
 
+@pytest.mark.parametrize("cap", [1.5, True, "2"])
+def test_normalize_rejects_a_cap_that_is_not_an_int(cap):
+    with pytest.raises(UsageError, match=f"max_op_order .*got {re.escape(repr(cap))}"):
+        normalize(quantize(X * Y, 2), max_op_order=cap)
+
+
+def test_gauge_transform_rejects_a_u_that_is_not_a_gauge_op():
+    with pytest.raises(UsageError, match="U must be a GaugeOp, got 'U'"):
+        gauge_transform(quantize(X * Y, 2), "U")
+
+
+def test_gauge_transform_rejects_a_u_shorter_than_the_product():
+    U = GaugeOp(2, {1: DiffOp({(1, 1): 2})})
+    with pytest.raises(UsageError, match="U has order 2, below the product's order 3"):
+        gauge_transform(quantize(X * Y, 3), U)
+    with pytest.raises(ValueError):  # UsageError is a ValueError
+        gauge_transform(quantize(X * Y, 3), U)
+
+
+# U at N = 5 against the row sums L_n = sum_{q+i=n} m_q(U_i ., .) of the recursion:
+# zero orders between nonzero ones, polynomial coefficients with an order-0
+# part, and orders past the product's, which the action never reads
+_ROW_SUM_GAUGES = {
+    "zero-middle-orders": GaugeOp(5, {1: DiffOp({(1, 1): 2, (2, 0): Fraction(1, 3)}),
+                                      5: DiffOp({(0, 2): -1})}),
+    "polynomial-with-order-0": GaugeOp(5, {1: DiffOp({(0, 2): X}),
+                                           3: DiffOp({(0, 0): 1, (2, 0): Y})}),
+    "longer-than-the-product": GaugeOp(7, {1: DiffOp({(1, 1): 2}), 2: DiffOp({(0, 2): -1}),
+                                           6: DiffOp({(2, 0): 1}), 7: DiffOp({(3, 0): X})}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_SUM_GAUGES))
+def test_gauge_row_sums_match_inverse_route_at_order_5(name):
+    U = _ROW_SUM_GAUGES[name]
+    m = quantize(parse_poly("x^2*y+x*y^2"), 5)
+    gauged = gauge_transform(m, U)
+    assert gauged == oracle_gauge_transform(m, U)
+    got = normalize(gauged)
+    assert got == oracle_normalize(gauged)
+    assert got[1] == m
+
+
 def test_gauge_op_is_read_only():
     U, _ = normalize(moyal_fixture(1, 3))
     for name in ("n_order", "orders"):

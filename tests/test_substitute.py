@@ -6,7 +6,7 @@ import json
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +79,45 @@ def test_substitute_matches_the_leibniz_loops(case, sign):
     assert got == oracle.op_sum([(sign, want), (-1, oracle_substitute(outer, slot, other))])
     if other is inner and sign == 1:
         assert got.is_zero()
+
+
+# inner coefficients of degree 3 in x and in y, so every share p <= A of an
+# outer derivative A <= (3, 3) is live; the inner keys hold both rest = 0
+# (an underived term) and derived arguments
+DEEP = X ** 3 * Y ** 3 - Fraction(1, 2) * X ** 2 * Y + Y ** 3 + 1
+DEEP_INNERS = {1: DiffOp({(0, 1): DEEP, (0, 0): X * Y ** 2}),
+               2: BiDiffOp({((1, 0), (0, 2)): DEEP, ((0, 0), (0, 0)): X ** 3 - Y})}
+
+
+@pytest.mark.parametrize("pairing", PAIRINGS)
+@pytest.mark.parametrize("A", [(ax, ay) for ax in range(4) for ay in range(4)])
+def test_outer_derivatives_up_to_3_3_match_the_leibniz_loops(pairing, A):
+    # the Hypothesis cases above stop at derivatives (2, 2)
+    arity_out, slot, arity_in = pairing
+    key = A if arity_out == 1 else ((A, (1, 0)) if slot == 0 else ((0, 1), A))
+    outer = {1: DiffOp, 2: BiDiffOp}[arity_out]({key: X + 2 * Y ** 2})
+    inner = DEEP_INNERS[arity_in]
+    assert substitute(outer, slot, inner) == oracle_substitute(outer, slot, inner)
+    twice = substitute_sum([(1, outer, slot, inner), (2, outer, slot, inner)])
+    assert twice == oracle.op_sum([(3, oracle_substitute(outer, slot, inner))])
+
+
+def test_an_inner_of_three_arguments_is_refused():
+    tri = TriDiffOp({((0, 0), (1, 0), (0, 1)): X})
+    for outer in (DiffOp({(1, 0): Y}), BiDiffOp({((1, 0), (0, 1)): Y})):
+        with pytest.raises(ValueError, match="arity 1 or 2, got 3"):
+            substitute_sum([(1, outer, 0, tri)])
+
+
+def test_shares_split_a_multi_index_in_two():
+    for nx in range(5):
+        for ny in range(5):
+            shares = diffop._shares((nx, ny))
+            assert sorted(q for (q, _), _ in shares) == [
+                (qx, qy) for qx in range(nx + 1) for qy in range(ny + 1)]
+            for ((qx, qy), rest), w in shares:
+                assert rest == (nx - qx, ny - qy) and w == comb(nx, qx) * comb(ny, qy)
+            assert sum(w for _, w in shares) == 2 ** (nx + ny)
 
 
 # output arity -> the pairings that give it; one call sums items of one output arity
@@ -345,9 +384,10 @@ def test_returned_orders_keep_their_form_apart_from_their_values(monkeypatch):
 
 
 def test_gauge_first_rows_build_no_poly2(monkeypatch):
-    # every kernel call of the gauge recursion, the rows first[i][q] =
-    # m_q(U_i ., .) among them, returns a result that holds only its integer
-    # form: no call builds a Poly2 coefficient, whether U is given or solved for
+    # every kernel call of the gauge recursion, the row sums
+    # L_n = sum_{q+i=n} m_q(U_i ., .) among them, returns a result that holds
+    # only its integer form: no call builds a Poly2 coefficient, whether U is
+    # given or solved for
     star = importlib.import_module("starplane.star")
     m = quantize(parse_poly("x^2*y+x*y^2"), 4)
     U = GaugeOp(4, {1: DiffOp({(1, 1): 2, (2, 0): Fraction(1, 3)}), 2: DiffOp({(0, 2): -1})})
@@ -364,8 +404,8 @@ def test_gauge_first_rows_build_no_poly2(monkeypatch):
     monkeypatch.setattr(star, "substitute_sum", counted)
     with counting_poly2() as made:
         got = gauge_transform(m, U)
-        # U_1 and U_2 are nonzero and k < N = 4 for both: rows of 4 and 3 entries
-        assert len(calls) > 7
+        # one R_k sum per order and one row sum L_n per order n < N: 2N - 1 calls
+        assert len(calls) == 2 * 4 - 1
         W, out = normalize(got)
     # normalize reads U_k and m'_k off R_k's integer form, so neither builds a Poly2
     assert calls == [0] * len(calls) and made == []
