@@ -12,7 +12,7 @@ from __future__ import annotations
 from .diffop import Record
 from .errors import IntegrationObstruction, NotNormalized
 from .localized import LocalizedFn
-from .poly import Poly2
+from .poly import Poly2, _make
 from .quantize import quantize
 from .series import HSeries
 from .star import StarProduct, _check_order, extract_poisson_p3, spq_membership
@@ -28,14 +28,8 @@ class YOpSeries:
         self.terms = {b: w for b, w in terms.items() if not w.is_zero()}
         self.phi = phi
 
-    def zero_series(self) -> HSeries:
-        return HSeries.constant(LocalizedFn(0, 0, self.phi), self.n_order)
-
-    def coeff(self, b: int) -> HSeries:
-        return self.terms.get(b, self.zero_series())
-
     def apply(self, f: HSeries) -> HSeries:
-        out = self.zero_series()
+        out = HSeries.constant(LocalizedFn(0, 0, self.phi), self.n_order)
         for b, w in self.terms.items():
             out = out + w * f.dy(b)
         return out
@@ -76,7 +70,9 @@ def ad_x(m: StarProduct, phi: Poly2) -> YOpSeries:
     """(1/h)(x * g - g * x) as a y-operator series, read off the a = 1 column.
 
     Against f = x only single x-derivatives survive, and m_k(g, x) vanishes
-    because the second slot only sees y-derivatives.
+    because the second slot only sees y-derivatives.  Read off each order's
+    integer form: on a pure shape, ((1, 0), (0, b)) is the one a = 1 slot of
+    dy-order b, so it is w_b's h^(k-1) coefficient whole.
     """
     if not spq_membership(m):
         raise NotNormalized("ad_x requires a normalized (pure-shape) product")
@@ -84,14 +80,14 @@ def ad_x(m: StarProduct, phi: Poly2) -> YOpSeries:
     if p3.coeffs[0] != phi:
         raise NotNormalized("phi does not match the leading Poisson coefficient")
     N = m.n_order - 1
+    zero = LocalizedFn(0, 0, phi)
     terms = {}
     for k in range(1, m.n_order + 1):
-        op = m.order_op(k)
-        for ((ax, ay), (bx, by)), c in op.terms.items():
-            if ax != 1:
-                continue
-            w = terms.setdefault(by, [LocalizedFn(0, 0, phi)] * (N + 1))
-            w[k - 1] = w[k - 1] + LocalizedFn(c, 0, phi)
+        den, lifted = m.order_op(k)._lifted
+        for ((ax, _), (_, by)), flat in lifted:
+            if ax == 1:
+                c = _make({(i, j): v for i, j, v in flat}, den)
+                terms.setdefault(by, [zero] * (N + 1))[k - 1] = LocalizedFn(c, 0, phi)
     return YOpSeries(N, {b: HSeries(N, w) for b, w in terms.items()}, phi)
 
 
@@ -106,6 +102,10 @@ def extract_S(W: YOpSeries, phi: Poly2) -> YOpSeries:
     the leftover b = 1 slot is then a consistency check.  (Solving upward by
     y-antiderivatives instead generically produces an infinite tail: a
     nonzero s_{j-1} forces a nonzero s_j.)
+
+    v_b = W_b/phi is the pipeline's one division (div_phi), exact where phi
+    divides, so S stays polynomial where it can; no later form is reduced
+    until a document prints it.
     """
     N = W.n_order
     zero = HSeries.constant(LocalizedFn(0, 0, phi), N)

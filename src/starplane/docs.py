@@ -159,8 +159,9 @@ def defect_report_doc(defects: dict, h_order: int) -> dict:
 
 
 def _localized_series(s: HSeries):
-    return [{"i": i, "num": format_poly(c.num), "phi_pow": c.power}
-            for i, c in enumerate(s.coeffs) if c]
+    """The nonzero coefficients, each printed in lowest terms."""
+    reduced = ((i, c.reduced()) for i, c in enumerate(s.coeffs) if c)
+    return [{"i": i, "num": format_poly(c.num), "phi_pow": c.power} for i, c in reduced]
 
 
 def berezin_doc(data: BerezinData) -> dict:

@@ -1,8 +1,10 @@
 """Rational functions with denominators restricted to powers of a fixed phi.
 
-LocalizedFn represents numerator / phi^power.  The representation is kept
-reduced (phi does not divide the numerator while power > 0), which makes
-structural equality agree with cross-multiplication equality.
+LocalizedFn represents numerator / phi^power.  As with every operator's
+integer form, a LocalizedFn need not be in lowest terms, so == cross-multiplies.
+No step divides except div_phi, which divides by phi exactly where phi divides
+the numerator.  reduced() gives the lowest terms form.  Documents print that
+form, so they do not depend on how a value was reached.
 """
 
 from __future__ import annotations
@@ -23,23 +25,13 @@ class LocalizedFn:
             raise UsageError("phi must be nonzero")
         if power < 0:
             raise ValueError("power must be nonnegative")
-        # reduce
-        if num.is_zero():
-            power = 0
-        else:
-            while power > 0:
-                try:
-                    num = num.exact_div(phi)
-                except NotDivisible:
-                    break
-                power -= 1
         self.num = num
-        self.power = power
+        self.power = power if num else 0
         self.phi = phi
 
     @classmethod
-    def one_over_phi(cls, phi, power: int = 1):
-        return cls(Poly2.const(1), power, phi)
+    def one_over_phi(cls, phi):
+        return cls(1, 1, phi)
 
     def _coerce(self, other):
         if isinstance(other, LocalizedFn):
@@ -47,7 +39,7 @@ class LocalizedFn:
                 raise ValueError("mixed localizations (different phi)")
             return other
         if isinstance(other, (int, Fraction, Poly2)):
-            return LocalizedFn(other if isinstance(other, Poly2) else Poly2.const(other), 0, self.phi)
+            return LocalizedFn(other, 0, self.phi)
         return None
 
     def is_zero(self) -> bool:
@@ -60,7 +52,6 @@ class LocalizedFn:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # cross-multiplication; equivalent to structural equality on reduced forms
         return self.num * o.phi ** o.power == o.num * self.phi ** self.power
 
     def __add__(self, other):
@@ -82,9 +73,6 @@ class LocalizedFn:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return LocalizedFn(self.num * other, self.power, self.phi)
@@ -95,29 +83,31 @@ class LocalizedFn:
 
     __rmul__ = __mul__
 
-    def div_phi(self, n: int = 1) -> "LocalizedFn":
-        """Divide by phi^n (just raises the denominator power)."""
-        return LocalizedFn(self.num, self.power + n, self.phi)
+    def reduced(self) -> "LocalizedFn":
+        """The same value in lowest terms: phi does not divide num while power > 0."""
+        num, power = self.num, self.power
+        while power:
+            try:
+                num = num.exact_div(self.phi)
+            except NotDivisible:
+                break
+            power -= 1
+        return LocalizedFn(num, power, self.phi)
 
-    def dx(self, n: int = 1) -> "LocalizedFn":
-        out = self
-        for _ in range(n):
-            out = out._d1("x")
-        return out
+    def div_phi(self) -> "LocalizedFn":
+        """self / phi, divided out of the numerator where phi divides it."""
+        return LocalizedFn(self.num, self.power + 1, self.phi).reduced()
 
     def dy(self, n: int = 1) -> "LocalizedFn":
-        out = self
+        """d^n/dy^n by the quotient rule, which raises a nonzero power by one per step."""
+        num, power, phi = self.num, self.power, self.phi
+        dphi = phi.dy()
         for _ in range(n):
-            out = out._d1("y")
-        return out
-
-    def _d1(self, axis):
-        dn = self.num.dx() if axis == "x" else self.num.dy()
-        if self.power == 0:
-            return LocalizedFn(dn, 0, self.phi)
-        dphi = self.phi.dx() if axis == "x" else self.phi.dy()
-        num = dn * self.phi - self.num * dphi * self.power
-        return LocalizedFn(num, self.power + 1, self.phi)
+            if power:
+                num, power = num.dy() * phi - num * dphi * power, power + 1
+            else:
+                num = num.dy()
+        return LocalizedFn(num, power, phi)
 
     def __repr__(self):
         if self.power == 0:

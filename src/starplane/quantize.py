@@ -40,7 +40,7 @@ from math import lcm, perm
 
 from .diffop import (_ONE, BiDiffOp, DiffOp, build_rhs_T, euler_lagrange, hochschild_b_equals,
                      substitute_sum)
-from .errors import Infeasible, NotInImage, NotNormalized
+from .errors import Infeasible, NotInImage, NotNormalized, UsageError
 from .poly import Poly2
 from .star import PoissonSeries, StarProduct, _check_order, spq_membership
 
@@ -178,6 +178,8 @@ def _orders(psi, N: int):
 
 def quantize(phi: Poly2, N: int) -> StarProduct:
     """Star product fg + sum h^k phi K_k of one polynomial phi, through h^N (an int >= 1)."""
+    if not isinstance(phi, Poly2):
+        raise UsageError(f"phi must be a Poly2, got {phi!r}")
     _check_order(N)
     orders, kops = _orders([phi], N)
     return StarProduct(N, orders, phi=phi, ktables={k: Ks[0] for k, Ks in enumerate(kops, 1)})

@@ -2,8 +2,7 @@
 
 HSeries is ring-agnostic: coefficients just need +, - and *, which Poly2
 and LocalizedFn both provide.  All operations truncate consistently at the
-stated order.  dx and dy act
-coefficientwise.
+stated order.  dy acts coefficientwise.
 """
 
 from __future__ import annotations
@@ -61,9 +60,6 @@ class HSeries:
         return HSeries(n, out)
 
     __rmul__ = __mul__
-
-    def dx(self, n: int = 1) -> "HSeries":
-        return HSeries(self.order, [c.dx(n) for c in self.coeffs])
 
     def dy(self, n: int = 1) -> "HSeries":
         return HSeries(self.order, [c.dy(n) for c in self.coeffs])

@@ -37,6 +37,11 @@ def _check_order(N) -> None:
         raise UsageError(f"order must be an integer >= 1, got {N!r}")
 
 
+def _check_product(m) -> None:
+    if not isinstance(m, StarProduct):
+        raise UsageError(f"m must be a StarProduct, got {m!r}")
+
+
 class _OrderSeries(ReadOnly):
     """_unit + sum h^k orders[k] for k = 1..n_order; each subclass sets _unit and
     _zero, the operators order_op gives at k = 0 and at an absent order.
@@ -250,6 +255,7 @@ def _gauge(m: StarProduct, U: GaugeOp | None, max_op_order=None):
 
 def gauge_transform(m: StarProduct, U: GaugeOp) -> StarProduct:
     """The m' with U(m'(f,g)) = m(Uf, Ug), i.e. U^{-1} m(U., U.), through h^N."""
+    _check_product(m)
     if not isinstance(U, GaugeOp):
         raise UsageError(f"U must be a GaugeOp, got {U!r}")
     if U.n_order < m.n_order:
@@ -271,6 +277,7 @@ def normalize(m: StarProduct, max_op_order: int | None = None):
     CapExceeded for a U_k above max_op_order (UsageError unless an int >= 0),
     Inconsistent for a non-admissible slot left in m'_k.
     """
+    _check_product(m)
     if max_op_order is not None and (type(max_op_order) is not int or max_op_order < 0):
         raise UsageError(f"max_op_order must be an integer >= 0 or None, got {max_op_order!r}")
     return _gauge(m, None, max_op_order)

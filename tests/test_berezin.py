@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starplane.berezin import (
     YOpSeries,
@@ -10,8 +12,10 @@ from starplane.berezin import (
     berezin_pipeline,
     extract_S,
 )
-from starplane.errors import IntegrationObstruction, NotNormalized
+from starplane.docs import berezin_doc
+from starplane.errors import IntegrationObstruction, NotDivisible, NotNormalized, UsageError
 from starplane.localized import LocalizedFn
+from starplane.parser import parse_poly
 from starplane.poly import ONE, X, Y, Poly2
 from starplane.quantize import quantize
 from starplane.series import HSeries
@@ -103,7 +107,7 @@ def test_extract_S_defining_identity():
             lhs[j + 1] = lhs.get(j + 1, zero) + sj.dy() * LocalizedFn(phi, 0, phi)
             lhs[j + 2] = lhs.get(j + 2, zero) + sj * LocalizedFn(phi, 0, phi)
         for b in set(lhs) | set(W.terms):
-            assert lhs.get(b, zero) == W.coeff(b), (phi, b)
+            assert lhs.get(b, zero) == W.terms.get(b, zero), (phi, b)
 
 
 def test_extract_S_inconsistent_input():
@@ -143,3 +147,34 @@ def test_density_xy_values():
 def test_density_uses_localized_ring():
     data = berezin_pipeline(X * Y, 2)
     assert data.f.coeffs[0].power == 1
+
+
+def test_berezin_pipeline_rejects_a_phi_that_is_not_a_poly2():
+    with pytest.raises(UsageError, match="phi must be a Poly2, got 'x'"):
+        berezin_pipeline("x", 2)
+
+
+exponents = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda e: sum(e) <= 3)
+coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+phis = st.dictionaries(exponents, coefficients, min_size=1, max_size=3).map(Poly2)
+
+
+@given(phis, st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_held_forms_solve_the_density_and_print_in_lowest_terms(phi, N):
+    # the forms are held unreduced; == cross-multiplies and the document reduces
+    data = berezin_pipeline(phi, N)
+    one = HSeries.constant(LocalizedFn(1, 0, phi), N)
+    assert (data.f + data.S.apply(data.f).dy()) * LocalizedFn(phi, 0, phi) == one
+    assert data.f - HSeries.constant(LocalizedFn.one_over_phi(phi), N) == data.tau.dy()
+    doc = berezin_doc(data)
+    held = [w for _, w in sorted(data.S.terms.items())] + [data.f, data.tau]
+    printed = [e["series"] for e in doc["S"]] + [doc["f"], doc["tau"]]
+    for series_, entries in zip(held, printed, strict=True):
+        assert [e["i"] for e in entries] == [i for i, c in enumerate(series_.coeffs) if c]
+        for e in entries:
+            num = parse_poly(e["num"])
+            if e["phi_pow"] > 0:
+                with pytest.raises(NotDivisible):
+                    num.exact_div(phi)
+            assert LocalizedFn(num, e["phi_pow"], phi) == series_.coeffs[e["i"]]

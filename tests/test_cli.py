@@ -107,6 +107,15 @@ def test_berezin_document():
     assert doc["f"] == [{"i": 0, "num": "1", "phi_pow": 1}]
     assert doc["S"] == [{"b": 0, "series": [{"i": 1, "num": "1/2*y", "phi_pow": 0}]}]
 
+@pytest.mark.parametrize("phi, f", [("1", [{"i": 0, "num": "1", "phi_pow": 0}]),
+                                    ("2", [{"i": 0, "num": "1/2", "phi_pow": 0}])])
+def test_berezin_constant_phi_prints_f_reduced(phi, f):
+    # f_0 = 1/phi is held over phi; the document prints it in lowest terms
+    code, out = run_cli(["berezin", "--phi", phi, "--order", "2"])
+    assert code == 0
+    assert json.loads(out) == {"kind": "berezin_data", "h_order": 2, "phi": phi,
+                               "S": [], "f": f, "tau": []}
+
 def test_fit_lie_document():
     code, out = run_cli(["fit-lie", "--k", "1", "--samples", "x*y,x^2*y"])
     assert code == 0

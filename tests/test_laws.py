@@ -1,5 +1,6 @@
-"""Two laws of the quantization map, each against an independent reference:
-the abelian twist for a separable phi, and the reparametrization of h."""
+"""Three laws of the quantization map, each against an independent reference:
+the abelian twist for a separable phi, the reparametrization of h, and the
+transposition that swapping x and y makes of every order."""
 
 from fractions import Fraction
 from math import comb
@@ -104,3 +105,38 @@ polys = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), nonzero
 def test_scaled_second_coefficient_reparametrizes_h(phi, c, N):
     # quantize_series([phi, c phi]) is quantize(phi) with h -> h + c h^2
     assert_reparametrized(phi, [c], N)
+
+
+def swapped(p: Poly2) -> Poly2:
+    """p with x and y exchanged."""
+    return Poly2({(j, i): c for (i, j), c in p.terms.items()})
+
+
+def transposed(op) -> dict:
+    """op's slot (A, B) moved to (B reversed, A reversed), its coefficient swapped."""
+    return {(B[::-1], A[::-1]): swapped(c) for (A, B), c in op.terms.items()}
+
+
+cubics = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), nonzero,
+                         max_size=3).map(Poly2)
+
+
+def assert_transposed(phi, N):
+    # kappa_ab on ((a, 0), (0, b)) becomes swapped(kappa_ab) on ((b, 0), (0, a)),
+    # with sign +1 at every order
+    m, t = quantize(phi, N), quantize(swapped(phi), N)
+    for k in range(1, N + 1):
+        assert dict(t.order_op(k).terms) == transposed(m.order_op(k)), k
+        assert dict(t.ktables[k].terms) == transposed(m.ktables[k]), k
+
+
+@given(cubics, st.integers(1, 5))
+@settings(max_examples=50, deadline=None)
+def test_swapping_x_and_y_transposes_every_order(phi, N):
+    assert_transposed(phi, N)
+
+
+@pytest.mark.parametrize("phi", ["x^2*y + x*y^2", "x^3 + y^2 + x*y", "1 + x + y^2",
+                                 "x*y^3 + 2*x^2", "3/2*x^2*y - 1/5*y^3 + x"])
+def test_transposition_fixed_cases(phi):
+    assert_transposed(parse_poly(phi), 5)

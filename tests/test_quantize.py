@@ -250,6 +250,10 @@ def test_order_must_be_an_int_at_least_one(build, arg, order):
     with pytest.raises(UsageError):
         build(arg, order)
 
+def test_quantize_rejects_a_phi_that_is_not_a_poly2():
+    with pytest.raises(UsageError, match="phi must be a Poly2, got 'x\\*y'"):
+        quantize("x*y", 2)
+
 def test_cached_product_cannot_be_mutated():
     # a product's ktables share each K_k with the step cache, so a write into
     # one would corrupt every later quantize of the same phi

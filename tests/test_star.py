@@ -460,6 +460,16 @@ def test_gauge_transform_rejects_a_u_that_is_not_a_gauge_op():
         gauge_transform(quantize(X * Y, 2), "U")
 
 
+def test_gauge_transform_rejects_an_m_that_is_not_a_star_product():
+    with pytest.raises(UsageError, match="m must be a StarProduct, got 'm'"):
+        gauge_transform("m", GaugeOp(2))
+
+
+def test_normalize_rejects_an_m_that_is_not_a_star_product():
+    with pytest.raises(UsageError, match="m must be a StarProduct, got 'm'"):
+        normalize("m")
+
+
 def test_gauge_transform_rejects_a_u_shorter_than_the_product():
     U = GaugeOp(2, {1: DiffOp({(1, 1): 2})})
     with pytest.raises(UsageError, match="U has order 2, below the product's order 3"):
