@@ -28,7 +28,7 @@ from .star import (
 
 # Public names loaded on first access (PEP 562), by defining submodule.
 _LAZY = {
-    "BerezinData": "berezin", "YOpSeries": "berezin", "ad_x": "berezin",
+    "BerezinData": "berezin", "apply_S": "berezin", "ad_x": "berezin",
     "berezin_pipeline": "berezin", "density_f": "berezin", "extract_S": "berezin",
     "FitReport": "liewords", "fit_lie_words": "liewords",
     "LocalizedFn": "localized",
@@ -47,7 +47,7 @@ def __getattr__(name):
 
 
 __all__ = [
-    "BerezinData", "YOpSeries", "ad_x", "berezin_pipeline", "density_f", "extract_S",
+    "BerezinData", "apply_S", "ad_x", "berezin_pipeline", "density_f", "extract_S",
     "BiDiffOp", "DiffOp", "TriDiffOp", "build_rhs_T", "euler_lagrange",
     "FitReport", "fit_lie_words", "LocalizedFn", "parse_poly",
     "Poly2", "format_poly", "classify_p2", "quantize", "quantize_series",

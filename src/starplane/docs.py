@@ -166,7 +166,7 @@ def _localized_series(s: HSeries):
 
 def berezin_doc(data: BerezinData) -> dict:
     s_entries = [{"b": b, "series": _localized_series(w)}
-                 for b, w in sorted(data.S.terms.items())]
+                 for b, w in sorted(data.S.items())]
     return {"kind": "berezin_data",
             "h_order": data.n_order,
             "phi": format_poly(data.phi),

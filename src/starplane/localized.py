@@ -48,21 +48,23 @@ class LocalizedFn:
     def __bool__(self):
         return not self.num.is_zero()
 
+    def _over(self, power: int) -> Poly2:
+        """The numerator over phi^power, power >= self.power: lifted only when they differ."""
+        return self.num if power == self.power else self.num * self.phi ** (power - self.power)
+
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.num * o.phi ** o.power == o.num * self.phi ** self.power
+        m = max(self.power, o.power)
+        return self._over(m) == o._over(m)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         m = max(self.power, o.power)
-        num = self.num * self.phi ** (m - self.power) + o.num * self.phi ** (m - o.power)
-        return LocalizedFn(num, m, self.phi)
-
-    __radd__ = __add__
+        return LocalizedFn(self._over(m) + o._over(m), m, self.phi)
 
     def __neg__(self):
         return LocalizedFn(-self.num, self.power, self.phi)
@@ -80,8 +82,6 @@ class LocalizedFn:
         if o is None:
             return NotImplemented
         return LocalizedFn(self.num * o.num, self.power + o.power, self.phi)
-
-    __rmul__ = __mul__
 
     def reduced(self) -> "LocalizedFn":
         """The same value in lowest terms: phi does not divide num while power > 0."""

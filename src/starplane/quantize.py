@@ -42,7 +42,8 @@ from .diffop import (_ONE, BiDiffOp, DiffOp, build_rhs_T, euler_lagrange, hochsc
                      substitute_sum)
 from .errors import Infeasible, NotInImage, NotNormalized, UsageError
 from .poly import Poly2
-from .star import PoissonSeries, StarProduct, _check_order, spq_membership
+from .star import (PoissonSeries, StarProduct, _check_order, _check_poly, _check_product,
+                   spq_membership)
 
 _DXDY = ((1, 0), (0, 1))  # K_1 = dx (x) dy, the slot each psi_i first reaches
 
@@ -178,8 +179,7 @@ def _orders(psi, N: int):
 
 def quantize(phi: Poly2, N: int) -> StarProduct:
     """Star product fg + sum h^k phi K_k of one polynomial phi, through h^N (an int >= 1)."""
-    if not isinstance(phi, Poly2):
-        raise UsageError(f"phi must be a Poly2, got {phi!r}")
+    _check_poly(phi, "phi")
     _check_order(N)
     orders, kops = _orders([phi], N)
     return StarProduct(N, orders, phi=phi, ktables={k: Ks[0] for k, Ks in enumerate(kops, 1)})
@@ -189,7 +189,8 @@ def quantize(phi: Poly2, N: int) -> StarProduct:
 
 
 def quantize_series(psi: PoissonSeries | list, N: int) -> StarProduct:
-    """Quantize sum h^i psi_i exactly through h^N, N an int >= 1.
+    """Quantize sum h^i psi_i exactly through h^N, N an int >= 1; psi is a
+    PoissonSeries or a list of Poly2 (UsageError otherwise).
 
     psi_i first reaches the product at h^(i+1), so psi_i with i >= N is dropped;
     a series with one nonzero coefficient left goes through quantize, which
@@ -199,7 +200,10 @@ def quantize_series(psi: PoissonSeries | list, N: int) -> StarProduct:
     shares a prefix, reuses them.
     """
     _check_order(N)
-    coeffs = _trim(list(psi.coeffs if isinstance(psi, PoissonSeries) else psi)[:N])
+    coeffs = psi.coeffs if isinstance(psi, PoissonSeries) else psi
+    if not isinstance(coeffs, (list, tuple)) or not all(isinstance(c, Poly2) for c in coeffs):
+        raise UsageError(f"psi must be a PoissonSeries or a list of Poly2, got {psi!r}")
+    coeffs = _trim(list(coeffs)[:N])
     if len(coeffs) == 1:
         return quantize(coeffs[0], N)
     return StarProduct(N, _orders(coeffs, N)[0])
@@ -218,6 +222,7 @@ def classify_p2(m: StarProduct) -> PoissonSeries:
     every step comes from _step's cache and only the comparison runs; a cold
     step bounds its t-degrees by the series read so far, not by N - 1.
     """
+    _check_product(m)
     if not spq_membership(m):
         raise NotNormalized("classify_p2 requires a pure-shape product")
     N = m.n_order

@@ -59,8 +59,6 @@ class HSeries:
                     out[i + j] = out[i + j] + a * b
         return HSeries(n, out)
 
-    __rmul__ = __mul__
-
     def dy(self, n: int = 1) -> "HSeries":
         return HSeries(self.order, [c.dy(n) for c in self.coeffs])
 

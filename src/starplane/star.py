@@ -42,6 +42,11 @@ def _check_product(m) -> None:
         raise UsageError(f"m must be a StarProduct, got {m!r}")
 
 
+def _check_poly(p, name: str) -> None:
+    if not isinstance(p, Poly2):
+        raise UsageError(f"{name} must be a Poly2, got {p!r}")
+
+
 class _OrderSeries(ReadOnly):
     """_unit + sum h^k orders[k] for k = 1..n_order; each subclass sets _unit and
     _zero, the operators order_op gives at k = 0 and at an absent order.
@@ -126,6 +131,9 @@ class GaugeOp(_OrderSeries):
 
 def star_mul(m: StarProduct, f: Poly2, g: Poly2) -> HSeries:
     """f * g + sum h^k m_k(f, g), truncated at the product's order."""
+    _check_product(m)
+    _check_poly(f, "f")
+    _check_poly(g, "g")
     coeffs = [f * g]
     for k in range(1, m.n_order + 1):
         coeffs.append(m.order_op(k).apply(f, g))

@@ -1,5 +1,6 @@
 """The ad_x -> S -> density pipeline with phi-localized coefficients."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starplane.berezin import (
-    YOpSeries,
     ad_x,
+    apply_S,
     berezin_pipeline,
     extract_S,
 )
@@ -45,19 +46,19 @@ def test_ad_x_requires_normalized_input():
 def test_ad_x_closed_forms():
     # flat case: exactly dy at every order
     W = ad_x(quantize(ONE, 3), ONE)
-    assert set(W.terms) == {1}
-    assert W.terms[1] == series(ONE, 2, {0: ONE})
+    assert set(W) == {1}
+    assert W[1] == series(ONE, 2, {0: ONE})
 
     # phi = xy at N=2: xy * (dy + h(1/2 dy + (y/2) dy^2))
     phi = X * Y
     W = ad_x(quantize(phi, 2), phi)
-    assert W.terms[1] == series(phi, 1, {0: phi, 1: phi * Fraction(1, 2)})
-    assert W.terms[2] == series(phi, 1, {1: phi * Y * Fraction(1, 2)})
+    assert W[1] == series(phi, 1, {0: phi, 1: phi * Fraction(1, 2)})
+    assert W[2] == series(phi, 1, {1: phi * Y * Fraction(1, 2)})
 
     # phi = x at N=2: x * (dy + h/2 dy^2)
     W = ad_x(quantize(X, 2), X)
-    assert W.terms[1] == series(X, 1, {0: X})
-    assert W.terms[2] == series(X, 1, {1: X * Fraction(1, 2)})
+    assert W[1] == series(X, 1, {0: X})
+    assert W[2] == series(X, 1, {1: X * Fraction(1, 2)})
 
 
 def test_ad_x_matches_star_commutator_on_monomials():
@@ -71,7 +72,7 @@ def test_ad_x_matches_star_commutator_on_monomials():
             comm = star_mul(m, X, g) - star_mul(m, g, X)
             assert comm.coeffs[0].is_zero()
             applied = [Poly2.zero()] * 3
-            for b, w in W.terms.items():
+            for b, w in W.items():
                 for k in range(3):
                     applied[k] = applied[k] + as_poly(w.coeffs[k]) * g.dy(b)
             assert applied == comm.coeffs[1:]
@@ -80,18 +81,18 @@ def test_ad_x_matches_star_commutator_on_monomials():
 def test_extract_S_closed_forms():
     # flat: S = 0
     S = extract_S(ad_x(quantize(ONE, 3), ONE), ONE)
-    assert S.is_zero()
+    assert not S
 
     # phi = xy at N=1: s_0 = (h/2) y
     phi = X * Y
     S = extract_S(ad_x(quantize(phi, 2), phi), phi)
-    assert S.terms[0] == series(phi, 1, {1: Y * Fraction(1, 2)})
-    assert set(S.terms) == {0}
+    assert S[0] == series(phi, 1, {1: Y * Fraction(1, 2)})
+    assert set(S) == {0}
 
     # phi = x at N=1: the only finite solution is the constant s_0 = h/2
     S = extract_S(ad_x(quantize(X, 2), X), X)
-    assert S.terms[0] == series(X, 1, {1: Poly2.const(Fraction(1, 2))})
-    assert set(S.terms) == {0}
+    assert S[0] == series(X, 1, {1: Poly2.const(Fraction(1, 2))})
+    assert set(S) == {0}
 
 
 def test_extract_S_defining_identity():
@@ -100,27 +101,51 @@ def test_extract_S_defining_identity():
         m = quantize(phi, 4)
         W = ad_x(m, phi)
         S = extract_S(W, phi)
-        N = W.n_order
+        N = W[1].order
         zero = HSeries.constant(LocalizedFn(0, 0, phi), N)
         lhs = {1: HSeries.constant(LocalizedFn(phi, 0, phi), N)}
-        for j, sj in S.terms.items():
+        for j, sj in S.items():
             lhs[j + 1] = lhs.get(j + 1, zero) + sj.dy() * LocalizedFn(phi, 0, phi)
             lhs[j + 2] = lhs.get(j + 2, zero) + sj * LocalizedFn(phi, 0, phi)
-        for b in set(lhs) | set(W.terms):
-            assert lhs.get(b, zero) == W.terms.get(b, zero), (phi, b)
+        for b in set(lhs) | set(W):
+            assert lhs.get(b, zero) == W.get(b, zero), (phi, b)
 
 
 def test_extract_S_inconsistent_input():
     phi = ONE
     # W = (1 + h) dy has no finite S: the dy^1 slot cannot be matched
-    W = YOpSeries(2, {1: series(phi, 2, {0: 1, 1: 1})}, phi)
+    W = {1: series(phi, 2, {0: 1, 1: 1})}
     with pytest.raises(IntegrationObstruction):
         extract_S(W, phi)
 
 
+def test_extract_S_needs_the_dy_slot_even_when_W_has_none():
+    # phi dy (1 + S dy) always holds phi dy at h^0, so W = h dy^2 has no S,
+    # although s_0 = h matches its dy^2 slot
+    phi = ONE
+    with pytest.raises(IntegrationObstruction):
+        extract_S({2: series(phi, 1, {1: 1})}, phi)
+
+
+def test_density_f_applies_S_to_the_whole_series_once(monkeypatch):
+    # f is formed order by order; only tau = -S f applies S to all of f
+    module = importlib.import_module("starplane.berezin")
+    phi = parse_poly("x^2*y+x*y^2")
+    N = 4
+    S = extract_S(ad_x(quantize(phi, N + 1), phi), phi)
+    assert S
+    calls = []
+    apply_S_ = module.apply_S
+    monkeypatch.setattr(module, "apply_S", lambda S, f: calls.append(f.order) or apply_S_(S, f))
+    data = module.density_f(phi, S, N)
+    monkeypatch.undo()
+    assert calls == [N]
+    assert data.tau == -apply_S(S, data.f)
+
+
 def test_density_flat():
     data = berezin_pipeline(ONE, 3)
-    assert data.S.is_zero()
+    assert not data.S
     assert data.f == HSeries.constant(LocalizedFn(1, 0, ONE), 3)
     assert data.tau.is_zero()
 
@@ -129,7 +154,7 @@ def test_density_flat():
 def test_density_identity_and_exactness(phi):
     data = berezin_pipeline(phi, 3)
     one = HSeries.constant(LocalizedFn(1, 0, phi), 3)
-    lhs = (data.f + data.S.apply(data.f).dy()) * LocalizedFn(phi, 0, phi)
+    lhs = (data.f + apply_S(data.S, data.f).dy()) * LocalizedFn(phi, 0, phi)
     assert lhs == one
     inv = HSeries.constant(LocalizedFn.one_over_phi(phi), 3)
     assert data.f - inv == data.tau.dy()
@@ -165,10 +190,10 @@ def test_held_forms_solve_the_density_and_print_in_lowest_terms(phi, N):
     # the forms are held unreduced; == cross-multiplies and the document reduces
     data = berezin_pipeline(phi, N)
     one = HSeries.constant(LocalizedFn(1, 0, phi), N)
-    assert (data.f + data.S.apply(data.f).dy()) * LocalizedFn(phi, 0, phi) == one
+    assert (data.f + apply_S(data.S, data.f).dy()) * LocalizedFn(phi, 0, phi) == one
     assert data.f - HSeries.constant(LocalizedFn.one_over_phi(phi), N) == data.tau.dy()
     doc = berezin_doc(data)
-    held = [w for _, w in sorted(data.S.terms.items())] + [data.f, data.tau]
+    held = [w for _, w in sorted(data.S.items())] + [data.f, data.tau]
     printed = [e["series"] for e in doc["S"]] + [doc["f"], doc["tau"]]
     for series_, entries in zip(held, printed, strict=True):
         assert [e["i"] for e in entries] == [i for i, c in enumerate(series_.coeffs) if c]

@@ -2,6 +2,7 @@
 and the classifier round trip."""
 
 import importlib
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -254,6 +255,15 @@ def test_quantize_rejects_a_phi_that_is_not_a_poly2():
     with pytest.raises(UsageError, match="phi must be a Poly2, got 'x\\*y'"):
         quantize("x*y", 2)
 
+def test_quantize_series_rejects_coefficients_that_are_not_poly2():
+    message = "psi must be a PoissonSeries or a list of Poly2, got ['x*y', 'x']"
+    with pytest.raises(UsageError, match=re.escape(message)):
+        quantize_series(["x*y", "x"], 2)
+
+def test_quantize_series_rejects_a_psi_that_is_not_a_list():
+    with pytest.raises(UsageError, match="psi must be a PoissonSeries or a list of Poly2, got 'xy'"):
+        quantize_series("xy", 2)
+
 def test_cached_product_cannot_be_mutated():
     # a product's ktables share each K_k with the step cache, so a write into
     # one would corrupt every later quantize of the same phi
@@ -314,6 +324,10 @@ def test_quantize_series_matches_interpolation_oracle(psi, N):
 def test_classify_requires_pure_shape():
     with pytest.raises(NotNormalized):
         classify_p2(moyal_fixture(1, 3))
+
+def test_classify_rejects_an_m_that_is_not_a_star_product():
+    with pytest.raises(UsageError, match="m must be a StarProduct, got 'm'"):
+        classify_p2("m")
 
 def test_cocycle_tweak_is_still_in_the_image():
     # adding x * dx (x) dy at order 3 is a Hochschild cocycle, so the result

@@ -57,6 +57,23 @@ def test_localized_arithmetic():
     assert b * X == LocalizedFn(1, 0, phi)
 
 
+def test_localized_sum_and_equality_lift_only_the_lower_power(monkeypatch):
+    phi = X * Y
+    a, b, c = LocalizedFn(X, 2, phi), LocalizedFn(Y, 2, phi), LocalizedFn(ONE, 1, phi)
+    products = []
+    mul = Poly2.__mul__
+    monkeypatch.setattr(Poly2, "__mul__", lambda p, q: products.append(q) or mul(p, q))
+    total = a + b
+    same = a == LocalizedFn(X, 2, phi)
+    monkeypatch.undo()
+    assert products == []
+    assert same and total.num == X + Y and total.power == 2
+    # unequal powers: c is lifted to phi^2, a is kept as it is
+    mixed = a + c
+    assert mixed.num == X + phi and mixed.power == 2
+    assert c == LocalizedFn(phi, 2, phi) and a != c
+
+
 def test_localized_quotient_rule():
     phi = X * Y
     f = LocalizedFn.one_over_phi(phi)  # 1/(xy)

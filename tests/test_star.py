@@ -470,6 +470,18 @@ def test_normalize_rejects_an_m_that_is_not_a_star_product():
         normalize("m")
 
 
+def test_star_mul_rejects_an_m_that_is_not_a_star_product():
+    with pytest.raises(UsageError, match="m must be a StarProduct, got 'm'"):
+        star_mul("m", X, Y)
+
+
+@pytest.mark.parametrize("f, g, message", [("x", Y, "f must be a Poly2, got 'x'"),
+                                             (X, "y", "g must be a Poly2, got 'y'")])
+def test_star_mul_rejects_an_argument_that_is_not_a_poly2(f, g, message):
+    with pytest.raises(UsageError, match=message):
+        star_mul(quantize(X * Y, 2), f, g)
+
+
 def test_gauge_transform_rejects_a_u_shorter_than_the_product():
     U = GaugeOp(2, {1: DiffOp({(1, 1): 2})})
     with pytest.raises(UsageError, match="U has order 2, below the product's order 3"):
