@@ -183,14 +183,16 @@ class Poly2:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Poly2.const(1)
-        base = self
-        while n:
+        if not n:
+            return Poly2.const(1)
+        result, base = None, self
+        while True:  # one product per set bit after the first and per squaring
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     # -- calculus -----------------------------------------------------
 

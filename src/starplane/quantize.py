@@ -17,20 +17,19 @@ quantize_series extends the construction to formal series sum h^i psi_i:
 order k of the product for phi_t = sum t^c psi_c is a polynomial in t, and
 the recursion is linear over Q[t], so it runs on the t^d parts K_k[d], each
 solved like a polynomial order, and the t^d part of order j lands at
-h^(j+d).  _build runs it once, by total h-order; quantize is the case of
-one part per order.  psi_(n-1) reaches h^n only as psi_(n-1) dx (x) dy, so
-classify_p2 reads it off order n in the same pass: the round trip itself.
+h^(j+d).  _step runs it by total h-order, and its state is the K and m
+tables and nothing else: quantize (one part per order) and quantize_series
+sum each order off the state after h^N, and classify_p2 reads psi_(n-1) off
+order n with the state after h^n, since psi_(n-1) reaches h^n only as
+psi_(n-1) dx (x) dy: the round trip itself.
 
-The pass is cached step by step in _step, a bounded lru_cache: the state
-after h-order n depends only on psi_0..psi_(n-2), so it is keyed by n and
-that prefix without trailing zeros, which quantize_series's trimmed
-coefficients and classify_p2's series read so far share.  So within one
-process classify_p2 on a product built earlier solves nothing, and
-quantize(phi, N) after quantize(phi, N') solves only orders N'+1..N; each
-K_k[d] is certified when it is first solved.  A process that has not built
-the series (the CLI runs one command per process) gets only the cold-path
-saving: the t-degree bound of each step follows the series read so far.
-_step is the only cache: every quantize call sums a new product from it.
+_step is a bounded lru_cache and the only cache: the state after h-order n
+depends only on psi_0..psi_(n-2), so it is keyed by n and that prefix
+without trailing zeros, which quantize_series's trimmed coefficients and
+classify_p2's series read so far share.  So within one process classify_p2
+on a product built earlier solves nothing, and quantize(phi, N) after
+quantize(phi, N') solves only orders N'+1..N; each K_k[d] is certified when
+it is first solved, and every quantize call sums a new product.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from .diffop import (_ONE, BiDiffOp, DiffOp, build_rhs_T, euler_lagrange, hochsc
                      substitute_sum)
 from .errors import Infeasible, NotInImage, NotNormalized, UsageError
 from .poly import Poly2
-from .star import (PoissonSeries, StarProduct, _check_order, _check_poly, _check_product,
+from .star import (PoissonSeries, StarProduct, _check_order, _check_poly, _check_product, _trim,
                    spq_membership)
 
 _DXDY = ((1, 0), (0, 1))  # K_1 = dx (x) dy, the slot each psi_i first reaches
@@ -97,83 +96,64 @@ def solve_order(T, k: int) -> BiDiffOp:
     return K
 
 
-def _trim(coeffs) -> tuple:
-    """The coefficients as a tuple without trailing zeros: the key of _step."""
-    coeffs = tuple(coeffs)
-    n = len(coeffs)
-    while n and coeffs[n - 1].is_zero():
-        n -= 1
-    return coeffs[:n]
-
-
 # A state holds read-only operators in tuples, so every later step and
 # caller may share it.  The bound keeps memory flat in long runs.
 @lru_cache(maxsize=256)
 def _step(n: int, prefix: tuple) -> tuple:
-    """(kops, mops, mult, parts): the recursion for phi_t = sum t^c psi_c after h-order n.
+    """(kops, mops, mult): the recursion for phi_t = sum t^c psi_c after h-order n.
 
     K_k has degree k-1 in phi_t and its t^d part K_k[d] lands at h^(k+d), as
     does m_j[d] = sum_{c+e=d} psi_c K_j[e], the t^d part of order j.  Step n
     solves each K_k[n-k], 2 <= k <= n, from T_k[n-k], which reads only parts
     below h^n, then forms m_k[n-k], so each psi_c K_j[e] is formed once.
     Every part step n makes reads only psi_0..psi_(n-2), so prefix is those
-    with trailing zeros dropped, and a part past the t-degree bound that
-    prefix gives, K_k[d] with d > (k-1)(len(prefix)-1), is zero: it is
-    neither built nor solved.  kops[k-1][d] = K_k[d] and mops[j-1][d] =
+    with trailing zeros dropped.  kops[k-1][d] = K_k[d] and mops[j-1][d] =
     m_j[d], a zero operator where a part is zero, so each index is the
     t-degree; mult[c] multiplies by psi_c, c <= n-2, and m_1[c] = psi_c
-    dx (x) dy.  parts holds the nonzero m_k[n-k], k >= 2, whose sum rest_n
-    is order n less m_1[n-1].  No
-    part builds Poly2 coefficients: T_k[d] (build_rhs_T) and m_k[d] are
-    kernel results that only the kernel reads, and K_k[d], a pure-shape
-    BiDiffOp, is born from its solved numerators.  Step n extends step
-    n - 1, so a series whose prefix was built before in this process solves
-    nothing again.
+    dx (x) dy.  A part past the t-degree the prefix gives meets a zero
+    operator in every term of its T_k[d], which is then empty: it is neither
+    composed nor solved.  No part builds Poly2 coefficients: T_k[d]
+    (build_rhs_T) and m_k[d] are kernel results that only the kernel reads,
+    and K_k[d], a pure-shape BiDiffOp, is born from its solved numerators.
+    Step n extends step n - 1, so a series whose prefix was built before in
+    this process solves nothing again.
     """
     if n == 1:
-        return ((BiDiffOp({_DXDY: 1}),),), ((),), (), ()
-    kops, mops, mult, _ = _step(n - 1, _trim(prefix[:n - 2]))
+        return ((BiDiffOp({_DXDY: 1}),),), ((),), ()
+    kops, mops, mult = _step(n - 1, _trim(prefix[:n - 2]))
     kops = [list(row) for row in kops] + [[]]
     mops = [list(row) for row in mops] + [[]]
     new = prefix[n - 2:]  # (psi_(n-2),), or () when it is zero
     mult += (DiffOp({(0, 0): c for c in new}),)
     mops[0].append(BiDiffOp({_DXDY: c for c in new}))
-    width = len(prefix) - 1  # the t-degree of phi_t as far as step n reads it
-    parts = []
     for k in range(2, n + 1):
         d = n - k
-        T = build_rhs_T(k, d, kops, mops) if d <= (k - 1) * width else None
+        T = build_rhs_T(k, d, kops, mops)
         # K = 0 is the one solution of an empty T: nothing to solve or certify
         kops[k - 1].append(solve_order(T, k) if T else BiDiffOp())
         items = [(1, mult[d - e], 0, K) for e, K in enumerate(kops[k - 1]) if K and mult[d - e]]
         mops[k - 1].append(substitute_sum(items) if items else BiDiffOp())
-        if items:
-            parts.append(mops[k - 1][-1])
-    return tuple(map(tuple, kops)), tuple(map(tuple, mops)), mult, tuple(parts)
+    return tuple(map(tuple, kops)), tuple(map(tuple, mops)), mult
 
 
-def _build(psi, N: int):
-    """Yield _step's states n = 1..N for phi_t = sum t^c psi[c]; psi = [phi] for
-    a polynomial phi.  Step n is keyed by psi[:n-1] without trailing zeros,
-    read when it starts, so after the n-th yield a caller may fill in psi[n-1]
-    (classify_p2 does).  A step built before in this process, by any series
-    with the same prefix, is reused; the others are solved and certified."""
-    for n in range(1, N + 1):
-        yield _step(n, _trim(psi[:n - 1]))
+def _rest(mops, n: int, sign: int) -> list:
+    """Kernel items for sign * rest_n, rest_n = sum_{k>=2} m_k[n-k] (order n
+    less m_1[n-1]), from a state after h-order n or later; zero parts left out."""
+    return [(sign, mops[k - 1][n - k], 0, _ONE) for k in range(2, n + 1) if mops[k - 1][n - k]]
 
 
 def _orders(psi, N: int):
-    """({n: order n}, kops) of the product for sum h^i psi_i through h^N; order n
-    is one kernel sum of rest_n's parts and m_1[n-1], its terms built on first read."""
-    states = list(_build(psi, N))
-    kops, mops = states[-1][:2]
-    # m_1[n-1] for n < N is the operator step n + 1 holds, so each is built once
+    """({n: order n}, kops) of the product for sum h^i psi_i through h^N, read
+    off the one state after h-order N; order n is a new kernel sum of rest_n
+    and m_1[n-1], its terms built on first read."""
+    kops, mops, _ = _step(N, _trim(psi[:N - 1]))
+    # m_1[n-1] for n < N is the operator the state holds, so each is built once
     k1 = mops[0] + (BiDiffOp({_DXDY: c for c in psi[N - 1:N]}),)
     orders = {}
-    for n, (*_, parts) in enumerate(states, 1):
-        ops = [op for op in parts + (k1[n - 1],) if op]
-        if ops:
-            orders[n] = substitute_sum([(1, op, 0, _ONE) for op in ops])
+    for n in range(1, N + 1):
+        items = _rest(mops, n, 1) + ([(1, k1[n - 1], 0, _ONE)] if k1[n - 1] else [])
+        if items:
+            orders[n] = substitute_sum(items)
     return orders, kops
 
 
@@ -212,26 +192,24 @@ def quantize_series(psi: PoissonSeries | list, N: int) -> StarProduct:
 def classify_p2(m: StarProduct) -> PoissonSeries:
     """Invert quantization on a pure-shape associative product.
 
-    One pass of _build with psi = [0] * N, filled in as it goes: order n of
-    the product for psi is rest_n + psi_(n-1) dx (x) dy, so m_n - rest_n may
-    hold only the dx (x) dy slot, whose coefficient is psi_(n-1); any other
-    slot raises NotInImage.  This is the round trip on every order and slot,
-    compared on integer numerators: only the terms of m_n - rest_n are built.
-    Step n is keyed by the psi_0..psi_(n-2) read so far, the key
-    quantize_series gave it, so on a product built earlier in this process
-    every step comes from _step's cache and only the comparison runs; a cold
-    step bounds its t-degrees by the series read so far, not by N - 1.
+    Order n of the product for psi is rest_n + psi_(n-1) dx (x) dy, and
+    rest_n reads only psi_0..psi_(n-2), so step n of the recursion, keyed by
+    the series read so far, gives rest_n; m_n - rest_n may hold only the
+    dx (x) dy slot, whose coefficient is psi_(n-1), and any other slot raises
+    NotInImage.  This is the round trip on every order and slot, compared on
+    integer numerators: only the terms of m_n - rest_n are built.
+    quantize_series gave each step the same key, so on a product built
+    earlier in this process every step comes from _step's cache and only the
+    comparison runs; a cold step builds no part past the series read so far.
     """
     _check_product(m)
     if not spq_membership(m):
         raise NotNormalized("classify_p2 requires a pure-shape product")
-    N = m.n_order
-    psi = [Poly2.zero()] * N
-    for n, (*_, parts) in enumerate(_build(psi, N), 1):
-        left = substitute_sum([(1, m.order_op(n), 0, _ONE)]
-                              + [(-1, op, 0, _ONE) for op in parts]).terms
+    psi = []
+    for n in range(1, m.n_order + 1):
+        mops = _step(n, _trim(psi))[1]
+        left = substitute_sum([(1, m.order_op(n), 0, _ONE)] + _rest(mops, n, -1)).terms
         if any(key != _DXDY for key in left):
             raise NotInImage("product is not in the image of quantization")
-        if left:
-            psi[n - 1] = left[_DXDY]
-    return PoissonSeries(N - 1, psi)
+        psi.append(left.get(_DXDY, Poly2.zero()))
+    return PoissonSeries(m.n_order - 1, psi)

@@ -47,23 +47,36 @@ def _check_poly(p, name: str) -> None:
         raise UsageError(f"{name} must be a Poly2, got {p!r}")
 
 
+def _trim(coeffs) -> tuple:
+    """The coefficients as a tuple without trailing zeros."""
+    coeffs = tuple(coeffs)
+    n = len(coeffs)
+    while n and coeffs[n - 1].is_zero():
+        n -= 1
+    return coeffs[:n]
+
+
 class _OrderSeries(ReadOnly):
     """_unit + sum h^k orders[k] for k = 1..n_order; each subclass sets _unit and
     _zero, the operators order_op gives at k = 0 and at an absent order.
 
-    n_order must be an int >= 1 and every key of orders an int in
-    1..n_order (UsageError, a ValueError, otherwise).  Read-only, like the
-    operators in orders, because quantize()'s ktables share each K_k with
-    the recursion's step cache.  Equality is type-strict.
+    n_order must be an int >= 1, every key of orders an int in 1..n_order
+    and every value an instance of _zero's type (UsageError, a ValueError,
+    otherwise).  Read-only, like the operators in orders, because
+    quantize()'s ktables share each K_k with the recursion's step cache.
+    Equality is type-strict.
     """
 
     __slots__ = ("n_order", "orders")
 
     def __init__(self, n_order, orders=None):
         _check_order(n_order)
-        for k in orders or ():
+        for k, op in (orders or {}).items():
             if type(k) is not int or not 1 <= k <= n_order:
                 raise UsageError(f"order keys must be integers in 1..{n_order}, got {k!r}")
+            if not isinstance(op, type(self._zero)):
+                raise UsageError(f"order {k} must be a {type(self._zero).__name__}, "
+                                 f"got {type(op).__name__}")
         object.__setattr__(self, "n_order", n_order)
         object.__setattr__(self, "orders",
                            MappingProxyType({k: op for k, op in (orders or {}).items() if op}))
@@ -108,10 +121,7 @@ class PoissonSeries(Record):
         self.coeffs = coeffs
 
     def trimmed(self):
-        c = list(self.coeffs)
-        while c and c[-1].is_zero():
-            c.pop()
-        return c
+        return list(_trim(self.coeffs))
 
     def __eq__(self, other):
         if not isinstance(other, PoissonSeries):

@@ -36,6 +36,21 @@ def test_scalar_coercion():
     assert ONE == 1
 
 
+def test_power_makes_one_product_per_squaring_and_per_later_set_bit(monkeypatch):
+    p = X + 2 * Y
+    products = []
+    mul = Poly2.__mul__
+    monkeypatch.setattr(Poly2, "__mul__", lambda a, b: products.append(b) or mul(a, b))
+    counts, powers = [], []
+    for n in range(5):
+        products.clear()
+        powers.append(p ** n)
+        counts.append(len(products))
+    monkeypatch.undo()
+    assert counts == [0, 0, 1, 2, 2]
+    assert powers == [ONE, p, p * p, p * p * p, p * p * p * p]
+
+
 def test_derivatives():
     p = X ** 3 * Y ** 2
     assert p.dx() == 3 * X ** 2 * Y ** 2

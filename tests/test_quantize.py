@@ -21,7 +21,6 @@ from starplane.errors import Infeasible, NotInImage, NotNormalized, UsageError
 
 from starplane.poly import ONE, X, Y, Poly2
 from starplane.quantize import (
-    _build,
     _step,
     classify_p2,
     quantize,
@@ -31,6 +30,7 @@ from starplane.quantize import (
 from starplane.star import (
     PoissonSeries,
     StarProduct,
+    _trim,
     extract_poisson_p3,
     is_associative,
     moyal_fixture,
@@ -470,6 +470,48 @@ def test_classify_of_a_product_built_in_this_process_solves_nothing(monkeypatch)
     assert calls == []
 
 
+def kernel_and_solve_calls(monkeypatch, run):
+    """(substitute_sum calls, solve_order calls, result) of run() on a cold step cache."""
+    module = importlib.import_module("starplane.quantize")
+    counts = {"kernel": 0, "solve": 0}
+    kernel, solve = diffop.substitute_sum, module.solve_order
+
+    def counted(name, fn):
+        return lambda *a: counts.__setitem__(name, counts[name] + 1) or fn(*a)
+
+    for owner in (diffop, module):
+        monkeypatch.setattr(owner, "substitute_sum", counted("kernel", kernel))
+    monkeypatch.setattr(module, "solve_order", counted("solve", solve))
+    _step.cache_clear()
+    out = run()
+    monkeypatch.undo()
+    return counts["kernel"], counts["solve"], out
+
+
+def test_cold_calls_compose_and_solve_only_the_parts_they_need(monkeypatch):
+    # parts past the t-degree of the series read so far meet a zero operator
+    # in every term, so they cost neither a kernel call nor a solve
+    phi = X ** 2 * Y + X * Y ** 2
+    assert kernel_and_solve_calls(monkeypatch, lambda: quantize(phi, 8))[:2] == (22, 7)
+    kernels, solves, m = kernel_and_solve_calls(
+        monkeypatch, lambda: quantize_series([X * Y, Y, X], 6))
+    assert (kernels, solves) == (34, 13)
+    kernels, solves, back = kernel_and_solve_calls(monkeypatch, lambda: classify_p2(m))
+    assert (kernels, solves) == (34, 13) and back.trimmed() == [X * Y, Y, X]
+
+
+def test_a_part_past_the_t_degree_bound_gets_an_empty_T_without_the_kernel(monkeypatch):
+    # quantize(xy, 4)'s state: phi = xy is a series of t-degree 0, so every
+    # term of T_3[1] has a zero factor
+    kops, mops, _ = _step(4, (X * Y,))
+    assert not kops[2][1] and not mops[2][1]
+    calls = []
+    kernel = diffop.substitute_sum
+    monkeypatch.setattr(diffop, "substitute_sum", lambda items: calls.append(items) or kernel(items))
+    T = build_rhs_T(3, 1, kops, mops)
+    assert type(T) is TriDiffOp and not T and calls == []
+
+
 def test_quantize_extends_a_shorter_build(monkeypatch):
     # after quantize(phi, N - 2), quantize(phi, N) solves only orders N - 1
     # and N, and matches a cold build in its orders, tables and document
@@ -535,9 +577,9 @@ def test_a_warm_step_cache_gives_what_a_cold_one_gives(base, draws):
     calls = [(kind, base[:cut] + extra, N) for kind, cut, extra, N in draws]
     warm = run_calls(calls, cold=False)
     # the states the warm calls left in the cache, and the lists in their forms
-    cached = {id(x) for kind, psi, N in calls
-              for state in _build(psi[:1] if kind == "quantize" else psi, N)
-              for ops in (*state[0], *state[1], state[2], state[3]) for op in ops
+    cached = {id(x) for kind, psi, N in calls for n in range(1, N + 1)
+              for state in [_step(n, _trim((psi[:1] if kind == "quantize" else psi)[:n - 1]))]
+              for ops in (*state[0], *state[1], state[2]) for op in ops
               for x in form_lists(op)}
     for m, _, _ in warm:
         for op in m.orders.values():

@@ -65,11 +65,12 @@ def test_localized_sum_and_equality_lift_only_the_lower_power(monkeypatch):
     monkeypatch.setattr(Poly2, "__mul__", lambda p, q: products.append(q) or mul(p, q))
     total = a + b
     same = a == LocalizedFn(X, 2, phi)
-    monkeypatch.undo()
-    assert products == []
-    assert same and total.num == X + Y and total.power == 2
-    # unequal powers: c is lifted to phi^2, a is kept as it is
+    equal_powers = list(products)
+    # unequal powers: c is lifted to phi^2 by one product with phi, a is kept as it is
     mixed = a + c
+    monkeypatch.undo()
+    assert equal_powers == [] and products == [phi]
+    assert same and total.num == X + Y and total.power == 2
     assert mixed.num == X + phi and mixed.power == 2
     assert c == LocalizedFn(phi, 2, phi) and a != c
 

@@ -482,6 +482,17 @@ def test_star_mul_rejects_an_argument_that_is_not_a_poly2(f, g, message):
         star_mul(quantize(X * Y, 2), f, g)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: normalize(StarProduct(2, {1: DiffOp({(1, 0): X})})), "order 1 must be a BiDiffOp, got DiffOp"),
+    (lambda: normalize(StarProduct(2, {1: "x"})), "order 1 must be a BiDiffOp, got str"),
+    (lambda: gauge_transform(quantize(X, 2), GaugeOp(2, {1: BiDiffOp({((1, 0), (0, 1)): X})})),
+     "order 1 must be a DiffOp, got BiDiffOp"),
+], ids=["star-diffop", "star-str", "gauge-bidiffop"])
+def test_order_series_reject_an_order_of_the_wrong_operator_type(call, message):
+    with pytest.raises(UsageError, match=message):
+        call()
+
+
 def test_gauge_transform_rejects_a_u_shorter_than_the_product():
     U = GaugeOp(2, {1: DiffOp({(1, 1): 2})})
     with pytest.raises(UsageError, match="U has order 2, below the product's order 3"):
