@@ -45,10 +45,15 @@ from functools import lru_cache
 from math import comb, gcd, lcm, perm
 from types import MappingProxyType
 
-from .errors import MissingPriorOrder
+from .errors import MissingPriorOrder, UsageError
 from .poly import Poly2, _make
 
 Idx = tuple  # (i, j) derivative multi-index
+
+
+def _is_index(v, seq=tuple) -> bool:
+    """v is a multi-index: a seq holding two ints >= 0 (a bool is not one)."""
+    return type(v) is seq and len(v) == 2 and all(type(e) is int and e >= 0 for e in v)
 
 
 class ReadOnly:
@@ -101,16 +106,22 @@ class _OpBase(ReadOnly):
 
     def __init__(self, terms=None):
         """From a mapping, or (key, coefficient) pairs, of Poly2, int or Fraction
-        coefficients (TypeError for any other), lifted over their lcm denominator."""
+        coefficients (TypeError for any other), lifted over their lcm denominator;
+        a key is arity pairs of ints >= 0, one bare pair for a DiffOp (UsageError)."""
         polys = {}
         for k, p in (terms.items() if hasattr(terms, "items") else terms or ()):
+            key = (k,) if self.arity == 1 else k
+            if type(key) is not tuple or len(key) != self.arity or not all(map(_is_index, key)):
+                what = "a pair" if self.arity == 1 else f"a tuple of {self.arity} pairs"
+                raise UsageError(f"a {type(self).__name__} key must be {what} of integers >= 0, "
+                                 f"got {k!r}")
             if isinstance(p, (int, Fraction)):
                 p = Poly2.const(p)
             elif not isinstance(p, Poly2):
                 raise TypeError("operator coefficients must be Poly2, int or Fraction, "
                                 f"got {type(p).__name__}")
-            polys[k] = polys[k] + p if k in polys else p
-        polys = {(k,) if self.arity == 1 else k: p for k, p in polys.items() if p}
+            polys[key] = polys[key] + p if key in polys else p
+        polys = {k: p for k, p in polys.items() if p}
         den = lcm(1, *(p._den for p in polys.values()))
         object.__setattr__(self, "_lifted", (den, [
             (key, [(i, j, n * (den // p._den)) for (i, j), n in p._num.items()])

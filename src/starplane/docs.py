@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii as _quote
 
-from .diffop import BiDiffOp
+from .diffop import BiDiffOp, _is_index
 from .errors import UsageError
 from .parser import parse_poly
 from .poly import format_poly, format_rational, format_terms, grlex_key
@@ -87,7 +87,7 @@ def star_product_doc(m: StarProduct) -> dict:
 
 
 def _multi_index(v) -> tuple:
-    if type(v) is not list or len(v) != 2 or any(type(e) is not int or e < 0 for e in v):
+    if not _is_index(v, list):
         raise UsageError(f"a multi-index must be a pair of integers >= 0, got {v!r}")
     return tuple(v)
 

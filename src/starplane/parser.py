@@ -10,6 +10,9 @@ Grammar (whitespace insignificant, no implicit multiplication):
 
 The optional leading '-' lets the canonical printer's output ("-x + y")
 round-trip; everywhere else a sign must be part of a rational literal.
+A token is a (kind, text, offset) tuple, offset its index in the input; a
+line and column are computed from the offset only when a ParseError is
+raised (only '\\n' ends a line, and every other character is one column).
 """
 
 from __future__ import annotations
@@ -17,53 +20,33 @@ from __future__ import annotations
 from decimal import Decimal
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, UsageError
 from .poly import Poly2
 
 
-class _Tok:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
+def _error(text: str, offset: int, message: str, expected) -> ParseError:
+    """The ParseError at text[offset]: line 1 + the '\\n's before it, column from the last."""
+    line = 1 + text.count("\n", 0, offset)
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset), expected=expected)
 
 
 def _tokenize(text: str):
     toks = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
+    i, n = 0, len(text)
     while i < n:
         ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
+        j = i + 1
         if ch.isdecimal():
-            j = i
             while j < n and text[j].isdecimal():
                 j += 1
-            toks.append(_Tok("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "xy+-*/^()":
-            kind = {"x": "x", "y": "y"}.get(ch, ch)
-            toks.append(_Tok(kind, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col,
-                         expected=("digit", "x", "y", "operator", "parenthesis"))
-    toks.append(_Tok("eof", "", line, col))
+            toks.append(("int", text[i:j], i))
+        elif ch in "xy+-*/^()":
+            toks.append((ch, ch, i))
+        elif not ch.isspace():
+            raise _error(text, i, f"unexpected character {ch!r}",
+                         ("digit", "x", "y", "operator", "parenthesis"))
+        i = j
+    toks.append(("eof", "end of input", n))  # the text _fail names it by
     return toks
 
 
@@ -76,40 +59,41 @@ def _int(text: str) -> int:
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
+    def peek(self) -> str:
+        """The kind of the next token."""
+        return self.toks[self.pos][0]
 
-    def take(self, kind: str) -> _Tok:
-        t = self.toks[self.pos]
-        if t.kind != kind:
+    def take(self, kind: str) -> str:
+        """The text of the next token, which must be of this kind."""
+        if self.peek() != kind:
             self._fail((kind,))
         self.pos += 1
-        return t
+        return self.toks[self.pos - 1][1]
 
     def _fail(self, expected):
-        t = self.toks[self.pos]
-        got = t.text if t.kind != "eof" else "end of input"
-        raise ParseError(f"unexpected {got!r}", t.line, t.col, expected=tuple(expected))
+        _, got, offset = self.toks[self.pos]
+        raise _error(self.text, offset, f"unexpected {got!r}", tuple(expected))
 
     def parse(self) -> Poly2:
         p = self.expr()
-        if self.peek().kind != "eof":
+        if self.peek() != "eof":
             self._fail(("+", "-", "*", "^", "end of input"))
         return p
 
     def expr(self) -> Poly2:
         neg = False
-        if self.peek().kind == "-":
+        if self.peek() == "-":
             self.pos += 1
             neg = True
         p = self.term()
         if neg:
             p = -p
-        while self.peek().kind in ("+", "-"):
-            op = self.peek().kind
+        while self.peek() in ("+", "-"):
+            op = self.peek()
             self.pos += 1
             q = self.term()
             p = p + q if op == "+" else p - q
@@ -117,56 +101,57 @@ class _Parser:
 
     def term(self) -> Poly2:
         p = self.factor()
-        while self.peek().kind == "*":
+        while self.peek() == "*":
             self.pos += 1
             p = p * self.factor()
         return p
 
     def factor(self) -> Poly2:
         p = self.primary()
-        while self.peek().kind == "^":
+        while self.peek() == "^":
             self.pos += 1
-            e = self.take("int")
-            p = p ** _int(e.text)
+            p = p ** _int(self.take("int"))
         return p
 
     def primary(self) -> Poly2:
-        t = self.peek()
-        if t.kind == "x":
+        kind = self.peek()
+        if kind == "x":
             self.pos += 1
             return Poly2.monomial(1, 0)
-        if t.kind == "y":
+        if kind == "y":
             self.pos += 1
             return Poly2.monomial(0, 1)
-        if t.kind == "(":
+        if kind == "(":
             self.pos += 1
             p = self.expr()
             self.take(")")
             return p
-        if t.kind in ("int", "-"):
+        if kind in ("int", "-"):
             return Poly2.const(self.rational())
         self._fail(("rational", "x", "y", "("))
 
     def rational(self) -> Fraction:
         sign = 1
-        if self.peek().kind == "-":
+        if self.peek() == "-":
             self.pos += 1
             sign = -1
-        num = _int(self.take("int").text)
-        if self.peek().kind == "/":
+        num = _int(self.take("int"))
+        if self.peek() == "/":
             self.pos += 1
-            den = _int(self.take("int").text)
+            den = _int(self.take("int"))
             if den == 0:
-                t = self.toks[self.pos - 1]
-                raise ParseError("zero denominator", t.line, t.col, expected=("nonzero uint",))
+                raise _error(self.text, self.toks[self.pos - 1][2], "zero denominator",
+                             ("nonzero uint",))
             return Fraction(sign * num, den)
         return Fraction(sign * num)
 
 
 def parse_poly(text: str) -> Poly2:
+    if not isinstance(text, str):
+        raise UsageError(f"parse_poly text must be a str, got {text!r}")
     parser = _Parser(text)
     try:
         return parser.parse()
     except RecursionError:  # each '(' costs four frames of the descent
-        t = parser.peek()
-        raise ParseError("expression nested too deeply", t.line, t.col, expected=()) from None
+        raise _error(text, parser.toks[parser.pos][2], "expression nested too deeply",
+                     ()) from None

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, perm
 
-from .errors import NotDivisible
+from .errors import NotDivisible, UsageError
 
 
 def _ratio(c):
@@ -42,12 +42,12 @@ class Poly2:
         den = 1
         if terms:
             for (i, j), c in terms.items() if isinstance(terms, dict) else terms:
+                if type(i) is not int or type(j) is not int or i < 0 or j < 0:
+                    raise UsageError(f"Poly2 exponents must be integers >= 0, got {(i, j)!r}")
                 n, d = _ratio(c)
                 if not n:
                     continue
-                if i < 0 or j < 0:
-                    raise ValueError(f"negative exponent in {(i, j)}")
-                items.append(((int(i), int(j)), n, d))
+                items.append(((i, j), n, d))
                 den = lcm(den, d)
         num = {}
         for key, n, d in items:

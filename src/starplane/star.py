@@ -337,7 +337,10 @@ def extract_poisson_p3(m: StarProduct) -> PoissonSeries:
 
 
 def moyal_fixture(c, N: int) -> StarProduct:
-    """Symmetric Moyal product for the constant bivector c dx ^ dy."""
+    """Symmetric Moyal product for the constant bivector c dx ^ dy, c an int or Fraction."""
+    _check_order(N)
+    if type(c) is not int and not isinstance(c, Fraction):
+        raise UsageError(f"c must be an int or a Fraction, got {c!r}")
     c = Fraction(c)
     orders = {}
     for k in range(1, N + 1):

@@ -21,7 +21,7 @@ from starplane.diffop import (
     is_k2_shape,
     substitute,
 )
-from starplane.errors import MissingPriorOrder
+from starplane.errors import MissingPriorOrder, UsageError
 from starplane.poly import ONE, X, Y, Poly2
 
 rationals = st.fractions(min_value=-12, max_value=12, max_denominator=6)
@@ -69,6 +69,25 @@ def test_operator_coefficients_of_another_type_are_refused(coeff):
     for make in (DiffOp, BiDiffOp, TriDiffOp):
         with pytest.raises(TypeError, match=type(coeff).__name__):
             make({(0, 0) if make.arity == 1 else ((0, 0),) * make.arity: coeff})
+
+
+@pytest.mark.parametrize("make, key, message", [
+    (BiDiffOp, ((1.5, 0), (0, 1)), "a BiDiffOp key must be a tuple of 2 pairs"),
+    (BiDiffOp, ((-1, 0), (0, 1)), "a BiDiffOp key must be a tuple of 2 pairs"),
+    (BiDiffOp, ((1, 0),), "a BiDiffOp key must be a tuple of 2 pairs"),
+    (BiDiffOp, ((True, 0), (0, 1)), "a BiDiffOp key must be a tuple of 2 pairs"),
+    (BiDiffOp, (1, 0), "a BiDiffOp key must be a tuple of 2 pairs"),
+    (TriDiffOp, ((1, 0), (0, 1)), "a TriDiffOp key must be a tuple of 3 pairs"),
+    (DiffOp, ((1, 0),), "a DiffOp key must be a pair"),
+    (DiffOp, (1, 0, 0), "a DiffOp key must be a pair"),
+    (DiffOp, (2.0, 1), "a DiffOp key must be a pair"),
+], ids=["non-int", "negative", "short", "bool", "bare-pair", "tri-short", "diffop-nested",
+        "diffop-triple", "diffop-float"])
+def test_operator_keys_that_are_not_multi_indices_are_refused(make, key, message):
+    with pytest.raises(UsageError, match=re.escape(f"{message} of integers >= 0, got {key!r}")):
+        make({key: X})
+    with pytest.raises(UsageError):  # the (key, coefficient) pairs form is checked the same way
+        make([(key, 1)])
 
 
 def test_bidiff_apply():

@@ -1,5 +1,6 @@
 """Exact bivariate polynomial arithmetic."""
 
+import re
 from fractions import Fraction
 from math import gcd, perm
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affine_oracle import DegenerateMap, subs_affine
-from starplane.errors import NotDivisible
+from starplane.errors import NotDivisible, UsageError
 from starplane.poly import ONE, X, Y, Poly2, format_poly, grlex_key
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
@@ -21,6 +22,19 @@ def test_zero_coefficients_never_stored():
     p = Poly2({(1, 0): Fraction(0), (0, 1): Fraction(2)})
     assert (1, 0) not in p.terms
     assert p == Poly2({(0, 1): Fraction(2)})
+
+
+@pytest.mark.parametrize("make, exp", [
+    (lambda: Poly2({(1.5, 0): 1}), (1.5, 0)),
+    (lambda: Poly2.monomial(2.9, 1, 3), (2.9, 1)),
+    (lambda: Poly2({(1, Fraction(2)): 1}), (1, Fraction(2))),
+    (lambda: Poly2({(True, 0): 1}), (True, 0)),
+    (lambda: Poly2({(0, -1): 1}), (0, -1)),
+    (lambda: Poly2({(1.5, 0): 0}), (1.5, 0)),
+], ids=["float", "monomial-float", "fraction", "bool", "negative", "float-zero-coefficient"])
+def test_an_exponent_that_is_not_an_int_at_least_zero_is_refused(make, exp):
+    with pytest.raises(UsageError, match=re.escape(f"Poly2 exponents must be integers >= 0, got {exp!r}")):
+        make()
 
 
 def test_basic_arithmetic():

@@ -493,6 +493,19 @@ def test_order_series_reject_an_order_of_the_wrong_operator_type(call, message):
         call()
 
 
+@pytest.mark.parametrize("c, N, message", [
+    (0.1, 1, "c must be an int or a Fraction, got 0.1"),
+    ("x", 2, "c must be an int or a Fraction, got 'x'"),
+    (True, 2, "c must be an int or a Fraction, got True"),
+    (1, 2.5, "order must be an integer >= 1, got 2.5"),
+    (1, 0, "order must be an integer >= 1, got 0"),
+    (0.1, "2", "order must be an integer >= 1, got '2'"),
+], ids=["c-float", "c-str", "c-bool", "n-float", "n-0", "n-checked-first"])
+def test_moyal_fixture_rejects_a_c_or_n_of_another_type(c, N, message):
+    with pytest.raises(UsageError, match=re.escape(message)):
+        moyal_fixture(c, N)
+
+
 def test_gauge_transform_rejects_a_u_shorter_than_the_product():
     U = GaugeOp(2, {1: DiffOp({(1, 1): 2})})
     with pytest.raises(UsageError, match="U has order 2, below the product's order 3"):
