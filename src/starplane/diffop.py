@@ -231,10 +231,6 @@ class DiffOp(_OpBase):
     def identity(cls):
         return cls({(0, 0): Poly2.const(1)})
 
-    def compose(self, other: "DiffOp") -> "DiffOp":
-        """self after other: (self.compose(other))(f) == self(other(f))."""
-        return substitute(self, 0, other)
-
 
 class BiDiffOp(_OpBase):
     """Bidifferential operator: terms keyed by (alpha, beta)."""

@@ -11,10 +11,18 @@ pair of permutation words of length k, such that
 holds simultaneously for every sample psi, with m_{k+1} taken from the exact
 order-by-order construction.  X_i = xi_i dx, Y_i = eta_i dy, and a word acts
 by composing the corresponding first-order operators in the given order.
+
+Only k! of the (k!)^2 pair operators are distinct: renaming the tuple
+(i_2 .. i_{k+1}) by sigma turns the (sigma, tau) sum into the (id, rho) sum
+term by term, rho[j] = sigma^-1(tau[j]).  So the ansatz holds one operator
+per word rho, and the solve runs over those k! columns, the pairs (id, rho).
+The report still counts (k!)^2 unknowns and lists every pair: a pair with
+sigma != id repeats an earlier column, never pivots and so carries 0.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -51,36 +59,27 @@ def _separable_terms(phi: Poly2):
     return out
 
 
-def _word_op(letters, order, axis):
-    """Compose L over the given letters in word order (leftmost outermost)."""
+def _word_op(letters, order, key):
+    """Compose the letters' first-order operators in word order (leftmost outermost)."""
     op = DiffOp.identity()
     for idx in order:
-        xi = letters[idx]
-        key = (1, 0) if axis == "x" else (0, 1)
-        op = op.compose(DiffOp({key: xi}))
+        op = substitute(op, 0, DiffOp({key: letters[idx]}))
     return op
 
 
 def _ansatz_ops(phi: Poly2, k: int):
-    """BiDiffOp per (sigma, tau) word pair, summed over index tuples in one kernel call."""
+    """BiDiffOp per word rho, the (id, rho) pair, summed over index tuples in one kernel call."""
     terms = _separable_terms(phi)
     words = list(permutations(range(k)))
-    items = {(s, t): [] for s in words for t in words}
+    items = {w: [] for w in words}
     mult = BiDiffOp.multiplication()
     for tup in product(range(len(terms)), repeat=k + 1):
-        xis = [terms[i][0] for i in tup]
+        # (f, g) -> X_tup[0] .. X_tup[k] f * g
+        left = substitute(mult, 0, _word_op([terms[i][0] for i in tup], range(k + 1), (1, 0)))
         etas = [terms[i][1] for i in tup]
-        x_words = {}
-        y_words = {}
         for w in words:
-            order = [0] + [1 + w[i] for i in range(k)]
-            x_words[w] = _word_op(xis, order, "x")
-            y_words[w] = _word_op(etas, order, "y")
-        for s in words:
-            left = substitute(mult, 0, x_words[s])  # (f, g) -> word_s(f) * g
-            for t in words:
-                items[s, t].append((1, left, 1, y_words[t]))
-    return {pair: substitute_sum(its) if its else BiDiffOp() for pair, its in items.items()}
+            items[w].append((1, left, 1, _word_op(etas, (0,) + tuple(1 + i for i in w), (0, 1))))
+    return {w: substitute_sum(its) if its else BiDiffOp() for w, its in items.items()}
 
 
 def _table(op):
@@ -92,43 +91,43 @@ def _table(op):
 def fit_lie_words(phi_samples, k: int) -> FitReport:
     if type(k) is not int or k < 1:
         raise UsageError(f"k must be an integer >= 1, got {k!r}")
-    samples = list(phi_samples)
+    samples = list(phi_samples) if isinstance(phi_samples, Iterable) else None
+    if samples is None or not all(isinstance(p, Poly2) for p in samples):
+        raise UsageError(f"phi_samples must be an iterable of Poly2, got {phi_samples!r}")
     if not samples:
         raise UsageError("fit_lie_words needs at least one sample phi")
-    pairs = None
+    words = list(permutations(range(k)))
     rows = []
     targets = []
     for phi in samples:
-        m = quantize(phi, k + 1)
-        target = m.order_op(k + 1)
+        target = quantize(phi, k + 1).order_op(k + 1)
         ops = _ansatz_ops(phi, k)
-        if pairs is None:
-            pairs = sorted(ops)
         targets.append((target, ops))
         want = _table(target)
-        tables = [_table(ops[pair]) for pair in pairs]
+        tables = [_table(ops[w]) for w in words]
         for key in sorted(set(want).union(*tables)):
             rhs = want.get(key, {})
             cols = [t.get(key, {}) for t in tables]
             for mon in sorted(set(rhs).union(*cols)):
                 rows.append(({c: col[mon] for c, col in enumerate(cols) if mon in col},
                              rhs.get(mon, Fraction(0))))
-    res = linsolve.solve(rows, len(pairs))
-    report = FitReport(k=k, status="ok", num_unknowns=len(pairs),
-                       rank=res.rank, kernel_dim=res.kernel_dim,
-                       samples=samples)
+    res = linsolve.solve(rows, len(words))
+    unknowns = len(words) ** 2
+    report = FitReport(k=k, status="ok", num_unknowns=unknowns, rank=res.rank,
+                       kernel_dim=unknowns - res.rank, samples=samples)
     if not res.consistent:
         report.status = "not_representable"
         return report
-    lambdas = {pairs[i]: res.solution[i] for i in range(len(pairs))}
     # re-substitute to certify the fit on every sample: one kernel sum of the
     # ansatz operators, each under the constant multiplier lambda
     for target, ops in targets:
-        items = [(1, DiffOp({(0, 0): lam}), 0, ops[pair]) for pair, lam in lambdas.items() if lam]
+        items = [(1, DiffOp({(0, 0): lam}), 0, ops[w]) for w, lam in zip(words, res.solution) if lam]
         if (substitute_sum(items) if items else BiDiffOp()) != target:
             report.status = "not_representable"
             return report
-    report.lambdas = lambdas
-    if res.kernel_dim:
+    # the (id, rho) pairs come first in sorted order; every other pair gets 0
+    report.lambdas = dict(zip(product(words, words),
+                              res.solution + [Fraction(0)] * (unknowns - len(words))))
+    if report.kernel_dim:
         report.status = "underdetermined"
     return report

@@ -159,6 +159,7 @@ def assoc_defect(m: StarProduct) -> dict:
     Order 1 is -b(m_1), so a product whose m_1 is not a Hochschild cocycle
     is not associative at order 1.
     """
+    _check_product(m)
     out = {}
     for k in range(1, m.n_order + 1):
         out[k] = substitute_sum([(sign, m.order_op(i), slot, m.order_op(k - i))
@@ -172,6 +173,7 @@ def is_associative(m: StarProduct) -> bool:
 
 def spq_membership(m: StarProduct) -> bool:
     """True iff every order differentiates slot 1 only in x and slot 2 only in y."""
+    _check_product(m)
     return all(is_k2_shape(op) for op in m.orders.values())
 
 
@@ -321,6 +323,7 @@ def extract_poisson_p3(m: StarProduct) -> PoissonSeries:
     y vanishes.  So at most six slots of m_k's integer form are read, for any
     product, and one Poly2 is built per order.
     """
+    _check_product(m)
     coeffs = []
     for k in range(1, m.n_order + 1):
         den, terms = m.order_op(k)._lifted

@@ -179,6 +179,11 @@ def test_berezin_pipeline_rejects_a_phi_that_is_not_a_poly2():
         berezin_pipeline("x", 2)
 
 
+def test_ad_x_rejects_an_m_that_is_not_a_star_product():
+    with pytest.raises(UsageError, match="m must be a StarProduct, got 'm'"):
+        ad_x("m", X)
+
+
 exponents = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda e: sum(e) <= 3)
 coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
 phis = st.dictionaries(exponents, coefficients, min_size=1, max_size=3).map(Poly2)

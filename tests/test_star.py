@@ -475,6 +475,13 @@ def test_star_mul_rejects_an_m_that_is_not_a_star_product():
         star_mul("m", X, Y)
 
 
+@pytest.mark.parametrize("fn", [assoc_defect, is_associative, extract_poisson_p3, spq_membership],
+                         ids=lambda fn: fn.__name__)
+def test_product_readers_reject_an_m_that_is_not_a_star_product(fn):
+    with pytest.raises(UsageError, match="m must be a StarProduct, got 'm'"):
+        fn("m")
+
+
 @pytest.mark.parametrize("f, g, message", [("x", Y, "f must be a Poly2, got 'x'"),
                                              (X, "y", "g must be a Poly2, got 'y'")])
 def test_star_mul_rejects_an_argument_that_is_not_a_poly2(f, g, message):
